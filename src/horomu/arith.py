@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -264,10 +263,3 @@ def prime_blocks(alpha, j_lo: int, j_hi: int, primes: PrimeTable) -> list[PrimeB
         bound = hi
     return blocks
 
-
-def nth_prime_index(primes: PrimeTable, p: int) -> int:
-    """Index of p in the table; raises if absent."""
-    i = bisect_left(primes.primes, p)
-    if i == len(primes.primes) or int(primes.primes[i]) != p:
-        raise ValidationError(f"{p} is not in the prime table")
-    return i

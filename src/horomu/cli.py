@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -104,13 +105,23 @@ def parse_observable(spec: str) -> Observable:
     if factory is None:
         raise DescriptorError(
             f"unknown observable {kind!r}; choices: {sorted(OBSERVABLE_FACTORIES)}")
+    allowed = inspect.signature(factory).parameters
     kwargs = {}
     if len(parts) > 1 and parts[1]:
         for item in parts[1].split(","):
             if "=" not in item:
                 raise DescriptorError(f"observable parameter {item!r} needs key=value")
             key, _, value = item.partition("=")
-            kwargs[key.strip()] = float(value)
+            key = key.strip()
+            if key not in allowed:
+                raise DescriptorError(
+                    f"observable {kind!r} has no parameter {key!r}; "
+                    f"choices: {sorted(allowed)}")
+            try:
+                kwargs[key] = float(value)
+            except ValueError:
+                raise DescriptorError(
+                    f"observable parameter {key}={value!r} is not a number") from None
     return factory(**kwargs)
 
 
@@ -339,7 +350,7 @@ def _run_orbit(args, timings) -> dict:
     rows = []
     for n in range(1, args.n + 1):
         c = ev.coords(n, need_theta=True)
-        val = float(f.eval(c.x, c.y, c.theta if f.kind == "frame" else None))
+        val = float(f.eval(c.x, c.y, c.theta))
         rows.append({"n": n, "x": c.x, "y": c.y, "theta": c.theta, "f": val})
     timings["orbit"] = time.perf_counter() - t0
     if args.series:

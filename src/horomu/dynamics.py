@@ -373,10 +373,7 @@ class Observable:
                        np.asarray(theta, float))
 
     def shifted(self, c: float) -> "Observable":
-        if self.kind == "k_invariant":
-            fn = lambda x, y, _f=self.fn, _c=c: _f(x, y) - _c
-        else:
-            fn = lambda x, y, t, _f=self.fn, _c=c: _f(x, y, t) - _c
+        fn = lambda *a, _f=self.fn, _c=c: _f(*a) - _c
         return Observable(f"{self.label}-{c:.6g}", self.kind, fn,
                           self.cusp_limit - c, None, self.bound + abs(c))
 
@@ -425,7 +422,8 @@ OBSERVABLE_FACTORIES = {
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor midpoint grid in (x, 1/y) on the truncated domain y <= y_max."""
+    """Tensor midpoint grid in (x, 1/y, theta) on the truncated domain
+    y <= y_max; k-invariant observables use one theta node."""
 
     y_max: float = 1000.0
     nx: int = 2000
@@ -450,44 +448,31 @@ def domain_mass(quad: QuadratureSpec = QuadratureSpec()) -> float:
     return mass + 1.0 / quad.y_max
 
 
-def _quad_eval(f: Observable, quad: QuadratureSpec) -> tuple[float, float]:
-    """(integral of f, mass) over the same grid, tail handled via cusp_limit."""
+def _quad_eval(f: Observable, quad: QuadratureSpec) -> float:
+    """Unnormalized integral of f over the grid of ``domain_mass``.
+
+    Each x-column is one ``f.eval`` call on an (nv, ntheta) grid, with a
+    single theta node for k-invariant observables; the column value is
+    the angular mean. The tail above y_max contributes cusp_limit/y_max.
+    """
     xs = (np.arange(quad.nx) + 0.5) / quad.nx - 0.5
     vmin = 1.0 / quad.y_max
+    nt = quad.ntheta if f.kind == "frame" else 1
+    thetas = (np.arange(nt) + 0.5) * (2 * math.pi / nt)
     integral = 0.0
-    mass = 0.0
-    thetas = None
-    if f.kind == "frame":
-        thetas = (np.arange(quad.ntheta) + 0.5) * (2 * math.pi / quad.ntheta)
     for x in xs:
-        vmax = 1.0 / math.sqrt(1.0 - x * x)
-        dv = (vmax - vmin) / quad.nv
-        vs = vmin + (np.arange(quad.nv) + 0.5) * dv
-        ys = 1.0 / vs
-        xcol = np.full_like(ys, x)
-        if f.kind == "k_invariant":
-            vals = f.eval(xcol, ys)
-        else:
-            acc = np.zeros_like(ys)
-            for t in thetas:
-                acc += np.real(f.eval(xcol, ys, np.full_like(ys, t)))
-            vals = acc / quad.ntheta
-        integral += float(np.sum(vals)) * dv / quad.nx
-        mass += dv * quad.nv / quad.nx
-    tail = 1.0 / quad.y_max
-    integral += f.cusp_limit * tail
-    mass += tail
-    return integral, mass
+        dv = (1.0 / math.sqrt(1.0 - x * x) - vmin) / quad.nv
+        ys = 1.0 / (vmin + (np.arange(quad.nv) + 0.5) * dv)[:, None]
+        vals = np.real(f.eval(np.full_like(ys, x), ys, thetas))
+        integral += float(np.sum(vals)) / nt * dv / quad.nx
+    return integral + f.cusp_limit / quad.y_max
 
 
 def _check_cusp_decay(f: Observable, quad: QuadratureSpec, tol: float = 1e-3):
     ys = np.array([quad.y_max, 2 * quad.y_max, 10 * quad.y_max, 1e3 * quad.y_max])
     xs = np.zeros_like(ys)
-    if f.kind == "k_invariant":
-        vals = f.eval(xs, ys)
-    else:
-        vals = 0.5 * (f.eval(xs, ys, np.zeros_like(ys))
-                      + f.eval(xs, ys, np.full_like(ys, math.pi)))
+    vals = 0.5 * (f.eval(xs, ys, np.zeros_like(ys))
+                  + f.eval(xs, ys, np.full_like(ys, math.pi)))
     dev = float(np.max(np.abs(np.asarray(vals, float) - f.cusp_limit)))
     if dev > tol:
         raise ConvergenceError(
@@ -496,10 +481,10 @@ def _check_cusp_decay(f: Observable, quad: QuadratureSpec, tol: float = 1e-3):
 
 
 def haar_mean(f: Observable, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Mean of f against the normalized hyperbolic volume of the surface."""
+    """Mean of f against the normalized hyperbolic volume of the surface:
+    its integral on the quadrature grid over the grid's ``domain_mass``."""
     _check_cusp_decay(f, quad)
-    integral, mass = _quad_eval(f, quad)
-    return integral / mass
+    return _quad_eval(f, quad) / domain_mass(quad)
 
 
 def split_observable(f: Observable,
@@ -519,7 +504,7 @@ def _orbit_values(f: Observable, xi: ModularPoint, indices,
     n_max = max(idx) if idx else 2
     ev = OrbitEvaluator(xi, n_max, precision_bits)
     xs, ys, ts = ev.run(idx, need_theta=(f.kind == "frame"))
-    vals = f.eval(xs, ys, ts if f.kind == "frame" else None)
+    vals = f.eval(xs, ys, ts)
     return np.asarray(vals, dtype=float)
 
 

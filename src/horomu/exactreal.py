@@ -73,16 +73,6 @@ def symbol_spec(name: str) -> SymbolSpec:
     raise DescriptorError(f"unknown symbolic constant {name!r}")
 
 
-def symbol_value(name: str, prec: int = 128) -> mpf:
-    spec = symbol_spec(name)
-    old = mp.prec
-    try:
-        mp.prec = prec
-        return spec.evaluate()
-    finally:
-        mp.prec = old
-
-
 def fixed_point_image(value, bits: int) -> int:
     """floor(value * 2^bits) computed at sufficient mpmath precision."""
     old = mp.prec

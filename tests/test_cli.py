@@ -7,6 +7,7 @@ from horomu.cli import (EXIT_CAPACITY, EXIT_IO, EXIT_OK, EXIT_PRECISION,
                         EXIT_VALIDATION, main, parse_config, parse_descriptor,
                         parse_observable, parse_point, parse_sequence,
                         serialize_config)
+from horomu.errors import DescriptorError
 
 
 def run(args, tmp_path, name="out.json"):
@@ -54,6 +55,10 @@ class TestSpecParsers:
         assert f.label == "bump:y0=2,width=0.5"
         g = parse_observable("obs:const:c=0.25")
         assert float(g.eval(0.0, 5.0)) == 0.25
+        with pytest.raises(DescriptorError, match="'foo'"):
+            parse_observable("obs:bump:foo=1")
+        with pytest.raises(DescriptorError, match="y0='abc'"):
+            parse_observable("obs:bump:y0=abc")
 
     def test_sequence_specs(self, tmp_path):
         F = parse_sequence("const:1", 50)
@@ -213,6 +218,10 @@ class TestExitCodes:
         code = main(["classify", "--z", "sqrt:4",
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_VALIDATION
+        for obs in ("obs:bump:foo=1", "obs:bump:y0=abc"):
+            code = main(["orbit", "--point", "point:identity", "--n", "3",
+                         "--obs", obs, "--out", str(tmp_path / "x.json")])
+            assert code == EXIT_VALIDATION, obs
 
     def test_ok(self, tmp_path):
         code = main(["classify", "--z", "e", "--out", str(tmp_path / "x.json")])

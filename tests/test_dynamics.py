@@ -8,9 +8,10 @@ from mpmath import mp
 
 from horomu.arith import sieve_mobius
 from horomu.dynamics import (FundamentalDomainCoords, ModularPoint,
-                             OrbitEvaluator, QuadratureSpec, birkhoff_average,
-                             bump_observable, const_observable, domain_mass,
-                             genericity, haar_mean, horocycle_point,
+                             Observable, OrbitEvaluator, QuadratureSpec,
+                             birkhoff_average, bump_observable,
+                             const_observable, domain_mass, genericity,
+                             haar_mean, horocycle_point,
                              mobius_disjointness_sum, orbit_sequence,
                              pair_correlation, reduce, split_observable,
                              step_observable, windy_observable)
@@ -254,6 +255,15 @@ class TestHaar:
     def test_frame_average_kills_rotation_factor(self):
         assert haar_mean(windy_observable(), SMALL_QUAD) == pytest.approx(0.0,
                                                                           abs=1e-12)
+
+    def test_frame_average_keeps_angular_mean(self):
+        # the midpoint rule integrates cos^2 exactly, so the mean halves
+        bump = bump_observable()
+        f = Observable("bump-cos2", "frame",
+                       lambda x, y, t: bump.fn(x, y) * np.cos(t) ** 2,
+                       cusp_limit=0.0)
+        assert haar_mean(f, SMALL_QUAD) == pytest.approx(
+            haar_mean(bump, SMALL_QUAD) / 2, abs=1e-12)
 
     def test_split_recentres(self):
         f1, c = split_observable(bump_observable(2, 0.5))
