@@ -137,7 +137,7 @@ def parse_sequence(spec: str, horizon: int, precision_bits=None) -> BoundedSeque
         try:
             theta_val = Fraction(theta)
             return BoundedSequence.exponential(theta_val, horizon, label=spec)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             return BoundedSequence.exponential(theta, horizon, label=spec)
     if kind == "horocycle":
         point_spec, _, obs_spec = rest.rpartition(":obs:")
@@ -169,15 +169,25 @@ def parse_nu(spec: str, n_max: int) -> MultiplicativeTable:
     raise DescriptorError(f"unknown nu spec {spec!r} (mobius|liouville|table:<csv>)")
 
 
+def _ints(text: str, what: str, count=None, sep: str = ",") -> list[int]:
+    """Integers separated by ``sep``, ``count`` of them when given."""
+    try:
+        values = [int(v) for v in text.split(sep)]
+        if count is None or len(values) == count:
+            return values
+    except ValueError:
+        pass
+    raise DescriptorError(f"malformed {what} {text!r}")
+
+
 def parse_descriptor(spec: str) -> PointDescriptor:
     if spec in ("inf", "infinity", "oo"):
         return PointDescriptor.infinity()
     if spec.startswith("sqrt:"):
-        d = int(spec[len("sqrt:"):])
+        (d,) = _ints(spec[len("sqrt:"):], "sqrt:d", 1)
         return PointDescriptor.quadratic_surd(1, 0, -d)
     if spec.startswith("surd:"):
-        a, b, c = (int(v) for v in spec[len("surd:"):].split(","))
-        return PointDescriptor.quadratic_surd(a, b, c)
+        return PointDescriptor.quadratic_surd(*_ints(spec[len("surd:"):], "surd:a,b,c", 3))
     if spec == "golden":
         return PointDescriptor.quadratic_surd(1, -1, -1)
     if spec in ("e", "pi", "inv_e", "inv_pi"):
@@ -191,13 +201,10 @@ def parse_descriptor(spec: str) -> PointDescriptor:
 
 
 def parse_excluded(spec: str) -> list[tuple[int, int]]:
+    """'p1:p2,p3:p4,...' -> [(p1, p2), (p3, p4), ...]."""
     if not spec:
         return []
-    pairs = []
-    for item in spec.split(","):
-        p, _, q = item.partition(":")
-        pairs.append((int(p), int(q)))
-    return pairs
+    return [tuple(_ints(item, "excluded pair p1:p2", 2, ":")) for item in spec.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +393,7 @@ def _run_disjointness(args, timings) -> dict:
     xi = parse_point(args.point)
     f = parse_observable(args.obs)
     nu = parse_nu(args.nu, args.n)
-    ladder = [int(v) for v in args.ladder.split(",")] if args.ladder else None
+    ladder = _ints(args.ladder, "--ladder N1,N2,...") if args.ladder else None
     rep = mobius_disjointness_sum(xi, f, args.n, nu, ladder=ladder,
                                   precision_bits=args.precision_bits)
     timings["disjointness"] = time.perf_counter() - t0
@@ -432,20 +439,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"horomu {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *, series=False, precision=False, threads=False):
         p.add_argument("--out", default=None, help="JSON report path (default stdout)")
-        p.add_argument("--series", default=None, help="CSV series path")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--precision-bits", dest="precision_bits", type=int,
-                       default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--config", default=None, help="KEY=VALUE config file")
+        if series:
+            p.add_argument("--series", default=None, help="CSV series path")
+        if precision:
+            p.add_argument("--precision-bits", dest="precision_bits", type=int,
+                           default=None)
+        if threads:
+            p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("sieve", help="prime / multiplicative-function tables")
     p.add_argument("--kind", choices=("primes", "mobius", "liouville"),
                    default="mobius")
     p.add_argument("--n", type=int, default=None)
-    common(p)
+    common(p, series=True)
 
     p = sub.add_parser("decompose", help="block decomposition coverage report")
     p.add_argument("--n", type=int, default=None)
@@ -464,13 +474,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, default=None)
     p.add_argument("--exclude", default="", help="pairs p1:p2,p3:p4,...")
     p.add_argument("--m", type=int, default=None, help="uniform pair length")
-    common(p)
+    common(p, precision=True, threads=True)
 
     p = sub.add_parser("orbit", help="reduced orbit time series")
     p.add_argument("--point", default=None)
     p.add_argument("--obs", default="obs:bump:y0=2,width=0.5")
     p.add_argument("--n", type=int, default=None)
-    common(p)
+    common(p, series=True, precision=True)
 
     p = sub.add_parser("correlate", help="two-speed orbit correlation")
     p.add_argument("--point", default=None)
@@ -479,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=3)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--mean-zero", dest="mean_zero", action="store_true")
-    common(p)
+    common(p, precision=True)
 
     p = sub.add_parser("disjointness", help="weighted orbit average ladder")
     p.add_argument("--point", default=None)
@@ -487,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", default="mobius")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--ladder", default=None, help="comma-separated N values")
-    common(p)
+    common(p, series=True, precision=True)
 
     p = sub.add_parser("classify", help="correlator-group classification")
     p.add_argument("--z", default=None)
@@ -515,10 +525,28 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
                     f"config key {key!r} unknown for {probe.command}")
             for a in subparser._actions:
                 if a.dest == key:
-                    typed[key] = a.type(value) if a.type else value
+                    typed[key] = _config_value(a, value)
         subparser.set_defaults(**typed)
         return parser.parse_args(argv)
     return probe
+
+
+def _config_value(action: argparse.Action, value: str):
+    """A config string converted and checked as the flag's command-line value would be."""
+    if action.nargs == 0:  # store_true flags
+        if value not in ("true", "false"):
+            raise ValidationError(
+                f"config key {action.dest!r} takes true or false, got {value!r}")
+        return value == "true"
+    try:
+        typed = action.type(value) if action.type else value
+    except ValueError:
+        raise ValidationError(
+            f"config key {action.dest!r} cannot take {value!r}") from None
+    if action.choices is not None and typed not in action.choices:
+        raise ValidationError(
+            f"config key {action.dest!r} takes one of {list(action.choices)}, got {value!r}")
+    return typed
 
 
 def main(argv=None) -> int:

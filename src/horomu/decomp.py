@@ -9,7 +9,12 @@ and D1 = (1+alpha)^j1. The integers below N split into
 * ``MULTIPLE(j)``: the least block dividing n does so with a repeated or
   second prime (these are discarded into the leftover).
 
-Blocks run j = j0 .. j1-1 so that they tile [D0, D1) exactly; a UNIQUE(j)
+Blocks run j = j0 .. j1-1 so that they tile [D0, D1) exactly. For integer
+p, (1+alpha)^j <= p < (1+alpha)^(j+1) holds exactly when
+ceil((1+alpha)^j) <= p < ceil((1+alpha)^(j+1)), so ``DecompositionParams``
+computes the integer bounds ceil((1+alpha)^j), j = j0 .. j1, once from the
+exact powers and block membership is one ``searchsorted`` on them; a block
+prime lies strictly inside (D0, D1) exactly when p > floor(D0). A UNIQUE(j)
 element n = p*q lands in the product set P_j Q_j when its cofactor q stays
 below N/(1+alpha)^(j+1) (then q automatically has no block factor at all,
 so the factorization map P_j x Q_j -> P_j Q_j is one-to-one).
@@ -26,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import PrimeBlock, PrimeTable, prime_blocks
-from .errors import CapacityError, DomainError, ValidationError
+from .arith import SEGMENT, PrimeBlock, PrimeTable, prime_blocks
+from .errors import CapacityError, DomainError, RangeCoverageError, ValidationError
 
 DEFAULT_DECOMP_BUDGET = 30_000_000
 
@@ -54,12 +59,18 @@ def default_schedule(alpha) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class DecompositionParams:
-    """Window size N, ratio alpha in (0,1], and block index range."""
+    """Window size N, ratio alpha in (0,1], and block index range.
+
+    ``bounds`` holds the integer block bounds ceil((1+alpha)^j) for
+    j = j0 .. j1: block j is the primes p with
+    bounds[j-j0] <= p < bounds[j-j0+1].
+    """
 
     n: int
     alpha: Fraction
     j0: int
     j1: int
+    bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -72,6 +83,11 @@ class DecompositionParams:
         if self.d1 >= self.n:
             raise ValidationError(
                 f"need D1 < N: D1 = (1+alpha)^j1 = {float(self.d1):.6g} >= N = {self.n}")
+        bound, bounds = self.d0, []
+        for _ in range(self.j0, self.j1 + 1):  # a fresh power per j is quadratic
+            bounds.append(math.ceil(bound))
+            bound *= self.base
+        object.__setattr__(self, "bounds", tuple(bounds))
 
     @property
     def base(self) -> Fraction:
@@ -122,14 +138,11 @@ def classify(n: int, params: DecompositionParams, primes: PrimeTable) -> Classif
     if not 1 <= n < params.n:
         raise ValidationError(f"classify needs 1 <= n < N, got {n}")
     flat_p, flat_j, interior = _flat_blocks(params, primes)
-    if not flat_p.size:
+    hit = np.nonzero(n % flat_p == 0)[0]
+    if not interior[hit].any():
         return Classification(TAG_NOT_IN_S)
-    mask = (n % flat_p) == 0
-    if not interior[mask].any():
-        return Classification(TAG_NOT_IN_S)
-    hit_idx = np.nonzero(mask)[0]
-    least = int(flat_j[hit_idx[0]])
-    in_least = hit_idx[flat_j[hit_idx] == least]
+    least = int(flat_j[hit[0]])
+    in_least = hit[flat_j[hit] == least]
     witness = int(flat_p[in_least[0]])
     if len(in_least) == 1 and n % (witness * witness) != 0:
         return Classification(TAG_UNIQUE, least, witness)
@@ -146,45 +159,20 @@ def q_membership(m: int, j: int, params: DecompositionParams,
     if Fraction(m) >= params.q_limit(j):
         return False
     flat_p, flat_j, _ = _flat_blocks(params, primes)
-    upto = flat_p[flat_j <= j]
-    return not bool((m % upto == 0).any()) if upto.size else True
-
-
-_BLOCK_CACHE: dict = {}
-
-
-def _blocks(params: DecompositionParams, primes: PrimeTable) -> list[PrimeBlock]:
-    key = (params, id(primes))
-    got = _BLOCK_CACHE.get(key)
-    if got is None:
-        if len(_BLOCK_CACHE) > 64:
-            _BLOCK_CACHE.clear()
-        if params.j0 == params.j1:
-            got = []
-        else:
-            got = prime_blocks(params.alpha, params.j0, params.j1 - 1, primes)
-        _BLOCK_CACHE[key] = got
-    return got
+    return not (m % flat_p[flat_j <= j] == 0).any()
 
 
 def _flat_blocks(params: DecompositionParams, primes: PrimeTable):
-    """(sorted block primes, their block index, strict-interior mask)."""
-    key = ("flat", params, id(primes))
-    got = _BLOCK_CACHE.get(key)
-    if got is None:
-        blocks = _blocks(params, primes)
-        if blocks:
-            flat_p = np.concatenate([b.primes for b in blocks]).astype(np.int64)
-            flat_j = np.concatenate([np.full(len(b), b.j, dtype=np.int64)
-                                     for b in blocks])
-        else:
-            flat_p = np.zeros(0, dtype=np.int64)
-            flat_j = np.zeros(0, dtype=np.int64)
-        interior = np.array([params.d0 < int(p) < params.d1 for p in flat_p],
-                            dtype=bool)
-        got = (flat_p, flat_j, interior)
-        _BLOCK_CACHE[key] = got
-    return got
+    """(block primes ascending, their block index, strict-interior mask)."""
+    bounds = params.bounds
+    if bounds[-1] > primes.n_max:
+        raise RangeCoverageError(
+            f"prime table covers {primes.n_max} but blocks need "
+            f"(1+alpha)^{params.j1} = {float(params.d1):.6g}")
+    lo, hi = np.searchsorted(primes.primes, [bounds[0], bounds[-1]])
+    flat_p = primes.primes[lo:hi]
+    flat_j = params.j0 - 1 + np.searchsorted(bounds, flat_p, side="right")
+    return flat_p, flat_j, flat_p > math.floor(params.d0)
 
 
 class Decomposition:
@@ -276,7 +264,8 @@ def build_decomposition(params: DecompositionParams, primes: PrimeTable,
     if top > primes.n_max:
         raise ValidationError(
             f"prime table covers {primes.n_max}, blocks need {float(top):.6g}")
-    blocks = _blocks(params, primes)
+    blocks = (prime_blocks(params.alpha, params.j0, params.j1 - 1, primes)
+              if params.j0 < params.j1 else [])
 
     no_block = np.int16(params.j1)  # sentinel above any real block index
     block_of = np.full(n, no_block, dtype=np.int16)
@@ -404,7 +393,17 @@ def coverage_report(d: Decomposition, primes: PrimeTable) -> CoverageReport:
     params = d.params
     n = params.n
     a = float(params.alpha)
-    unfactored = sum(d.count_s_j(j) - d.count_pq_j(j) for j in params.block_range)
+    # per-block counts from one bincount per segment (the temporaries stay
+    # O(SEGMENT) at any N): key 4*(block_of+1) + state, state 0 outside S,
+    # 1 unique outside P_j Q_j, 2 multiple, 3 in P_j Q_j (unique by construction)
+    tally = np.zeros(4 * (params.j1 + 1), dtype=np.int64)
+    for lo in range(0, n, SEGMENT):
+        seg = slice(lo, lo + SEGMENT)
+        state = d.tags[seg] + 2 * d.in_pq[seg].view(np.int8)
+        tally += np.bincount(4 * (d.block_of[seg].astype(np.intp) + 1) + state,
+                             minlength=tally.size)
+    per_block = tally.reshape(-1, 4)[params.j0 + 1:].tolist()
+    unfactored = sum(row[1] for row in per_block)
     lines = [
         CoverageLine("complement_of_s", d.count_not_in_s, a * n),
         CoverageLine("multi_divisor_excess", d.count_multiple, a * n),
@@ -430,9 +429,8 @@ def coverage_report(d: Decomposition, primes: PrimeTable) -> CoverageReport:
         "leftover": d.leftover_count,
         "per_block": {
             str(j): {"primes": len(d.block(j)), "q": len(d.q_set(j)),
-                     "s_j": d.count_s_j(j), "pq_j": d.count_pq_j(j),
-                     "multiple_j": d.count_multiple_j(j)}
-            for j in params.block_range
+                     "s_j": row[1] + row[3], "pq_j": row[3], "multiple_j": row[2]}
+            for j, row in zip(params.block_range, per_block)
         },
     }
     return CoverageReport(

@@ -153,13 +153,16 @@ class SymbolicReal:
         m = _TOKEN.match(text)
         if not m or (m.group("rat") is None and m.group("sym") is None):
             raise DescriptorError(f"cannot parse symbolic real {text!r}")
-        rat = Fraction(m.group("rat")) if m.group("rat") else Fraction(0)
+        try:
+            rat = Fraction(m.group("rat") or 0)
+            coeff = Fraction(m.group("coef") or 1)
+        except ZeroDivisionError:
+            raise DescriptorError(f"zero denominator in symbolic real {text!r}") from None
         sym = m.group("sym")
         if sym is None:
             if m.group("op") or m.group("coef"):
                 raise DescriptorError(f"cannot parse symbolic real {text!r}")
             return cls(rat)
-        coeff = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
         if m.group("op") == "-":
             coeff = -coeff
         elif m.group("op") is None and m.group("rat") is not None:

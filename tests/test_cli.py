@@ -40,6 +40,27 @@ class TestConfigRoundTrip:
         assert report["result"]["n"] == 500  # CLI flag overrides config
         assert report["result"]["j0"] == 4  # config fills the rest
 
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_config_boolean_keys(self, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mean_zero={value}\n")
+        code, report = run(["correlate", "--point", "point:lower:t=sqrt2",
+                            "--n", "200", "--config", str(cfg)], tmp_path)
+        assert code == EXIT_OK
+        res = report["result"]
+        assert res["mean_zero"] is (value == "true")
+        plain = res["observable"] == "bump:y0=2,width=0.5"
+        assert plain is (value == "false")
+
+    @pytest.mark.parametrize("line", ["mean_zero=yes", "mean_zero=False",
+                                      "mean_zero=", "n=abc", "format=xml"])
+    def test_config_bad_values(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["correlate", "--point", "point:identity", "--n", "3",
+                     "--config", str(cfg), "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_VALIDATION, line
+
 
 class TestSpecParsers:
     def test_point_specs(self):
@@ -222,6 +243,35 @@ class TestExitCodes:
             code = main(["orbit", "--point", "point:identity", "--n", "3",
                          "--obs", obs, "--out", str(tmp_path / "x.json")])
             assert code == EXIT_VALIDATION, obs
+        criterion = ["criterion", "--seq", "exp:theta=sqrt2", "--n", "400",
+                     "--alpha", "0.3", "--j0", "5", "--j1", "10", "--cutoff", "20"]
+        for args in (criterion + ["--exclude", "2"],
+                     ["criterion", "--seq", "exp:theta=1/0"] + criterion[3:],
+                     ["classify", "--z", "surd:1,2"],
+                     ["classify", "--z", "sqrt:x"],
+                     ["disjointness", "--point", "point:identity", "--n", "10",
+                      "--ladder", "10,abc"],
+                     ["orbit", "--point", "point:lower:t=1/0", "--n", "3"]):
+            code = main(args + ["--out", str(tmp_path / "x.json")])
+            assert code == EXIT_VALIDATION, args
+
+    def test_flags_only_where_read(self, tmp_path):
+        out = ["--out", str(tmp_path / "x.json")]
+        for args in (["classify", "--z", "e", "--threads", "2"],
+                     ["classify", "--z", "e", "--precision-bits", "64"],
+                     ["classify", "--z", "e", "--series", "s.csv"],
+                     ["decompose", "--n", "400", "--alpha", "0.3", "--j0", "4",
+                      "--j1", "10", "--series", "s.csv"],
+                     ["sieve", "--n", "100", "--precision-bits", "64"],
+                     ["correlate", "--point", "point:identity", "--n", "3",
+                      "--series", "s.csv"],
+                     ["orbit", "--point", "point:identity", "--n", "3",
+                      "--threads", "2"]):
+            assert main(args + out) == EXIT_VALIDATION, args
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=2\n")
+        assert main(["classify", "--z", "e", "--config", str(cfg)] + out) \
+            == EXIT_VALIDATION
 
     def test_ok(self, tmp_path):
         code = main(["classify", "--z", "e", "--out", str(tmp_path / "x.json")])

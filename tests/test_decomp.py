@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from horomu.arith import sieve_primes
+from horomu import decomp
+from horomu.arith import prime_blocks, sieve_primes
 from horomu.decomp import (TAG_MULTIPLE, TAG_NOT_IN_S, TAG_UNIQUE,
-                           DecompositionParams, build_decomposition, classify,
-                           coverage_report, default_schedule, q_membership)
-from horomu.errors import DomainError, ValidationError
+                           DecompositionParams, _flat_blocks, build_decomposition,
+                           classify, coverage_report, default_schedule,
+                           q_membership)
+from horomu.errors import DomainError, RangeCoverageError, ValidationError
 
 from conftest import TEST_SEED, factorize
 
@@ -56,6 +58,34 @@ class TestParams:
         # N/(1+alpha)^(j+1) = 1000/16 = 62.5 -> q_max 62; exact division case:
         p = DecompositionParams(1024, Fraction(1), 1, 4)
         assert p.q_max(3) == 63  # 1024/16 = 64 exactly, membership is strict
+
+
+class TestBlockBounds:
+    @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(1, 2),
+                                       Fraction(3, 10), Fraction(1, 7)])
+    def test_flat_blocks_match_prime_blocks(self, alpha, primes_10k):
+        # integer bounds ceil((1+alpha)^j) give the same half-open blocks as
+        # the exact rational intervals of prime_blocks; alpha=1, j0=1 has the
+        # integer D0 = 2, a block prime that is not strictly interior
+        n = 10_000
+        top = max(j for j in range(1, 100) if (1 + alpha) ** j < n)
+        cases = {(1, 1), (1, 2), (1, top), (2, 5), (top // 2, top), (top, top)}
+        for j0, j1 in sorted(cases):
+            params = DecompositionParams(n, alpha, j0, j1)
+            blocks = prime_blocks(alpha, j0, j1 - 1, primes_10k) if j0 < j1 else []
+            want_p = [int(p) for b in blocks for p in b.primes]
+            want_j = [b.j for b in blocks for _ in b.primes]
+            want_in = [params.d0 < p < params.d1 for p in want_p]
+            flat_p, flat_j, interior = _flat_blocks(params, primes_10k)
+            assert flat_p.tolist() == want_p, (j0, j1)
+            assert flat_j.tolist() == want_j, (j0, j1)
+            assert interior.tolist() == want_in, (j0, j1)
+            assert params.bounds == tuple(math.ceil((1 + alpha) ** j)
+                                          for j in range(j0, j1 + 1))
+
+    def test_table_must_cover_d1(self, params_pow2):
+        with pytest.raises(RangeCoverageError):
+            classify(5, params_pow2, sieve_primes(10))
 
 
 class TestClassify:
@@ -191,6 +221,18 @@ class TestCoverage:
         unf = sum(dec_pow2.count_s_j(j) - dec_pow2.count_pq_j(j)
                   for j in params_pow2.block_range)
         assert rep.line("unfactored_tail").measured == unf
+        for j in params_pow2.block_range:
+            assert rep.counts["per_block"][str(j)] == {
+                "primes": len(dec_pow2.block(j)), "q": len(dec_pow2.q_set(j)),
+                "s_j": dec_pow2.count_s_j(j), "pq_j": dec_pow2.count_pq_j(j),
+                "multiple_j": dec_pow2.count_multiple_j(j)}
+
+    def test_segment_boundaries_do_not_change_counts(self, primes_10k, monkeypatch):
+        params = DecompositionParams(5000, Fraction(3, 10), 5, 12)
+        dec = build_decomposition(params, primes_10k)
+        whole = coverage_report(dec, primes_10k).as_dict()
+        monkeypatch.setattr(decomp, "SEGMENT", 97)
+        assert coverage_report(dec, primes_10k).as_dict() == whole
 
     def test_boundary_primes_reported_for_integer_alpha(self, dec_pow2, primes_10k):
         rep = coverage_report(dec_pow2, primes_10k)
