@@ -472,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j0", type=int, default=None)
     p.add_argument("--j1", type=int, default=None)
     p.add_argument("--cutoff", type=float, default=None)
-    p.add_argument("--exclude", default="", help="pairs p1:p2,p3:p4,...")
+    p.add_argument("--exclude", default="",
+                   help="prime pairs p1:p2,p3:p4,... with p1 != p2 <= cutoff")
     p.add_argument("--m", type=int, default=None, help="uniform pair length")
     common(p, precision=True, threads=True)
 
@@ -507,46 +508,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv with a --config file's KEY=VALUE lines as leading flags.
+
+    Each key becomes ``--key-with-dashes=value`` right after the subcommand
+    name, so argparse converts and checks it exactly as the flag, and the
+    user's own flags, coming later, win. A switch takes only true or false.
+    """
     probe = parser.parse_args(argv)
-    if getattr(probe, "config", None):
-        try:
-            with open(probe.config) as fh:
-                defaults = parse_config(fh.read())
-        except OSError as exc:
-            raise ReportIOError(f"cannot read config {probe.config}: {exc}")
-        sub_actions = [a for a in parser._actions
-                       if isinstance(a, argparse._SubParsersAction)]
-        subparser = sub_actions[0].choices[probe.command]
-        known = {a.dest for a in subparser._actions}
-        typed = {}
-        for key, value in defaults.items():
-            if key not in known:
-                raise ValidationError(
-                    f"config key {key!r} unknown for {probe.command}")
-            for a in subparser._actions:
-                if a.dest == key:
-                    typed[key] = _config_value(a, value)
-        subparser.set_defaults(**typed)
-        return parser.parse_args(argv)
-    return probe
-
-
-def _config_value(action: argparse.Action, value: str):
-    """A config string converted and checked as the flag's command-line value would be."""
-    if action.nargs == 0:  # store_true flags
-        if value not in ("true", "false"):
-            raise ValidationError(
-                f"config key {action.dest!r} takes true or false, got {value!r}")
-        return value == "true"
+    if not probe.config:
+        return probe
     try:
-        typed = action.type(value) if action.type else value
-    except ValueError:
-        raise ValidationError(
-            f"config key {action.dest!r} cannot take {value!r}") from None
-    if action.choices is not None and typed not in action.choices:
-        raise ValidationError(
-            f"config key {action.dest!r} takes one of {list(action.choices)}, got {value!r}")
-    return typed
+        with open(probe.config) as fh:
+            defaults = parse_config(fh.read())
+    except OSError as exc:
+        raise ReportIOError(f"cannot read config {probe.config}: {exc}")
+    known = vars(probe)
+    tokens = []
+    for key, value in defaults.items():
+        if key not in known or key == "command":
+            raise ValidationError(f"config key {key!r} unknown for {probe.command}")
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(known[key], bool):
+            tokens.append(f"{flag}={value}")
+        elif value not in ("true", "false"):
+            raise ValidationError(f"config key {key!r} takes true or false, got {value!r}")
+        elif value == "true":
+            tokens.append(flag)
+    at = argv.index(probe.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def main(argv=None) -> int:

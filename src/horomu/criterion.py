@@ -164,10 +164,11 @@ def tau_estimate(F: BoundedSequence, prime_cutoff: float,
 
     With M=None each pair uses M = floor(window / max(p1, p2)), window
     defaulting to the horizon, so every sampled product stays inside the
-    window; explicit M applies uniformly. Excluded pairs are skipped and
-    echoed back, never silently dropped. Pairs are independent tasks; with
-    threads > 1 they run on a pool but are reduced in pair order, so
-    results match the serial run exactly.
+    window; explicit M applies uniformly. Excluded pairs must be two
+    distinct primes <= cutoff; they are skipped and echoed back, never
+    silently dropped. Pairs are independent tasks; with threads > 1 they run
+    on a pool but are reduced in pair order, so results match the serial
+    run exactly.
     """
     if prime_cutoff < 3:
         raise EmptyPairSetError(f"no prime pairs below cutoff {prime_cutoff}")
@@ -178,6 +179,10 @@ def tau_estimate(F: BoundedSequence, prime_cutoff: float,
         raise EmptyPairSetError(f"fewer than two primes below cutoff {prime_cutoff}")
     ref = F.horizon if window is None else min(window, F.horizon)
     skip = _normalize_excluded(excluded)
+    bad = sorted(sorted(s) for s in skip if len(s) != 2 or not s.issubset(ps))
+    if bad:
+        raise ValidationError(
+            f"excluded pairs must be two distinct primes <= {prime_cutoff:g}, got {bad}")
     jobs = []
     for i in range(len(ps)):
         for k in range(i + 1, len(ps)):

@@ -14,9 +14,15 @@ p, (1+alpha)^j <= p < (1+alpha)^(j+1) holds exactly when
 ceil((1+alpha)^j) <= p < ceil((1+alpha)^(j+1)), so ``DecompositionParams``
 computes the integer bounds ceil((1+alpha)^j), j = j0 .. j1, once from the
 exact powers and block membership is one ``searchsorted`` on them; a block
-prime lies strictly inside (D0, D1) exactly when p > floor(D0). A UNIQUE(j)
-element n = p*q lands in the product set P_j Q_j when its cofactor q stays
-below N/(1+alpha)^(j+1) (then q automatically has no block factor at all,
+prime lies strictly inside (D0, D1) exactly when p > floor(D0).
+
+The least block of n is the smallest j such that some prime of P_j divides
+n. Sieving the block primes in ascending order finds it: a multiple of p in
+P_j takes j unless an earlier block already claimed it. The cofactor sets
+are read from the same array, Q_j = {1 <= m <= q_max(j): least block of
+m > j}, where q_max(j) is the largest integer below N/(1+alpha)^(j+1). A
+UNIQUE(j) element n = p*q lands in the product set P_j Q_j when its
+cofactor q <= q_max(j) (then q automatically has no block factor at all,
 so the factorization map P_j x Q_j -> P_j Q_j is one-to-one).
 
 All interval bounds are exact rationals; all counts are exact integers.
@@ -27,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -63,7 +70,9 @@ class DecompositionParams:
 
     ``bounds`` holds the integer block bounds ceil((1+alpha)^j) for
     j = j0 .. j1: block j is the primes p with
-    bounds[j-j0] <= p < bounds[j-j0+1].
+    bounds[j-j0] <= p < bounds[j-j0+1]. ``base``, ``d0`` and ``d1`` are
+    exact powers computed on first access and kept; equality and hashing
+    use the four fields only.
     """
 
     n: int
@@ -89,15 +98,15 @@ class DecompositionParams:
             bound *= self.base
         object.__setattr__(self, "bounds", tuple(bounds))
 
-    @property
+    @cached_property
     def base(self) -> Fraction:
         return 1 + self.alpha
 
-    @property
+    @cached_property
     def d0(self) -> Fraction:
         return self.base ** self.j0
 
-    @property
+    @cached_property
     def d1(self) -> Fraction:
         return self.base ** self.j1
 
@@ -252,49 +261,51 @@ def build_decomposition(params: DecompositionParams, primes: PrimeTable,
                         budget: int = DEFAULT_DECOMP_BUDGET) -> Decomposition:
     """Classify every n in [1, N) and mark the product sets, by sieving.
 
-    One pass per block prime marks least-block indices, then counts the
-    divisors inside that least block, flags repeated factors, and records
-    the unique prime so the cofactor test n/p < N/(1+alpha)^(j+1) closes
-    the product-set membership.
+    One loop over the block primes in ascending order: a multiple of p in
+    block j whose least block is not yet set, or is already j, has least
+    block j. The same step counts its divisors in that block, records p as
+    its unique prime, marks it in S when p > floor(D0), and flags the
+    multiples of p^2 with least block j as repeated. Q_j is then read from
+    the least-block array, Q_j = {1 <= m <= q_max(j): least block of m > j},
+    and one segmented pass applies the cofactor test n/p <= q_max(j) that
+    closes product-set membership.
     """
     n = params.n
     if n > budget:
         raise CapacityError(f"N={n} exceeds decomposition budget {budget}")
-    top = params.base ** params.j1
-    if top > primes.n_max:
+    if params.d1 > primes.n_max:
         raise ValidationError(
-            f"prime table covers {primes.n_max}, blocks need {float(top):.6g}")
+            f"prime table covers {primes.n_max}, blocks need {float(params.d1):.6g}")
     blocks = (prime_blocks(params.alpha, params.j0, params.j1 - 1, primes)
               if params.j0 < params.j1 else [])
 
-    no_block = np.int16(params.j1)  # sentinel above any real block index
-    block_of = np.full(n, no_block, dtype=np.int16)
+    # least block dividing n; the sentinel j1 lies above every block index
+    block_of = np.full(n, params.j1, dtype=np.int16)
     in_s = np.zeros(n, dtype=bool)
-    d0, d1 = params.d0, params.d1
-    for block in blocks:
-        for p in block.primes:
-            p = int(p)
-            view = block_of[p::p]
-            view[view == no_block] = block.j
-            if d0 < p < d1:
-                in_s[p::p] = True
-
     divisor_count = np.zeros(n, dtype=np.int16)
     squared = np.zeros(n, dtype=bool)
     unique_prime = np.zeros(n, dtype=np.int64)
+    d0_floor = math.floor(params.d0)
     for block in blocks:
+        j = block.j
         for p in block.primes:
             p = int(p)
-            least = block_of[p::p] == block.j
-            cnt = divisor_count[p::p]
-            cnt[least] += 1
-            up = unique_prime[p::p]
-            up[least] = p
-            p2 = p * p
-            if p2 < n:
-                least2 = block_of[p2::p2] == block.j
-                sq = squared[p2::p2]
-                sq[least2] = True
+            view = block_of[p::p]
+            least = view >= j
+            view[least] = j
+            divisor_count[p::p][least] += 1
+            unique_prime[p::p][least] = p
+            if p > d0_floor:
+                in_s[p::p] = True
+            if p * p < n:
+                squared[p * p::p * p] |= block_of[p * p::p * p] == j
+
+    cap = np.zeros(params.j1, dtype=np.int64)  # cap[j] = q_max(j)
+    q_sets = {}
+    for block in blocks:
+        j = block.j
+        cap[j] = qmax = params.q_max(j)
+        q_sets[j] = (np.nonzero(block_of[1:qmax + 1] > j)[0] + 1).astype(np.int64)
 
     tags = np.zeros(n, dtype=np.int8)
     tags[in_s] = TAG_MULTIPLE
@@ -304,28 +315,9 @@ def build_decomposition(params: DecompositionParams, primes: PrimeTable,
     unique_prime[tags != TAG_UNIQUE] = 0
 
     in_pq = np.zeros(n, dtype=bool)
-    q_sets = {}
-    for block in blocks:
-        j = block.j
-        qmax = params.q_max(j)
-        if qmax >= 1:
-            free = np.ones(qmax + 1, dtype=bool)
-            free[0] = False
-            for b in blocks:
-                if b.j > j:
-                    break
-                for p in b.primes:
-                    p = int(p)
-                    if p <= qmax:
-                        free[p::p] = False
-            q_sets[j] = np.nonzero(free)[0].astype(np.int64)
-        else:
-            q_sets[j] = np.zeros(0, dtype=np.int64)
-        sel = unique & (block_of == j)
-        idx = np.nonzero(sel)[0]
-        if idx.size:
-            cof = idx // unique_prime[idx]
-            in_pq[idx[cof <= qmax]] = True
+    for lo in range(0, n, SEGMENT):
+        idx = lo + np.nonzero(unique[lo:lo + SEGMENT])[0]
+        in_pq[idx] = idx // unique_prime[idx] <= cap[block_of[idx]]
 
     return Decomposition(params, blocks, tags, block_of, unique_prime, in_pq, q_sets)
 

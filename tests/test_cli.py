@@ -246,6 +246,9 @@ class TestExitCodes:
         criterion = ["criterion", "--seq", "exp:theta=sqrt2", "--n", "400",
                      "--alpha", "0.3", "--j0", "5", "--j1", "10", "--cutoff", "20"]
         for args in (criterion + ["--exclude", "2"],
+                     criterion + ["--exclude", "4:6"],  # not primes
+                     criterion + ["--exclude", "3:3"],  # not distinct
+                     criterion + ["--exclude", "2:23"],  # above the cutoff
                      ["criterion", "--seq", "exp:theta=1/0"] + criterion[3:],
                      ["classify", "--z", "surd:1,2"],
                      ["classify", "--z", "sqrt:x"],

@@ -46,6 +46,13 @@ class TestParams:
         assert params_pow2.d0 == 2 and params_pow2.d1 == 16
         assert list(params_pow2.block_range) == [1, 2, 3]
 
+    def test_powers_computed_once(self):
+        a = DecompositionParams(1000, Fraction(1, 2), 2, 9)
+        b = DecompositionParams(1000, Fraction(1, 2), 2, 9)
+        assert a.base is a.base and a.d0 is a.d0 and a.d1 is a.d1
+        assert a == b and hash(a) == hash(b)
+        assert a != DecompositionParams(1000, Fraction(1, 2), 2, 8)
+
     def test_d1_must_stay_below_n(self):
         with pytest.raises(ValidationError):
             DecompositionParams(10, Fraction(1), 1, 4)
@@ -114,6 +121,19 @@ class TestQMembership:
         p = DecompositionParams(1024, Fraction(1), 1, 4)
         assert q_membership(64, 3, p, primes_10k) is False  # 64 = 1024/16 exactly
         assert q_membership(61, 3, p, primes_10k) is True  # prime above the blocks
+
+    @pytest.mark.parametrize("args", [(1000, 1, 1, 4), (1024, 1, 1, 4),
+                                      (5000, Fraction(3, 10), 5, 12),
+                                      (60000, Fraction(1, 7), 5, 40)])
+    def test_builder_q_sets_complete(self, args, primes_10k):
+        # the builder's Q_j holds every m the per-m oracle admits, not just a
+        # subset; 1024 = 16 * 64 puts the cap of block 3 exactly on the boundary
+        params = DecompositionParams(args[0], Fraction(args[1]), *args[2:])
+        dec = build_decomposition(params, primes_10k)
+        for j in params.block_range:
+            want = [m for m in range(1, params.q_max(j) + 1)
+                    if q_membership(m, j, params, primes_10k)]
+            assert dec.q_set(j).tolist() == want, j
 
 
 class TestBuild:
