@@ -129,7 +129,11 @@ def parse_sequence(spec: str, horizon: int, precision_bits=None) -> BoundedSeque
     """const:<c> | exp:theta=<sym or real> | horocycle:<point>:<obs> | table:<csv>"""
     kind, _, rest = spec.partition(":")
     if kind == "const":
-        return BoundedSequence.constant(complex(rest or "1"), horizon)
+        try:
+            c = complex(rest or "1")
+        except ValueError:
+            raise DescriptorError(f"const sequence needs a number, got {rest!r}") from None
+        return BoundedSequence.constant(c, horizon)
     if kind == "exp":
         if not rest.startswith("theta="):
             raise DescriptorError(f"exp sequence needs theta=..., got {spec!r}")

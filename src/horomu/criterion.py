@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,8 +35,8 @@ DEFAULT_SEQUENCE_BUDGET = 50_000_000
 class BoundedSequence:
     """A sequence F: [1, horizon] -> C with |F| <= 1, stored densely.
 
-    Index 0 of the value array is unused. Construction validates the bound
-    with a 1e-12 cushion for rounding.
+    Index 0 of the value array is unused. Construction rejects non-finite
+    values and checks the bound with a 1e-12 cushion for rounding.
     """
 
     def __init__(self, values: np.ndarray, label: str):
@@ -49,8 +49,8 @@ class BoundedSequence:
         self.horizon = self.values.size - 1
         mags = np.abs(self.values[1:])
         top = float(mags.max()) if mags.size else 0.0
-        if top > 1 + 1e-12:
-            raise ValidationError(f"{label}: |F(n)| must stay <= 1, found {top}")
+        if not top <= 1 + 1e-12:  # NaN propagates through max and fails here
+            raise ValidationError(f"{label}: |F(n)| must be finite and <= 1, found {top}")
         self.values.setflags(write=False)
 
     def eval(self, n: int) -> complex:
@@ -71,14 +71,6 @@ class BoundedSequence:
         _check_budget(horizon)
         vals = np.full(horizon + 1, complex(c), dtype=np.complex128)
         return cls(vals, label or f"const:{c}")
-
-    @classmethod
-    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], horizon: int,
-                      label: str) -> "BoundedSequence":
-        _check_budget(horizon)
-        ns = np.arange(horizon + 1, dtype=np.int64)
-        vals = np.asarray(fn(ns), dtype=np.complex128)
-        return cls(vals, label)
 
     @classmethod
     def from_multiplicative(cls, table: MultiplicativeTable) -> "BoundedSequence":
@@ -295,12 +287,6 @@ class CriterionReport:
     excluded: list[tuple[int, int]]
     params: DecompositionParams
     diagnostics: dict = field(default_factory=dict)
-
-    def chain_line(self, name: str) -> ChainLine:
-        for ln in self.chain:
-            if ln.name == name:
-                return ln
-        raise KeyError(name)
 
     @property
     def exact_chain_holds(self) -> bool:

@@ -69,17 +69,19 @@ class DecompositionParams:
     """Window size N, ratio alpha in (0,1], and block index range.
 
     ``bounds`` holds the integer block bounds ceil((1+alpha)^j) for
-    j = j0 .. j1: block j is the primes p with
-    bounds[j-j0] <= p < bounds[j-j0+1]. ``base``, ``d0`` and ``d1`` are
-    exact powers computed on first access and kept; equality and hashing
-    use the four fields only.
+    j = j0 .. j1 as a read-only int64 array: block j is the primes p with
+    bounds[j-j0] <= p < bounds[j-j0+1]. ``caps`` holds q_max(j) for
+    j = j0 .. j1-1, taken from the same running power. ``base``, ``d0``
+    and ``d1`` are exact powers computed on first access and kept; equality
+    and hashing use the four fields only.
     """
 
     n: int
     alpha: Fraction
     j0: int
     j1: int
-    bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    caps: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -92,11 +94,18 @@ class DecompositionParams:
         if self.d1 >= self.n:
             raise ValidationError(
                 f"need D1 < N: D1 = (1+alpha)^j1 = {float(self.d1):.6g} >= N = {self.n}")
-        bound, bounds = self.d0, []
-        for _ in range(self.j0, self.j1 + 1):  # a fresh power per j is quadratic
-            bounds.append(math.ceil(bound))
-            bound *= self.base
-        object.__setattr__(self, "bounds", tuple(bounds))
+        if self.d1 >= 2 ** 63:
+            raise CapacityError(f"D1 = {float(self.d1):.6g} exceeds int64 block bounds")
+        power, bounds, caps = self.d0, [], []
+        for j in range(self.j0, self.j1 + 1):  # a fresh power per j is quadratic
+            bounds.append(math.ceil(power))
+            if j > self.j0:  # q_max(j-1): the largest integer below N/power
+                caps.append(math.ceil(self.n / power) - 1)
+            power *= self.base
+        bounds = np.array(bounds, dtype=np.int64)
+        bounds.setflags(write=False)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "caps", tuple(caps))
 
     @cached_property
     def base(self) -> Fraction:
@@ -121,11 +130,7 @@ class DecompositionParams:
 
     def q_max(self, j: int) -> int:
         """Largest admissible integer cofactor: m < q_limit(j)."""
-        lim = self.q_limit(j)
-        m = lim.numerator // lim.denominator
-        if Fraction(m) == lim:
-            m -= 1
-        return m
+        return self.caps[j - self.j0]
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,7 @@ def q_membership(m: int, j: int, params: DecompositionParams,
         raise ValidationError(f"q_membership needs m >= 1, got {m}")
     if j not in params.block_range:
         raise ValidationError(f"block index {j} outside {params.block_range}")
-    if Fraction(m) >= params.q_limit(j):
+    if m > params.q_max(j):
         return False
     flat_p, flat_j, _ = _flat_blocks(params, primes)
     return not (m % flat_p[flat_j <= j] == 0).any()
@@ -301,11 +306,11 @@ def build_decomposition(params: DecompositionParams, primes: PrimeTable,
                 squared[p * p::p * p] |= block_of[p * p::p * p] == j
 
     cap = np.zeros(params.j1, dtype=np.int64)  # cap[j] = q_max(j)
+    cap[params.j0:] = params.caps
     q_sets = {}
     for block in blocks:
         j = block.j
-        cap[j] = qmax = params.q_max(j)
-        q_sets[j] = (np.nonzero(block_of[1:qmax + 1] > j)[0] + 1).astype(np.int64)
+        q_sets[j] = (np.nonzero(block_of[1:cap[j] + 1] > j)[0] + 1).astype(np.int64)
 
     tags = np.zeros(n, dtype=np.int8)
     tags[in_s] = TAG_MULTIPLE

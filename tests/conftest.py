@@ -8,8 +8,14 @@ double loops. Sampling tests use one fixed, documented seed.
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 TEST_SEED = 20250810
+
+# Property tests replay the same examples on every run and stay bounded.
+settings.register_profile("horomu", derandomize=True, max_examples=200,
+                          deadline=None)
+settings.load_profile("horomu")
 
 
 def factorize(n: int) -> dict:

@@ -239,7 +239,8 @@ class TestExitCodes:
         code = main(["classify", "--z", "sqrt:4",
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_VALIDATION
-        for obs in ("obs:bump:foo=1", "obs:bump:y0=abc"):
+        for obs in ("obs:bump:foo=1", "obs:bump:y0=abc", "obs:windy:y0=-1",
+                    "obs:const:c=nan", "obs:const:c=inf"):
             code = main(["orbit", "--point", "point:identity", "--n", "3",
                          "--obs", obs, "--out", str(tmp_path / "x.json")])
             assert code == EXIT_VALIDATION, obs
@@ -254,7 +255,12 @@ class TestExitCodes:
                      ["classify", "--z", "sqrt:x"],
                      ["disjointness", "--point", "point:identity", "--n", "10",
                       "--ladder", "10,abc"],
-                     ["orbit", "--point", "point:lower:t=1/0", "--n", "3"]):
+                     ["orbit", "--point", "point:lower:t=1/0", "--n", "3"],
+                     ["correlate", "--point", "point:lower:t=e", "--n", "200",
+                      "--obs", "obs:windy:width=0"],
+                     ["correlate", "--point", "point:lower:t=e", "--n", "200",
+                      "--obs", "obs:bump:y0=nan"],
+                     ["criterion", "--seq", "const:nan"] + criterion[3:]):
             code = main(args + ["--out", str(tmp_path / "x.json")])
             assert code == EXIT_VALIDATION, args
 

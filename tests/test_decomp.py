@@ -11,7 +11,8 @@ from horomu.decomp import (TAG_MULTIPLE, TAG_NOT_IN_S, TAG_UNIQUE,
                            DecompositionParams, _flat_blocks, build_decomposition,
                            classify, coverage_report, default_schedule,
                            q_membership)
-from horomu.errors import DomainError, RangeCoverageError, ValidationError
+from horomu.errors import (CapacityError, DomainError, RangeCoverageError,
+                           ValidationError)
 
 from conftest import TEST_SEED, factorize
 
@@ -57,6 +58,20 @@ class TestParams:
         with pytest.raises(ValidationError):
             DecompositionParams(10, Fraction(1), 1, 4)
 
+    @pytest.mark.parametrize("args", [(1000, 1, 1, 4), (1024, 1, 1, 4),
+                                      (5000, Fraction(3, 10), 5, 12),
+                                      (60000, Fraction(1, 7), 5, 40)])
+    def test_caps_are_largest_cofactors(self, args):
+        # q_max(j) is the largest integer strictly below N/(1+alpha)^(j+1)
+        params = DecompositionParams(args[0], Fraction(args[1]), *args[2:])
+        assert len(params.caps) == len(params.block_range)
+        for j in params.block_range:
+            assert params.q_max(j) < params.q_limit(j) <= params.q_max(j) + 1, j
+
+    def test_bounds_fit_int64(self):
+        with pytest.raises(CapacityError):
+            DecompositionParams(10 ** 30, Fraction(1), 1, 70)
+
     def test_alpha_domain(self):
         with pytest.raises(ValidationError):
             DecompositionParams(100, Fraction(3, 2), 1, 2)
@@ -87,8 +102,8 @@ class TestBlockBounds:
             assert flat_p.tolist() == want_p, (j0, j1)
             assert flat_j.tolist() == want_j, (j0, j1)
             assert interior.tolist() == want_in, (j0, j1)
-            assert params.bounds == tuple(math.ceil((1 + alpha) ** j)
-                                          for j in range(j0, j1 + 1))
+            assert params.bounds.tolist() == [math.ceil((1 + alpha) ** j)
+                                              for j in range(j0, j1 + 1)]
 
     def test_table_must_cover_d1(self, params_pow2):
         with pytest.raises(RangeCoverageError):

@@ -21,7 +21,9 @@ from horomu.exactreal import SymbolicReal
 
 from conftest import TEST_SEED, reduce_oracle
 
-SMALL_QUAD = QuadratureSpec(y_max=1000.0, nx=500, nv=500, ntheta=32)
+SMALL_QUAD = QuadratureSpec(nx=12, nv=48, ntheta=32)
+# a much higher order of the same rule, the reference for the defaults
+FINE_QUAD = QuadratureSpec(nx=48, nv=512)
 
 
 class TestReduce:
@@ -213,8 +215,15 @@ class TestObservables:
 
 class TestHaar:
     def test_domain_mass_is_pi_over_3(self):
-        mass = domain_mass()
-        assert abs(mass - math.pi / 3) / (math.pi / 3) < 1e-5
+        # to rounding: the x-integrand (1 - x^2)^(-1/2) is analytic on [-1/2, 1/2]
+        for quad in (QuadratureSpec(), SMALL_QUAD):
+            assert abs(domain_mass(quad) - math.pi / 3) <= 1e-14, quad
+
+    @pytest.mark.parametrize("f", [const_observable(1.0), bump_observable(),
+                                   step_observable(), windy_observable()],
+                             ids=lambda f: f.label)
+    def test_default_orders_converged(self, f):
+        assert abs(haar_mean(f) - haar_mean(f, FINE_QUAD)) <= 1e-12
 
     def test_mean_of_one(self):
         assert haar_mean(const_observable(1.0)) == pytest.approx(1.0, abs=1e-10)
