@@ -17,6 +17,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from typing import Iterable
 
 from . import __version__
 from .arith import sieve_liouville, sieve_mobius, sieve_primes, MultiplicativeTable
@@ -253,7 +254,7 @@ def _flatten(obj, prefix="") -> dict:
     return out
 
 
-def emit_series(rows: list[dict], path, columns: list[str]) -> None:
+def emit_series(rows: Iterable[dict], path, columns: list[str]) -> None:
     """CSV with a fixed header and column order; period decimal separator."""
     try:
         with open(path, "w", newline="") as fh:
@@ -358,20 +359,19 @@ def _run_orbit(args, timings) -> dict:
     xi = parse_point(args.point)
     f = parse_observable(args.obs)
     ev = OrbitEvaluator(xi, max(args.n, 2), args.precision_bits)
-    rows = []
-    for n in range(1, args.n + 1):
-        c = ev.coords(n, need_theta=True)
-        val = float(f.eval(c.x, c.y, c.theta))
-        rows.append({"n": n, "x": c.x, "y": c.y, "theta": c.theta, "f": val})
+    xs, ys, ts = ev.run(range(1, args.n + 1), need_theta=True)
+    fs = f.eval(xs, ys, ts)
     timings["orbit"] = time.perf_counter() - t0
     if args.series:
-        emit_series(rows, args.series, ["n", "x", "y", "theta", "f"])
+        names = ["n", "x", "y", "theta", "f"]
+        rows = zip(range(1, args.n + 1), xs.tolist(), ys.tolist(), ts.tolist(), fs.tolist())
+        emit_series((dict(zip(names, row)) for row in rows), args.series, names)
     g = genericity(xi)
     return {"point": repr(xi), "observable": f.label, "n": args.n,
             "genericity": g.label,
-            "mean_f": repr(sum(r["f"] for r in rows) / max(args.n, 1)),
-            "final": {"x": repr(rows[-1]["x"]), "y": repr(rows[-1]["y"]),
-                      "theta": repr(rows[-1]["theta"])} if rows else None}
+            "mean_f": repr(math.fsum(fs) / max(args.n, 1)),
+            "final": {"x": repr(float(xs[-1])), "y": repr(float(ys[-1])),
+                      "theta": repr(float(ts[-1]))} if len(xs) else None}
 
 
 def _run_correlate(args, timings) -> dict:

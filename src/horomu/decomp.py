@@ -151,14 +151,16 @@ def classify(n: int, params: DecompositionParams, primes: PrimeTable) -> Classif
     """
     if not 1 <= n < params.n:
         raise ValidationError(f"classify needs 1 <= n < N, got {n}")
-    flat_p, flat_j, interior = _flat_blocks(params, primes)
-    hit = np.nonzero(n % flat_p == 0)[0]
-    if not interior[hit].any():
+    block_primes = _block_primes(params, primes, params.j1)
+    divisors = block_primes[n % block_primes == 0]  # ascending
+    found = divisors.tolist()
+    # a block prime lies outside (D0, D1) only when it equals an integer D0
+    if not found or found == [params.d0]:
         return Classification(TAG_NOT_IN_S)
-    least = int(flat_j[hit[0]])
-    in_least = hit[flat_j[hit] == least]
-    witness = int(flat_p[in_least[0]])
-    if len(in_least) == 1 and n % (witness * witness) != 0:
+    # position of each divisor's block among the bounds: j - j0 + 1
+    pos = params.bounds.searchsorted(divisors, side="right").tolist()
+    least, witness = params.j0 + pos[0] - 1, found[0]
+    if pos.count(pos[0]) == 1 and n % (witness * witness) != 0:
         return Classification(TAG_UNIQUE, least, witness)
     return Classification(TAG_MULTIPLE, least)
 
@@ -172,21 +174,18 @@ def q_membership(m: int, j: int, params: DecompositionParams,
         raise ValidationError(f"block index {j} outside {params.block_range}")
     if m > params.q_max(j):
         return False
-    flat_p, flat_j, _ = _flat_blocks(params, primes)
-    return not (m % flat_p[flat_j <= j] == 0).any()
+    return not np.count_nonzero(m % _block_primes(params, primes, j + 1) == 0)
 
 
-def _flat_blocks(params: DecompositionParams, primes: PrimeTable):
-    """(block primes ascending, their block index, strict-interior mask)."""
+def _block_primes(params: DecompositionParams, primes: PrimeTable, j_end: int):
+    """The primes of blocks j0 .. j_end-1, ascending."""
     bounds = params.bounds
     if bounds[-1] > primes.n_max:
         raise RangeCoverageError(
             f"prime table covers {primes.n_max} but blocks need "
             f"(1+alpha)^{params.j1} = {float(params.d1):.6g}")
-    lo, hi = np.searchsorted(primes.primes, [bounds[0], bounds[-1]])
-    flat_p = primes.primes[lo:hi]
-    flat_j = params.j0 - 1 + np.searchsorted(bounds, flat_p, side="right")
-    return flat_p, flat_j, flat_p > math.floor(params.d0)
+    starts = primes.primes.searchsorted(bounds)
+    return primes.primes[starts[0]:starts[j_end - params.j0]]
 
 
 class Decomposition:

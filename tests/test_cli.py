@@ -230,6 +230,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_PRECISION
 
+    @pytest.mark.parametrize("bits, expect", [(["--precision-bits", "32"], EXIT_PRECISION),
+                                              ([], EXIT_OK)])
+    def test_precision_guard(self, tmp_path, bits, expect):
+        # 32 bits collapse no point, but they put mean_f 3e-5 off (0.431317)
+        code, report = run(["orbit", "--point", "point:lower:t=inv_e",
+                            "--n", "20000", *bits], tmp_path)
+        assert code == expect
+        if expect == EXIT_OK:
+            assert float(report["result"]["mean_f"]) == pytest.approx(
+                0.4313466280135164, abs=1e-14)
+
     def test_io(self, tmp_path):
         code = main(["classify", "--z", "sqrt:2",
                      "--out", "/nonexistent-dir/report.json"])

@@ -7,8 +7,8 @@ import pytest
 
 from horomu import decomp
 from horomu.arith import prime_blocks, sieve_primes
-from horomu.decomp import (TAG_MULTIPLE, TAG_NOT_IN_S, TAG_UNIQUE,
-                           DecompositionParams, _flat_blocks, build_decomposition,
+from horomu.decomp import (TAG_MULTIPLE, TAG_NOT_IN_S, TAG_UNIQUE, Classification,
+                           DecompositionParams, _block_primes, build_decomposition,
                            classify, coverage_report, default_schedule,
                            q_membership)
 from horomu.errors import (CapacityError, DomainError, RangeCoverageError,
@@ -98,10 +98,14 @@ class TestBlockBounds:
             want_p = [int(p) for b in blocks for p in b.primes]
             want_j = [b.j for b in blocks for _ in b.primes]
             want_in = [params.d0 < p < params.d1 for p in want_p]
-            flat_p, flat_j, interior = _flat_blocks(params, primes_10k)
-            assert flat_p.tolist() == want_p, (j0, j1)
-            assert flat_j.tolist() == want_j, (j0, j1)
-            assert interior.tolist() == want_in, (j0, j1)
+            for j_end in range(j0, j1 + 1):  # blocks j0 .. j_end-1
+                got = _block_primes(params, primes_10k, j_end).tolist()
+                assert got == [p for p, j in zip(want_p, want_j) if j < j_end]
+            # the rule classify applies: only an integer D0 is not interior
+            assert [p != params.d0 for p in want_p] == want_in, (j0, j1)
+            for p, j, inside in zip(want_p, want_j, want_in):
+                want = Classification(TAG_UNIQUE, j, p) if inside else Classification(TAG_NOT_IN_S)
+                assert classify(p, params, primes_10k) == want, (j0, j1, p)
             assert params.bounds.tolist() == [math.ceil((1 + alpha) ** j)
                                               for j in range(j0, j1 + 1)]
 

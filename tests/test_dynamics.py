@@ -14,7 +14,8 @@ from horomu.dynamics import (FundamentalDomainCoords, ModularPoint,
                              haar_mean, horocycle_point,
                              mobius_disjointness_sum, orbit_sequence,
                              pair_correlation, reduce, split_observable,
-                             step_observable, windy_observable)
+                             step_observable, windy_observable, _ANCHOR_EVERY,
+                             _CHUNK)
 from horomu.errors import (ConvergenceError, DescriptorError, PrecisionError,
                            ValidationError)
 from horomu.exactreal import SymbolicReal
@@ -191,6 +192,99 @@ class TestHorocyclePoint:
         ev.coords(10)
         with pytest.raises(ValidationError):
             ev.coords(5)
+
+
+def _exact_run(self, indices, need_theta=False):
+    """``OrbitEvaluator.run`` as a loop of exact ``coords`` calls."""
+    cs = [self.coords(m, need_theta) for m in indices]
+    return (np.array([c.x for c in cs]), np.array([c.y for c in cs]),
+            np.array([c.theta if need_theta else 0.0 for c in cs]))
+
+
+def _assert_matches_exact(xi, indices, tol=1e-9):
+    idx = list(indices)
+    n_max = max(idx, default=2)
+    xs, ys, ts = OrbitEvaluator(xi, n_max).run(idx, need_theta=True)
+    ex, ey, et = _exact_run(OrbitEvaluator(xi, n_max), idx, need_theta=True)
+    dt = np.abs(ts - et) % (2 * math.pi)
+    assert len(xs) == len(idx)
+    assert np.all(np.abs(xs - ex) <= tol), np.max(np.abs(xs - ex), initial=0)
+    assert np.all(np.abs(ys - ey) <= tol), np.max(np.abs(ys - ey), initial=0)
+    assert np.all(np.minimum(dt, 2 * math.pi - dt) <= tol)
+    return ys
+
+
+class TestBlockedEvaluator:
+    """``run`` (float blocks from exact anchors) against the exact path."""
+
+    XI = ModularPoint.lower("inv_e")
+
+    @pytest.mark.parametrize("length", [0, 1, _ANCHOR_EVERY, _ANCHOR_EVERY + 1,
+                                        2 * _CHUNK + 3])
+    def test_contiguous_from_one(self, length):
+        _assert_matches_exact(self.XI, range(1, length + 1))
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_seeded_offsets_straddle_blocks(self, stride):
+        rng = random.Random(TEST_SEED + stride)
+        for _ in range(3):
+            start = rng.randint(1, 10 ** 6)
+            n = rng.randint(_ANCHOR_EVERY + 1, 3 * _ANCHOR_EVERY)
+            _assert_matches_exact(self.XI, range(start, start + stride * n, stride))
+
+    def test_other_points(self):
+        for xi in (ModularPoint.lower("sqrt2"), ModularPoint.upper("e"),
+                   ModularPoint.lower(SymbolicReal.const("pi", 7))):
+            _assert_matches_exact(xi, range(5, 5 + 3 * 2000, 3))
+        # an integral point, and a rotation of i: both sit on the unit circle
+        for xi in (ModularPoint.from_rationals(2, 1, 1, 1),
+                   ModularPoint.from_rationals(Fraction(3, 5), Fraction(-4, 5),
+                                               Fraction(4, 5), Fraction(3, 5))):
+            _assert_matches_exact(xi, range(0, 2 * _ANCHOR_EVERY))
+
+    @pytest.mark.parametrize("m, stride, pos", [(22179, 3, _ANCHOR_EVERY - 10),
+                                                (265216, 7, _ANCHOR_EVERY - 1)])
+    def test_cusp_excursion(self, m, stride, pos):
+        # m sits pos indices after an anchor, at y ~ 4e4 and 1.4e5, where
+        # the float block alone is 2.7e-9 and 2.2e-8 off
+        idx = range(m - stride * pos, m + stride * 50, stride)
+        ys = _assert_matches_exact(self.XI, idx)
+        assert ys[pos] > 1e3
+
+    def test_identity_orbit_is_exact(self):
+        for idx in (range(1, 3000), range(7, 7 + 5 * 1000, 5)):
+            xs, ys, ts = OrbitEvaluator(ModularPoint.identity(), idx[-1]).run(idx, True)
+            assert np.all(xs == 0.0) and np.all(ys == 1.0) and np.all(ts == 0.0)
+
+    def test_decreasing_indices_rejected(self):
+        ev = OrbitEvaluator(self.XI, 100)
+        with pytest.raises(ValidationError):
+            ev.run([5, 7, 6])
+        ev.run(range(1, 50))
+        with pytest.raises(ValidationError):
+            ev.run([40])
+        with pytest.raises(ValidationError):
+            ev.coords(48)
+
+    def test_low_precision_raises(self):
+        with pytest.raises(PrecisionError, match="off the closed form"):
+            OrbitEvaluator(self.XI, 20000, 48).run(range(1, 20001))
+
+    def test_averages_match_exact_path(self, monkeypatch):
+        n = 10 ** 5
+        f, _ = split_observable(bump_observable(2.0, 0.5))
+        windy = windy_observable()
+        mu = sieve_mobius(n)
+
+        def values():
+            return [birkhoff_average(windy, self.XI, n),
+                    pair_correlation(f, self.XI, 2, 3, n, target=0.0).value,
+                    *(r.average for r in mobius_disjointness_sum(self.XI, f, n, mu).rows)]
+
+        fast = values()
+        monkeypatch.setattr(OrbitEvaluator, "run", _exact_run)
+        exact = values()
+        assert np.max(np.abs(np.array(fast) - np.array(exact))) <= 1e-10
 
 
 class TestObservables:
