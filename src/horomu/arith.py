@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import CapacityError, RangeCoverageError, ValidationError
 
-# Memory budgets: one-byte values allow tables up to ~1e8 entries.
-DEFAULT_SIEVE_BUDGET = 200_000_000
+# Memory budget: one-byte values allow tables up to ~1e8 entries.
+SIEVE_BUDGET = 200_000_000
 SEGMENT = 1 << 20
 
 
@@ -59,13 +59,13 @@ def _ceil_exact(x) -> int:
     return math.ceil(x)
 
 
-def sieve_primes(n_max: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
+def sieve_primes(n_max: int) -> PrimeTable:
     """All primes <= n_max by a segmented sieve of Eratosthenes."""
     n_max = int(n_max)
     if n_max < 2:
         raise ValidationError(f"sieve_primes requires n_max >= 2, got {n_max}")
-    if n_max > budget:
-        raise CapacityError(f"n_max={n_max} exceeds sieve budget {budget}")
+    if n_max > SIEVE_BUDGET:
+        raise CapacityError(f"n_max={n_max} exceeds sieve budget {SIEVE_BUDGET}")
     root = math.isqrt(n_max)
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
@@ -121,9 +121,6 @@ class MultiplicativeTable:
         v = self.values[n]
         return int(v) if self.values.dtype == np.int8 else complex(v)
 
-    def as_complex(self) -> np.ndarray:
-        return self.values.astype(np.complex128)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -159,7 +156,7 @@ class MultiplicativeTable:
         return f"MultiplicativeTable({self.label}, n_max={self.n_max})"
 
 
-def _sieved_signs(n_max: int, budget: int, liouville: bool) -> np.ndarray:
+def _sieved_signs(n_max: int, liouville: bool) -> np.ndarray:
     """Segmented sign sieve shared by mu and lambda.
 
     Tracks, per segment, the product of the prime powers removed so the
@@ -168,8 +165,8 @@ def _sieved_signs(n_max: int, budget: int, liouville: bool) -> np.ndarray:
     n_max = int(n_max)
     if n_max < 1:
         raise ValidationError(f"sieve requires n_max >= 1, got {n_max}")
-    if n_max > budget:
-        raise CapacityError(f"n_max={n_max} exceeds sieve budget {budget}")
+    if n_max > SIEVE_BUDGET:
+        raise CapacityError(f"n_max={n_max} exceeds sieve budget {SIEVE_BUDGET}")
     root = math.isqrt(n_max)
     small = sieve_primes(max(root, 2)).primes
     out = np.zeros(n_max + 1, dtype=np.int8)
@@ -210,16 +207,14 @@ def _sieved_signs(n_max: int, budget: int, liouville: bool) -> np.ndarray:
     return out
 
 
-def sieve_mobius(n_max: int, budget: int = DEFAULT_SIEVE_BUDGET) -> MultiplicativeTable:
+def sieve_mobius(n_max: int) -> MultiplicativeTable:
     """mu(n) for n in [1, n_max]: (-1)^k on squarefree n with k prime factors, else 0."""
-    return MultiplicativeTable(n_max, _sieved_signs(n_max, budget, liouville=False),
-                               "mobius")
+    return MultiplicativeTable(n_max, _sieved_signs(n_max, liouville=False), "mobius")
 
 
-def sieve_liouville(n_max: int, budget: int = DEFAULT_SIEVE_BUDGET) -> MultiplicativeTable:
+def sieve_liouville(n_max: int) -> MultiplicativeTable:
     """lambda(n) = (-1)^Omega(n), counting prime factors with multiplicity."""
-    return MultiplicativeTable(n_max, _sieved_signs(n_max, budget, liouville=True),
-                               "liouville")
+    return MultiplicativeTable(n_max, _sieved_signs(n_max, liouville=True), "liouville")
 
 
 @dataclass(frozen=True)

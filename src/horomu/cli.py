@@ -58,11 +58,6 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def serialize_config(config: dict) -> str:
-    lines = [f"{k}={config[k]}" for k in sorted(config)]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # mini-language parsers
 # ---------------------------------------------------------------------------
@@ -157,7 +152,7 @@ def parse_sequence(spec: str, horizon: int, precision_bits=None) -> BoundedSeque
         if table.n_max < horizon:
             raise ValidationError(
                 f"table {rest} covers [1,{table.n_max}], need {horizon}")
-        return BoundedSequence(table.as_complex()[: horizon + 1], table.label)
+        return BoundedSequence(table.values[: horizon + 1], table.label)
     raise DescriptorError(f"unknown sequence kind {kind!r}")
 
 
@@ -355,6 +350,8 @@ def _run_criterion(args, timings) -> dict:
 
 def _run_orbit(args, timings) -> dict:
     _require(args, "n", "point")
+    if args.n < 1:
+        raise ValidationError(f"orbit needs --n >= 1, got {args.n}")
     t0 = time.perf_counter()
     xi = parse_point(args.point)
     f = parse_observable(args.obs)
@@ -369,9 +366,9 @@ def _run_orbit(args, timings) -> dict:
     g = genericity(xi)
     return {"point": repr(xi), "observable": f.label, "n": args.n,
             "genericity": g.label,
-            "mean_f": repr(math.fsum(fs) / max(args.n, 1)),
+            "mean_f": repr(math.fsum(fs) / args.n),
             "final": {"x": repr(float(xs[-1])), "y": repr(float(ys[-1])),
-                      "theta": repr(float(ts[-1]))} if len(xs) else None}
+                      "theta": repr(float(ts[-1]))}}
 
 
 def _run_correlate(args, timings) -> dict:

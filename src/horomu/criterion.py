@@ -23,13 +23,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import MultiplicativeTable, PrimeTable, sieve_primes
+from .arith import MultiplicativeTable, sieve_primes
 from .decomp import Decomposition, DecompositionParams, build_decomposition
 from .errors import (CapacityError, DomainError, EmptyPairSetError, HorizonError,
                      ValidationError)
 from .exactreal import frac_parts
 
-DEFAULT_SEQUENCE_BUDGET = 50_000_000
+SEQUENCE_BUDGET = 50_000_000
 
 
 class BoundedSequence:
@@ -67,14 +67,14 @@ class BoundedSequence:
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def constant(cls, c, horizon: int, label: Optional[str] = None) -> "BoundedSequence":
+    def constant(cls, c, horizon: int) -> "BoundedSequence":
         _check_budget(horizon)
         vals = np.full(horizon + 1, complex(c), dtype=np.complex128)
-        return cls(vals, label or f"const:{c}")
+        return cls(vals, f"const:{c}")
 
     @classmethod
     def from_multiplicative(cls, table: MultiplicativeTable) -> "BoundedSequence":
-        return cls(table.as_complex(), table.label)
+        return cls(table.values, table.label)
 
     @classmethod
     def exponential(cls, theta, horizon: int, label: Optional[str] = None) -> "BoundedSequence":
@@ -92,11 +92,11 @@ class BoundedSequence:
         return cls(vals, label or f"exp:{name}")
 
 
-def _check_budget(horizon: int, budget: int = DEFAULT_SEQUENCE_BUDGET) -> None:
+def _check_budget(horizon: int) -> None:
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    if horizon > budget:
-        raise CapacityError(f"horizon {horizon} exceeds sequence budget {budget}")
+    if horizon > SEQUENCE_BUDGET:
+        raise CapacityError(f"horizon {horizon} exceeds sequence budget {SEQUENCE_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ class PairCorrelation:
 
 
 def bilinear_sum(F: BoundedSequence, p1: int, p2: int, M: int) -> PairCorrelation:
-    """sum_{m<=M} F(p1 m) conj(F(p2 m)), exact pairwise-summed."""
+    """sum_{m<=M} F(p1 m) conj(F(p2 m)) by np.sum: pairwise in float64, not exact."""
     if p1 == p2:
         raise ValidationError("bilinear_sum needs distinct p1, p2")
     if M < 1:
@@ -150,7 +150,6 @@ class TauEstimate:
 
 def tau_estimate(F: BoundedSequence, prime_cutoff: float,
                  M: Optional[int] = None, excluded: Sequence = (),
-                 primes: Optional[PrimeTable] = None,
                  threads: int = 1, window: Optional[int] = None) -> TauEstimate:
     """Largest normalized pair correlation over distinct primes <= cutoff.
 
@@ -162,11 +161,11 @@ def tau_estimate(F: BoundedSequence, prime_cutoff: float,
     on a pool but are reduced in pair order, so results match the serial
     run exactly.
     """
+    if not math.isfinite(prime_cutoff):
+        raise ValidationError(f"prime cutoff must be finite, got {prime_cutoff}")
     if prime_cutoff < 3:
         raise EmptyPairSetError(f"no prime pairs below cutoff {prime_cutoff}")
-    if primes is None or primes.n_max < prime_cutoff:
-        primes = sieve_primes(max(int(prime_cutoff), 2))
-    ps = [int(p) for p in primes.primes if p <= prime_cutoff]
+    ps = [int(p) for p in sieve_primes(int(prime_cutoff)).primes]
     if len(ps) < 2:
         raise EmptyPairSetError(f"fewer than two primes below cutoff {prime_cutoff}")
     ref = F.horizon if window is None else min(window, F.horizon)
@@ -320,9 +319,8 @@ class CriterionReport:
 
 def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
                      alpha, j0: int, j1: int, excluded: Sequence = (), *,
-                     cutoff: float, primes: Optional[PrimeTable] = None,
-                     decomposition: Optional[Decomposition] = None,
-                     M: Optional[int] = None, threads: int = 1) -> CriterionReport:
+                     cutoff: float, M: Optional[int] = None,
+                     threads: int = 1) -> CriterionReport:
     """Replay the whole inequality chain on actual data over [1, N).
 
     The window is half-open to match the decomposition partition; the
@@ -336,14 +334,10 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
             f"ledger needs F on [1,{need}] (range extension), horizon {F.horizon}")
     if nu.n_max < N - 1:
         raise HorizonError(f"nu table covers [1,{nu.n_max}], need {N - 1}")
-    if primes is None:
-        primes = sieve_primes(max(int(math.ceil(float(params.d1))) + 1, 3))
-    if decomposition is None:
-        decomposition = build_decomposition(params, primes)
-    dec = decomposition
+    primes = sieve_primes(max(int(math.ceil(float(params.d1))) + 1, 3))
+    dec = build_decomposition(params, primes)
 
-    nu_c = nu.as_complex()
-    prod = nu_c[: N] * F.values[: N]
+    prod = nu.values[: N] * F.values[: N]
 
     left = dec.leftover_mask()
     leftover_sum = complex(np.sum(prod[left]))
@@ -352,10 +346,9 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
 
     blocks = []
     for j in params.block_range:
-        blocks.append(_block_ledger(dec, j, nu_c, F))
+        blocks.append(_block_ledger(dec, j, nu.values, F))
 
-    tau = tau_estimate(F, cutoff, M=M, excluded=excluded, primes=primes,
-                       threads=threads, window=N)
+    tau = tau_estimate(F, cutoff, M=M, excluded=excluded, threads=threads, window=N)
     tau_eff = max(tau.tau_hat, 1 / math.log(cutoff)) if cutoff > 1 else 1.0
     chain, diagnostics = _assemble_chain(params, blocks, total, leftover_sum, tau_eff)
 
@@ -385,7 +378,7 @@ def _ledger_horizon(params: DecompositionParams) -> int:
     return int(math.ceil(lim))
 
 
-def _block_ledger(dec: Decomposition, j: int, nu_c: np.ndarray,
+def _block_ledger(dec: Decomposition, j: int, nu_values: np.ndarray,
                   F: BoundedSequence) -> BlockLedger:
     params = dec.params
     block = dec.block(j)
@@ -395,17 +388,18 @@ def _block_ledger(dec: Decomposition, j: int, nu_c: np.ndarray,
     y_cap = int(lim.numerator // lim.denominator)  # range extension is y <= lim
 
     members = dec.product_members(j)
-    pair_sum = complex(np.sum(nu_c[members] * F.values[members])) if members.size else 0j
+    pair_sum = (complex(np.sum(nu_values[members] * F.values[members]))
+                if members.size else 0j)
 
     if ps.size == 0 or qs.size == 0:
         return BlockLedger(j, pair_sum, 0j, 0.0, 0.0, 0.0, 0.0, 0.0,
                            y_cap, int(ps.size), int(qs.size))
 
-    nu_p = nu_c[ps]
+    nu_p = nu_values[ps]
     # inner(y) = sum_{x in P_j} nu(x) F(x y) for y in Q_j
     fxq = F.values[(ps[:, None] * qs[None, :])]
     inner_q = nu_p @ fxq
-    factored = complex(np.sum(nu_c[qs] * inner_q))
+    factored = complex(np.sum(nu_values[qs] * inner_q))
     t_j = float(np.sum(np.abs(inner_q)))
     sumsq_q = float(np.sum(np.abs(inner_q) ** 2))
     cauchy = math.sqrt(len(qs)) * math.sqrt(sumsq_q)

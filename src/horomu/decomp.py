@@ -41,7 +41,7 @@ import numpy as np
 from .arith import SEGMENT, PrimeBlock, PrimeTable, prime_blocks
 from .errors import CapacityError, DomainError, RangeCoverageError, ValidationError
 
-DEFAULT_DECOMP_BUDGET = 30_000_000
+DECOMP_BUDGET = 30_000_000
 
 TAG_NOT_IN_S = 0
 TAG_UNIQUE = 1
@@ -261,8 +261,7 @@ class Decomposition:
         return mask
 
 
-def build_decomposition(params: DecompositionParams, primes: PrimeTable,
-                        budget: int = DEFAULT_DECOMP_BUDGET) -> Decomposition:
+def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Decomposition:
     """Classify every n in [1, N) and mark the product sets, by sieving.
 
     One loop over the block primes in ascending order: a multiple of p in
@@ -275,8 +274,8 @@ def build_decomposition(params: DecompositionParams, primes: PrimeTable,
     closes product-set membership.
     """
     n = params.n
-    if n > budget:
-        raise CapacityError(f"N={n} exceeds decomposition budget {budget}")
+    if n > DECOMP_BUDGET:
+        raise CapacityError(f"N={n} exceeds decomposition budget {DECOMP_BUDGET}")
     if params.d1 > primes.n_max:
         raise ValidationError(
             f"prime table covers {primes.n_max}, blocks need {float(params.d1):.6g}")

@@ -325,7 +325,11 @@ class OrbitEvaluator:
     def __init__(self, xi: ModularPoint, n_max: int,
                  precision_bits: Optional[int] = None):
         self.xi = xi
-        self.bits = precision_bits or default_precision_bits(n_max)
+        if precision_bits is None:
+            precision_bits = default_precision_bits(n_max)
+        elif precision_bits < 1:
+            raise ValidationError(f"precision bits must be >= 1, got {precision_bits}")
+        self.bits = precision_bits
         self.one = 1 << self.bits
         # exact warm start (m, w, gamma); _m is the largest index requested
         self._state = (0, xi.entries_fixed(self.bits), (1, 0, 0, 1))
@@ -729,12 +733,11 @@ class DisjointnessReport:
 def mobius_disjointness_sum(xi: ModularPoint, f: Observable, N: int,
                             nu: MultiplicativeTable,
                             ladder: Optional[list[int]] = None,
-                            precision_bits: Optional[int] = None,
-                            quad: QuadratureSpec = QuadratureSpec()) -> DisjointnessReport:
+                            precision_bits: Optional[int] = None) -> DisjointnessReport:
     """Weighted orbit averages (1/N) sum nu(n) f(T^n xi) along a ladder of N.
 
     Each row also reports the mean-zero part: with f = f1 + c the average
-    splits as (1/N) sum nu f1 + c * (1/N) sum nu.
+    splits as (1/N) sum nu f1 + c * (1/N) sum nu. nu must be real on [1, N].
     """
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
@@ -747,9 +750,12 @@ def mobius_disjointness_sum(xi: ModularPoint, f: Observable, N: int,
         ladder = sorted(set(int(v) for v in ladder) | {N})
         if any(v < 1 or v > N for v in ladder):
             raise ValidationError(f"ladder values must lie in [1, N]: {ladder}")
-    c = f.exact_mean if f.exact_mean is not None else haar_mean(f, quad)
+    nu_vals = nu.values[1:N + 1]
+    if np.iscomplexobj(nu_vals) and np.any(nu_vals.imag):
+        raise ValidationError(f"{nu.label}: disjointness needs a real nu on [1,{N}]")
+    c = f.exact_mean if f.exact_mean is not None else haar_mean(f)
     vals = _orbit_values(f, xi, range(1, N + 1), precision_bits)
-    nu_arr = np.real(nu.as_complex()[1:N + 1])
+    nu_arr = nu_vals.real.astype(np.float64)  # fsum over int8 scalars is slower
     rows = []
     for nk in ladder:
         total = math.fsum(nu_arr[:nk] * vals[:nk]) / nk

@@ -4,9 +4,9 @@ import math
 import pytest
 
 from horomu.cli import (EXIT_CAPACITY, EXIT_IO, EXIT_OK, EXIT_PRECISION,
-                        EXIT_VALIDATION, main, parse_config, parse_descriptor,
-                        parse_observable, parse_point, parse_sequence,
-                        serialize_config)
+                        EXIT_VALIDATION, emit_series, main, parse_config,
+                        parse_descriptor, parse_observable, parse_point,
+                        parse_sequence)
 from horomu.errors import DescriptorError
 
 
@@ -18,10 +18,6 @@ def run(args, tmp_path, name="out.json"):
 
 
 class TestConfigRoundTrip:
-    def test_round_trip(self):
-        config = {"n": "1000", "alpha": "0.3", "j0": "5", "j1": "12"}
-        assert parse_config(serialize_config(config)) == config
-
     def test_comments_and_blanks(self):
         text = "# comment\n\nn=10\n alpha = 0.5 \n"
         assert parse_config(text) == {"n": "10", "alpha": "0.5"}
@@ -175,9 +171,7 @@ class TestSubcommands:
 
     def test_empty_series_header_only(self, tmp_path):
         series = tmp_path / "empty.csv"
-        code, report = run(["orbit", "--point", "point:identity", "--n", "0",
-                            "--series", str(series)], tmp_path)
-        assert code == EXIT_OK
+        emit_series([], series, ["n", "x", "y", "theta", "f"])
         assert series.read_text().splitlines() == ["n,x,y,theta,f"]
 
     def test_csv_report_format(self, tmp_path):
@@ -231,7 +225,8 @@ class TestExitCodes:
         assert code == EXIT_PRECISION
 
     @pytest.mark.parametrize("bits, expect", [(["--precision-bits", "32"], EXIT_PRECISION),
-                                              ([], EXIT_OK)])
+                                              ([], EXIT_OK),
+                                              (["--precision-bits", "1"], EXIT_PRECISION)])
     def test_precision_guard(self, tmp_path, bits, expect):
         # 32 bits collapse no point, but they put mean_f 3e-5 off (0.431317)
         code, report = run(["orbit", "--point", "point:lower:t=inv_e",
@@ -267,6 +262,14 @@ class TestExitCodes:
                      ["disjointness", "--point", "point:identity", "--n", "10",
                       "--ladder", "10,abc"],
                      ["orbit", "--point", "point:lower:t=1/0", "--n", "3"],
+                     ["orbit", "--point", "point:lower:t=e", "--n", "0"],
+                     ["orbit", "--point", "point:lower:t=e", "--n", "-5"],
+                     ["orbit", "--point", "point:lower:t=e", "--n", "10",
+                      "--precision-bits", "0"],
+                     ["orbit", "--point", "point:lower:t=e", "--n", "10",
+                      "--precision-bits", "-1"],
+                     criterion[:-1] + ["inf"],
+                     criterion[:-1] + ["nan"],
                      ["correlate", "--point", "point:lower:t=e", "--n", "200",
                       "--obs", "obs:windy:width=0"],
                      ["correlate", "--point", "point:lower:t=e", "--n", "200",

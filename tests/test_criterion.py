@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from horomu.arith import sieve_mobius
+from horomu.arith import MultiplicativeTable, sieve_mobius
 from horomu.criterion import (BoundedSequence, bilinear_sum, criterion_ledger,
                               tau_estimate, vinogradov_bound, weighted_sum)
 from horomu.errors import (DomainError, EmptyPairSetError, HorizonError,
@@ -225,6 +225,16 @@ class TestLedger:
         F = BoundedSequence.exponential("sqrt2", self.N)  # too short
         with pytest.raises(HorizonError):
             criterion_ledger(mu, F, self.N, Fraction(3, 10), 5, 12, cutoff=20)
+
+    def test_nu_dtype_does_not_change_ledger(self):
+        N = 2000
+        horizon = int(math.ceil(1.3 * N))
+        mu = sieve_mobius(horizon)
+        mu_c = MultiplicativeTable(horizon, mu.values.astype(np.complex128), "mobius")
+        F = BoundedSequence.exponential("sqrt2", horizon)
+        args = (F, N, Fraction(3, 10), 5, 12)
+        assert (criterion_ledger(mu, *args, cutoff=20).as_dict()
+                == criterion_ledger(mu_c, *args, cutoff=20).as_dict())
 
     def test_verdict_fields(self, ledger):
         assert ledger.verdict in ("holds", "fails", "inconclusive")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from horomu.arith import sieve_mobius
+from horomu.arith import MultiplicativeTable, sieve_mobius
 from horomu.dynamics import (FundamentalDomainCoords, ModularPoint,
                              Observable, OrbitEvaluator, QuadratureSpec,
                              birkhoff_average, bump_observable,
@@ -450,6 +450,14 @@ class TestDisjointness:
         rep = mobius_disjointness_sum(ModularPoint.identity(),
                                       const_observable(1.0), 1000, mobius_1k)
         assert [r.n for r in rep.rows] == [100, 1000]
+
+    def test_complex_nu_rejected(self):
+        vals = np.where(np.arange(201) % 2 == 1, 1j, -1).astype(np.complex128)
+        vals[0], vals[1] = 0, 1
+        nu = MultiplicativeTable(200, vals, "table")
+        with pytest.raises(ValidationError, match="real"):
+            mobius_disjointness_sum(ModularPoint.identity(), const_observable(1.0),
+                                    200, nu)
 
     def test_bad_ladder(self, mobius_1k):
         with pytest.raises(ValidationError):
