@@ -21,6 +21,18 @@ SIEVE_BUDGET = 200_000_000
 SEGMENT = 1 << 20
 
 
+def check_unit_bound(values: np.ndarray, label: str) -> None:
+    """Reject NaN, infinity or |value| > 1 + 1e-12 in values[1:].
+
+    Works one SEGMENT at a time, so no full-length temporary is made.
+    """
+    for lo in range(1, values.size, SEGMENT):
+        top = float(np.abs(values[lo:lo + SEGMENT]).max())
+        if not top <= 1 + 1e-12:  # NaN propagates through max and fails here
+            raise ValidationError(f"{label}: values must be finite with |value| <= 1, "
+                                  f"found {top}")
+
+
 class PrimeTable:
     """Sorted primes up to ``n_max``; read-only after construction."""
 
@@ -110,10 +122,7 @@ class MultiplicativeTable:
             if values.size > 1 and (int(values.min()) < -1 or int(values.max()) > 1):
                 raise ValidationError(f"{label}: values must satisfy |value| <= 1")
         else:
-            for lo in range(1, self.n_max + 1, SEGMENT):
-                hi = min(lo + SEGMENT, self.n_max + 1)
-                if float(np.abs(values[lo:hi]).max()) > 1 + 1e-12:
-                    raise ValidationError(f"{label}: values must satisfy |value| <= 1")
+            check_unit_bound(values, label)
 
     def value(self, n: int):
         if not 1 <= n <= self.n_max:

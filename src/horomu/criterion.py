@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import MultiplicativeTable, sieve_primes
+from .arith import SEGMENT, MultiplicativeTable, check_unit_bound, sieve_primes
 from .decomp import Decomposition, DecompositionParams, build_decomposition
 from .errors import (CapacityError, DomainError, EmptyPairSetError, HorizonError,
                      ValidationError)
@@ -35,23 +35,31 @@ SEQUENCE_BUDGET = 50_000_000
 class BoundedSequence:
     """A sequence F: [1, horizon] -> C with |F| <= 1, stored densely.
 
-    Index 0 of the value array is unused. Construction rejects non-finite
-    values and checks the bound with a 1e-12 cushion for rounding.
+    Index 0 of the value array is unused and holds 0. Construction rejects
+    non-finite values and checks the bound with a 1e-12 cushion for
+    rounding.
     """
 
     def __init__(self, values: np.ndarray, label: str):
         values = np.asarray(values)
         if values.ndim != 1 or values.size < 2:
             raise ValidationError("sequence needs values for at least n=1")
-        self.values = np.array(values, dtype=np.complex128)
-        self.values[0] = 0
+        self._adopt(np.array(values, dtype=np.complex128), label)
+
+    @classmethod
+    def _owned(cls, values: np.ndarray, label: str) -> "BoundedSequence":
+        """Wrap a complex128 array built for this sequence, without a copy."""
+        seq = cls.__new__(cls)
+        seq._adopt(values, label)
+        return seq
+
+    def _adopt(self, values: np.ndarray, label: str) -> None:
+        values[0] = 0
+        check_unit_bound(values, label)
+        values.setflags(write=False)
+        self.values = values
         self.label = label
-        self.horizon = self.values.size - 1
-        mags = np.abs(self.values[1:])
-        top = float(mags.max()) if mags.size else 0.0
-        if not top <= 1 + 1e-12:  # NaN propagates through max and fails here
-            raise ValidationError(f"{label}: |F(n)| must be finite and <= 1, found {top}")
-        self.values.setflags(write=False)
+        self.horizon = values.size - 1
 
     def eval(self, n: int) -> complex:
         if not 1 <= n <= self.horizon:
@@ -70,7 +78,7 @@ class BoundedSequence:
     def constant(cls, c, horizon: int) -> "BoundedSequence":
         _check_budget(horizon)
         vals = np.full(horizon + 1, complex(c), dtype=np.complex128)
-        return cls(vals, f"const:{c}")
+        return cls._owned(vals, f"const:{c}")
 
     @classmethod
     def from_multiplicative(cls, table: MultiplicativeTable) -> "BoundedSequence":
@@ -82,14 +90,17 @@ class BoundedSequence:
 
         theta may be a symbolic-constant name ('sqrt2', 'e', ...), an exact
         rational, or a float; reduction goes through the shared fixed-point
-        channel so closed-form cross-checks see identical angles.
+        channel so closed-form cross-checks see identical angles. The
+        values are written one SEGMENT of indices at a time; the work is
+        elementwise, so they equal the one-shot formula bit for bit.
         """
         _check_budget(horizon)
-        ns = np.arange(horizon + 1, dtype=np.int64)
-        fr = frac_parts(theta, ns)
-        vals = np.exp(2j * np.pi * fr)
+        vals = np.empty(horizon + 1, dtype=np.complex128)
+        for lo in range(0, horizon + 1, SEGMENT):
+            ns = np.arange(lo, min(lo + SEGMENT, horizon + 1), dtype=np.int64)
+            np.exp(2j * np.pi * frac_parts(theta, ns), out=vals[lo:lo + ns.size])
         name = theta if isinstance(theta, str) else repr(theta)
-        return cls(vals, label or f"exp:{name}")
+        return cls._owned(vals, label or f"exp:{name}")
 
 
 def _check_budget(horizon: int) -> None:
@@ -128,9 +139,83 @@ def bilinear_sum(F: BoundedSequence, p1: int, p2: int, M: int) -> PairCorrelatio
 def _normalize_excluded(excluded) -> set[frozenset]:
     out = set()
     for pair in excluded or ():
-        p, q = pair
-        out.add(frozenset((int(p), int(q))))
+        try:
+            p, q = pair
+            out.add(frozenset((int(p), int(q))))
+        except (TypeError, ValueError):
+            raise ValidationError(f"an excluded pair must be two integers, got {pair!r}")
     return out
+
+
+@dataclass(frozen=True)
+class _PairPlan:
+    """The prime pairs of a tau estimate, checked before any sum is taken.
+
+    ``primes`` holds, ascending, every prime <= cutoff that is in some pair
+    left after exclusion; ``limits[i]`` is the last m sampled for it, so a
+    pair (p_i, p_k) sums over m <= min(limits[i], limits[k]).
+    """
+
+    primes: np.ndarray
+    limits: np.ndarray
+    skip: set[frozenset]
+    policy: str
+
+
+def _pair_plan(horizon: int, prime_cutoff: float, M: Optional[int],
+               excluded: Sequence, window: Optional[int]) -> _PairPlan:
+    if not math.isfinite(prime_cutoff):
+        raise ValidationError(f"prime cutoff must be finite, got {prime_cutoff}")
+    if prime_cutoff < 3:
+        raise EmptyPairSetError(f"no prime pairs below cutoff {prime_cutoff}")
+    ps = sieve_primes(int(prime_cutoff)).primes
+    skip = _normalize_excluded(excluded)
+    listed = set(ps.tolist())
+    bad = sorted(sorted(s) for s in skip if len(s) != 2 or not s <= listed)
+    if bad:
+        raise ValidationError(
+            f"excluded pairs must be two distinct primes <= {prime_cutoff:g}, got {bad}")
+    # a prime stays while some pair through it is not excluded
+    partners = len(ps) - 1 - np.array([sum(int(p) in s for s in skip) for p in ps])
+    ps = ps[partners > 0]
+    if ps.size == 0:
+        raise EmptyPairSetError("all pairs below the cutoff were excluded")
+    ref = horizon if window is None else min(window, horizon)
+    if M is None:
+        limits = ref // ps
+        policy = f"per-pair floor({ref}/max(p1,p2))"
+    else:
+        limits = np.full(ps.size, M, dtype=np.int64)
+        policy = f"uniform:{M}"
+    # limits never increase along the primes, so the last one is the least
+    # of any pair through the largest prime
+    if limits[-1] < 1:
+        raise HorizonError(f"window {ref} cannot support pair with p = {int(ps[-1])}")
+    if int(ps[-1]) * int(limits[-1]) > horizon:
+        raise HorizonError(f"need index {int(ps[-1]) * int(limits[-1])} "
+                           f"beyond horizon {horizon}")
+    return _PairPlan(ps, limits, skip, policy)
+
+
+def _pair_gram(values: np.ndarray, primes: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """C[i, k] = sum_{m <= min(limits[i], limits[k])} F(p_i m) conj(F(p_k m)).
+
+    m runs in tiles of at most SEGMENT gathered entries. The rows still
+    active in a tile are a prefix, because limits never increase; entries
+    past a row's own limit read values[0], which is 0.
+    """
+    k = primes.size
+    gram = np.zeros((k, k), dtype=np.complex128)
+    m0, top = 1, int(limits[0])
+    while m0 <= top:
+        rows = int(np.count_nonzero(limits >= m0))
+        ms = np.arange(m0, min(m0 + max(1, SEGMENT // rows), top + 1), dtype=np.int64)
+        idx = primes[:rows, None] * ms
+        idx[ms > limits[:rows, None]] = 0
+        tile = values[idx]
+        gram[:rows, :rows] += tile @ tile.conj().T
+        m0 += ms.size
+    return gram
 
 
 @dataclass(frozen=True)
@@ -157,50 +242,29 @@ def tau_estimate(F: BoundedSequence, prime_cutoff: float,
     defaulting to the horizon, so every sampled product stays inside the
     window; explicit M applies uniformly. Excluded pairs must be two
     distinct primes <= cutoff; they are skipped and echoed back, never
-    silently dropped. Pairs are independent tasks; with threads > 1 they run
-    on a pool but are reduced in pair order, so results match the serial
-    run exactly.
+    silently dropped.
+
+    All pair sums come from one Hermitian Gram matrix of the rows
+    F(p m), accumulated over tiles of m in BLAS; each pair total equals
+    ``bilinear_sum`` up to float64 rounding. Pair totals and tau_hat are
+    float64 sums: they agree to rounding, not bit for bit, across BLAS
+    thread counts. ``threads`` is accepted for existing callers; it changes
+    neither the result nor the work split.
     """
-    if not math.isfinite(prime_cutoff):
-        raise ValidationError(f"prime cutoff must be finite, got {prime_cutoff}")
-    if prime_cutoff < 3:
-        raise EmptyPairSetError(f"no prime pairs below cutoff {prime_cutoff}")
-    ps = [int(p) for p in sieve_primes(int(prime_cutoff)).primes]
-    if len(ps) < 2:
-        raise EmptyPairSetError(f"fewer than two primes below cutoff {prime_cutoff}")
-    ref = F.horizon if window is None else min(window, F.horizon)
-    skip = _normalize_excluded(excluded)
-    bad = sorted(sorted(s) for s in skip if len(s) != 2 or not s.issubset(ps))
-    if bad:
-        raise ValidationError(
-            f"excluded pairs must be two distinct primes <= {prime_cutoff:g}, got {bad}")
-    jobs = []
+    plan = _pair_plan(F.horizon, prime_cutoff, M, excluded, window)
+    gram = _pair_gram(F.values, plan.primes, plan.limits)
+    ps = plan.primes.tolist()
+    pairs = []
     for i in range(len(ps)):
         for k in range(i + 1, len(ps)):
-            p1, p2 = ps[i], ps[k]
-            if frozenset((p1, p2)) in skip:
+            if frozenset((ps[i], ps[k])) in plan.skip:
                 continue
-            m = M if M is not None else ref // max(p1, p2)
-            if m < 1:
-                raise HorizonError(
-                    f"window {ref} cannot support pair ({p1},{p2})")
-            jobs.append((p1, p2, m))
-    if not jobs:
-        raise EmptyPairSetError("all pairs below the cutoff were excluded")
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(lambda j: bilinear_sum(F, *j), jobs))
-    else:
-        pairs = [bilinear_sum(F, *j) for j in jobs]
-    best = pairs[0]
-    for pc in pairs[1:]:
-        if pc.normalized > best.normalized:
-            best = pc
-    policy = (f"uniform:{M}" if M is not None
-              else f"per-pair floor({ref}/max(p1,p2))")
+            m = int(min(plan.limits[i], plan.limits[k]))
+            total = complex(gram[i, k])
+            pairs.append(PairCorrelation(ps[i], ps[k], m, total, abs(total) / m))
+    best = max(pairs, key=lambda pc: pc.normalized)  # the first of equals
     return TauEstimate(best.normalized, (best.p1, best.p2), pairs,
-                       sorted(tuple(sorted(s)) for s in skip), policy)
+                       sorted(tuple(sorted(s)) for s in plan.skip), plan.policy)
 
 
 def vinogradov_bound(tau: float, N: int) -> float:
@@ -325,7 +389,8 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
 
     The window is half-open to match the decomposition partition; the
     range-extension step samples F up to ceil((1+alpha) * N), so the
-    sequence horizon must reach that far.
+    sequence horizon must reach that far. The cutoff, the excluded pairs
+    and the pair lengths are checked before the decomposition is built.
     """
     params = DecompositionParams(N, Fraction(alpha), j0, j1)
     need = _ledger_horizon(params)
@@ -334,22 +399,14 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
             f"ledger needs F on [1,{need}] (range extension), horizon {F.horizon}")
     if nu.n_max < N - 1:
         raise HorizonError(f"nu table covers [1,{nu.n_max}], need {N - 1}")
+    _pair_plan(F.horizon, cutoff, M, excluded, N)  # fail before the costly steps
     primes = sieve_primes(max(int(math.ceil(float(params.d1))) + 1, 3))
     dec = build_decomposition(params, primes)
-
-    prod = nu.values[: N] * F.values[: N]
-
-    left = dec.leftover_mask()
-    leftover_sum = complex(np.sum(prod[left]))
-    leftover_count = int(np.count_nonzero(left))
-    total = complex(np.sum(prod[1:]))
-
-    blocks = []
-    for j in params.block_range:
-        blocks.append(_block_ledger(dec, j, nu.values, F))
-
+    leftover_sum, leftover_count, total = _window_sums(dec, nu.values, F)
+    blocks = [_block_ledger(dec, j, nu.values, F) for j in params.block_range]
+    del dec  # free the decomposition before the tau tiles
     tau = tau_estimate(F, cutoff, M=M, excluded=excluded, threads=threads, window=N)
-    tau_eff = max(tau.tau_hat, 1 / math.log(cutoff)) if cutoff > 1 else 1.0
+    tau_eff = max(tau.tau_hat, 1 / math.log(cutoff))
     chain, diagnostics = _assemble_chain(params, blocks, total, leftover_sum, tau_eff)
 
     if 0 < tau_eff < 1:
@@ -369,8 +426,17 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
         bound_rhs=bound, weighted=total, leftover_sum=leftover_sum,
         leftover_count=leftover_count, blocks=blocks, chain=chain,
         verdict=verdict, margin=margin,
-        excluded=sorted(tuple(sorted(s)) for s in _normalize_excluded(excluded)),
+        excluded=tau.excluded,
         params=params, diagnostics=diagnostics)
+
+
+def _window_sums(dec: Decomposition, nu_values: np.ndarray, F: BoundedSequence):
+    """Leftover sum and count and the total over [1, N); the products over
+    the window are freed on return, before the block ledgers run."""
+    prod = nu_values[: dec.params.n] * F.values[: dec.params.n]
+    left = dec.leftover_mask()
+    return (complex(np.sum(prod[left])), int(np.count_nonzero(left)),
+            complex(np.sum(prod[1:])))
 
 
 def _ledger_horizon(params: DecompositionParams) -> int:

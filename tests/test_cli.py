@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,38 @@ class TestSpecParsers:
         assert parse_descriptor("e").kind == "irrational"
 
 
+def assert_close_reports(a, b, path="result"):
+    """Equal structure; floats (repr strings) within 1e-12 relative, a
+    [re, im] pair relative to its modulus; everything else exactly equal."""
+    assert type(a) is type(b), path
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            assert_close_reports(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list) and len(a) == 2 and all(map(_is_float, a + b)):
+        za, zb = complex(*map(float, a)), complex(*map(float, b))
+        assert abs(za - zb) <= 1e-12 * max(abs(za), abs(zb)), (path, a, b)
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (u, v) in enumerate(zip(a, b)):
+            assert_close_reports(u, v, f"{path}[{i}]")
+    elif isinstance(a, str) and _is_float(a) and _is_float(b):
+        x, y = float(a), float(b)
+        assert x == y or abs(x - y) <= 1e-12 * max(abs(x), abs(y)), (path, a, b)
+    else:
+        assert a == b, path
+
+
+def _is_float(text) -> bool:
+    if not isinstance(text, str):
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 class TestSubcommands:
     def test_classify_surd(self, tmp_path):
         code, report = run(["classify", "--z", "sqrt:2"], tmp_path)
@@ -150,6 +186,22 @@ class TestSubcommands:
             rep["timings_sec"] = None
             rep["config"]["out"] = rep["config"]["threads"] = None
         assert rep1 == rep2
+
+    def test_criterion_blas_thread_count(self, tmp_path):
+        # float64 sums agree to rounding across BLAS thread counts; integers,
+        # verdicts and hold flags agree exactly
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.json"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "horomu.cli", "criterion", "--nu", "mobius",
+                 "--seq", "exp:theta=sqrt2", "--n", "300000", "--alpha", "3/10",
+                 "--j0", "9", "--j1", "30", "--cutoff", "200", "--out", str(out)],
+                env=env, check=True)
+            reports.append(json.loads(out.read_text())["result"])
+        assert_close_reports(*reports)
 
     def test_criterion_exclude(self, tmp_path):
         code, report = run(["criterion", "--nu", "mobius", "--seq",

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from horomu.arith import MultiplicativeTable, sieve_mobius
+from horomu import criterion
+from horomu.arith import SEGMENT, MultiplicativeTable, sieve_mobius
 from horomu.criterion import (BoundedSequence, bilinear_sum, criterion_ledger,
                               tau_estimate, vinogradov_bound, weighted_sum)
 from horomu.errors import (DomainError, EmptyPairSetError, HorizonError,
@@ -42,6 +43,35 @@ class TestBoundedSequence:
         assert abs(v - expect) < 1e-15
         with pytest.raises(HorizonError):
             exp_sqrt2_40k.eval(40_001)
+
+
+    def test_exponential_matches_one_shot_formula(self):
+        # the values are written one SEGMENT at a time; they must equal the
+        # formula applied to the whole range at once, bit for bit
+        horizon = 3 * SEGMENT + 17
+        F = BoundedSequence.exponential("inv_e", horizon)
+        ns = np.arange(horizon + 1, dtype=np.int64)
+        expect = np.exp(2j * np.pi * frac_parts("inv_e", ns))
+        expect[0] = 0
+        assert F.values.tobytes() == expect.tobytes()
+
+    def test_caller_array_is_copied(self):
+        vals = np.full(5, 0.5 + 0j)
+        F = BoundedSequence(vals, "half")
+        assert vals[0] == 0.5 and vals.flags.writeable
+        assert F.values[0] == 0 and not F.values.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0), 1.01])
+    def test_non_finite_rejected_in_any_segment(self, bad):
+        for n in (3, SEGMENT + 5):
+            vals = np.full(SEGMENT + 10, 0.5 + 0j)
+            vals[n] = bad
+            with pytest.raises(ValidationError):
+                BoundedSequence(vals, "bad")
+            vals[0] = 1
+            vals[1] = 1
+            with pytest.raises(ValidationError):
+                MultiplicativeTable(vals.size - 1, vals, "bad")
 
 
 class TestBilinearSum:
@@ -124,6 +154,96 @@ class TestTauEstimate:
         F = BoundedSequence.constant(1, 100)
         with pytest.raises(EmptyPairSetError):
             tau_estimate(F, 2)
+
+
+def assert_matches_oracle(F, est):
+    """Every pair from the Gram path against the per-pair sum."""
+    for pc in est.pairs:
+        oracle = bilinear_sum(F, pc.p1, pc.p2, pc.m)
+        assert oracle.m == pc.m
+        assert abs(oracle.total - pc.total) <= 1e-13 * pc.m, (pc.p1, pc.p2)
+        assert abs(oracle.normalized - pc.normalized) <= 1e-13, (pc.p1, pc.p2)
+    worst = max(est.pairs, key=lambda pc: pc.normalized)
+    assert est.tau_hat == worst.normalized
+    assert est.worst_pair == (worst.p1, worst.p2)
+
+
+class TestPairGram:
+    def test_default_policy(self, exp_sqrt2_40k):
+        est = tau_estimate(exp_sqrt2_40k, 30)
+        assert len(est.pairs) == 45
+        assert_matches_oracle(exp_sqrt2_40k, est)
+
+    def test_uniform_m(self, exp_sqrt2_40k):
+        est = tau_estimate(exp_sqrt2_40k, 30, M=1000)
+        assert {pc.m for pc in est.pairs} == {1000}
+        assert est.m_policy == "uniform:1000"
+        assert_matches_oracle(exp_sqrt2_40k, est)
+
+    def test_window(self, exp_sqrt2_40k):
+        est = tau_estimate(exp_sqrt2_40k, 30, window=9_999)
+        assert all(pc.m == 9_999 // pc.p2 for pc in est.pairs)
+        assert_matches_oracle(exp_sqrt2_40k, est)
+
+    def test_excluded_pairs(self, exp_sqrt2_40k):
+        # every pair through 23 is excluded, so 23 leaves the Gram matrix
+        through_23 = [(p, 23) for p in (2, 3, 5, 7, 11, 13, 17, 19, 29)]
+        skip = [(3, 2), (5, 19), (17, 29)] + through_23
+        est = tau_estimate(exp_sqrt2_40k, 30, excluded=skip)
+        assert len(est.pairs) == 45 - len(skip)
+        assert not {frozenset((pc.p1, pc.p2)) for pc in est.pairs} \
+            & {frozenset(s) for s in skip}
+        assert est.excluded == sorted(tuple(sorted(s)) for s in skip)
+        assert_matches_oracle(exp_sqrt2_40k, est)
+
+    def test_excluding_the_largest_prime_keeps_its_horizon_free(self, exp_sqrt2_40k):
+        # 29 * 1500 is past the horizon, but 29 is in no remaining pair
+        skip = [(p, 29) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
+        est = tau_estimate(exp_sqrt2_40k, 30, M=1500, excluded=skip)
+        assert max(pc.p2 for pc in est.pairs) == 23
+        assert_matches_oracle(exp_sqrt2_40k, est)
+
+    def test_mobius_sequence(self):
+        F = BoundedSequence.from_multiplicative(sieve_mobius(20_000))
+        est = tau_estimate(F, 40)
+        assert_matches_oracle(F, est)
+
+    def test_constant_sequence_is_exactly_one(self):
+        F = BoundedSequence.constant(1, 10_000)
+        est = tau_estimate(F, 50)
+        assert est.tau_hat == 1.0
+        assert all(pc.total == pc.m for pc in est.pairs)
+
+    def test_many_tiles(self, exp_sqrt2_40k, monkeypatch):
+        # tiles of at most 50 entries: rows end inside tiles and the
+        # active prefix shrinks from tile to tile
+        monkeypatch.setattr(criterion, "SEGMENT", 50)
+        est = tau_estimate(exp_sqrt2_40k, 30, window=3_001)
+        assert_matches_oracle(exp_sqrt2_40k, est)
+        est = tau_estimate(exp_sqrt2_40k, 30, M=37)
+        assert_matches_oracle(exp_sqrt2_40k, est)
+
+    def test_tiles_at_full_segment(self):
+        # more than SEGMENT entries over five rows: the first tile ends
+        # before rows 2 and 3 do, and row 3 ends inside the second tile
+        horizon = 900_000
+        assert sum(horizon // p for p in (2, 3, 5, 7, 11)) > SEGMENT
+        F = BoundedSequence.exponential("inv_e", horizon)
+        assert_matches_oracle(F, tau_estimate(F, 12))
+
+    def test_horizon_errors(self, exp_sqrt2_40k):
+        tau_estimate(exp_sqrt2_40k, 30, M=40_000 // 29)  # last index that fits
+        for kwargs in ({"M": 40_000 // 29 + 1}, {"M": 0}, {"window": 28}):
+            with pytest.raises(HorizonError):
+                tau_estimate(exp_sqrt2_40k, 30, **kwargs)
+
+    def test_malformed_excluded(self, exp_sqrt2_40k):
+        for skip in ([(2,)], [(2, 3, 5)], [None], [("a", 3)], [(2, 4)], [(3, 3)],
+                     [(2, 31)]):
+            with pytest.raises(ValidationError):
+                tau_estimate(exp_sqrt2_40k, 30, excluded=skip)
+        with pytest.raises(EmptyPairSetError):
+            tau_estimate(exp_sqrt2_40k, 5, excluded=[(2, 3), (2, 5), (3, 5)])
 
 
 class TestVinogradovBound:
@@ -235,6 +355,29 @@ class TestLedger:
         args = (F, N, Fraction(3, 10), 5, 12)
         assert (criterion_ledger(mu, *args, cutoff=20).as_dict()
                 == criterion_ledger(mu_c, *args, cutoff=20).as_dict())
+
+    def test_pair_inputs_checked_before_the_decomposition(self, monkeypatch):
+        def costly(*args):
+            raise AssertionError("decomposition built before the inputs were checked")
+        monkeypatch.setattr(criterion, "build_decomposition", costly)
+        N = 2000
+        horizon = int(math.ceil(1.3 * N))
+        mu = sieve_mobius(horizon)
+        F = BoundedSequence.exponential("sqrt2", horizon)
+        args = (mu, F, N, Fraction(3, 10), 5, 12)
+        for cutoff, skip, error in ((math.inf, (), ValidationError),
+                                    (math.nan, (), ValidationError),
+                                    (2.5, (), EmptyPairSetError),
+                                    (20, [(2,)], ValidationError),
+                                    (20, [(2, 23)], ValidationError),
+                                    (5, [(2, 3), (2, 5), (3, 5)], EmptyPairSetError),
+                                    (3000, (), HorizonError)):
+            with pytest.raises(error):
+                criterion_ledger(*args, skip, cutoff=cutoff)
+        with pytest.raises(HorizonError):
+            criterion_ledger(*args, cutoff=20, M=horizon)
+        with pytest.raises(AssertionError):
+            criterion_ledger(*args, cutoff=20)
 
     def test_verdict_fields(self, ledger):
         assert ledger.verdict in ("holds", "fails", "inconclusive")
