@@ -168,51 +168,48 @@ class MultiplicativeTable:
 def _sieved_signs(n_max: int, liouville: bool) -> np.ndarray:
     """Segmented sign sieve shared by mu and lambda.
 
-    Tracks, per segment, the product of the prime powers removed so the
-    one large prime factor (> sqrt) left over can be accounted for.
+    Works in place on one SEGMENT of the output at a time. For each prime
+    power p^k <= n_max with p <= sqrt(n_max), the multiples in the segment
+    start at offset -lo % p^k and are one strided slice: lambda flips their
+    sign at every power, mu flips it at p and zeroes it at p^2. ``prod``
+    multiplies p into the same slices, so it ends as the part of n made of
+    small primes; n has one prime factor > sqrt(n_max) exactly when
+    prod < n, and its sign flips once more, as a factor of -1. No step
+    scatters through an index or boolean mask, and every step is integer,
+    so the table does not depend on SEGMENT.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise ValidationError(f"sieve requires n_max >= 1, got {n_max}")
     if n_max > SIEVE_BUDGET:
         raise CapacityError(f"n_max={n_max} exceeds sieve budget {SIEVE_BUDGET}")
-    root = math.isqrt(n_max)
-    small = sieve_primes(max(root, 2)).primes
-    out = np.zeros(n_max + 1, dtype=np.int8)
-    out[1:] = 1
+    small = sieve_primes(max(math.isqrt(n_max), 2)).primes.tolist()
+    out = np.ones(n_max + 1, dtype=np.int8)
+    out[0] = 0
     for lo in range(1, n_max + 1, SEGMENT):
         hi = min(lo + SEGMENT, n_max + 1)
-        seg = out[lo:hi].copy()
-        rem = np.arange(lo, hi, dtype=np.int64)
+        seg = out[lo:hi]
+        prod = np.ones(hi - lo, dtype=np.int32)  # prod <= n <= SIEVE_BUDGET < 2^31
         for p in small:
-            p = int(p)
             if p >= hi:
                 break
             pk = p
-            first_power = True
             while pk < hi:
-                start = ((lo + pk - 1) // pk) * pk
-                if start < hi:
-                    idx = np.arange(start, hi, pk) - lo
-                    if liouville:
-                        seg[idx] = -seg[idx]
-                    elif first_power:
-                        seg[idx] = -seg[idx]
-                    else:
-                        seg[idx] = 0
-                    rem[idx] //= p
-                if not liouville and not first_power:
+                s = -lo % pk
+                view = seg[s::pk]
+                if liouville or pk == p:
+                    np.negative(view, out=view)
+                else:  # mu: p^2 divides n
+                    view[...] = 0
                     break
-                first_power = False
-                if pk > hi // p + 1:
-                    break
+                prod_view = prod[s::pk]
+                prod_view *= p
                 pk *= p
-        large = rem > 1  # exactly one prime factor > sqrt(n) remains
-        seg[large] = -seg[large]
-        out[lo:hi] = seg
-    out[0] = 0
-    if n_max >= 1:
-        out[1] = 1
+        # a factor -1 where a prime factor > sqrt(n_max) remains, else 1
+        flip = (prod < np.arange(lo, hi, dtype=np.int32)).view(np.int8)
+        flip *= -2
+        flip += 1
+        seg *= flip
     return out
 
 

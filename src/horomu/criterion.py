@@ -403,7 +403,8 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
     primes = sieve_primes(max(int(math.ceil(float(params.d1))) + 1, 3))
     dec = build_decomposition(params, primes)
     leftover_sum, leftover_count, total = _window_sums(dec, nu.values, F)
-    blocks = [_block_ledger(dec, j, nu.values, F) for j in params.block_range]
+    blocks = [_block_ledger(dec, j, members, nu.values, F)
+              for j, members in zip(params.block_range, _block_members(dec))]
     del dec  # free the decomposition before the tau tiles
     tau = tau_estimate(F, cutoff, M=M, excluded=excluded, threads=threads, window=N)
     tau_eff = max(tau.tau_hat, 1 / math.log(cutoff))
@@ -444,8 +445,23 @@ def _ledger_horizon(params: DecompositionParams) -> int:
     return int(math.ceil(lim))
 
 
-def _block_ledger(dec: Decomposition, j: int, nu_values: np.ndarray,
-                  F: BoundedSequence) -> BlockLedger:
+def _block_members(dec: Decomposition) -> list[np.ndarray]:
+    """P_j Q_j for every block j in ``block_range``, each ascending.
+
+    One stable argsort of the least blocks of the product-set members keeps
+    each block's members in ascending order, so each array equals
+    ``dec.product_members(j)`` without a scan of the window per block.
+    """
+    params = dec.params
+    pq = np.flatnonzero(dec.in_pq)
+    keys = dec.block_of[pq]
+    members = pq[np.argsort(keys, kind="stable")]
+    counts = np.bincount(keys - params.j0, minlength=len(params.block_range))
+    return np.split(members, np.cumsum(counts)[:-1]) if counts.size else []
+
+
+def _block_ledger(dec: Decomposition, j: int, members: np.ndarray,
+                  nu_values: np.ndarray, F: BoundedSequence) -> BlockLedger:
     params = dec.params
     block = dec.block(j)
     qs = dec.q_set(j)
@@ -453,7 +469,6 @@ def _block_ledger(dec: Decomposition, j: int, nu_values: np.ndarray,
     lim = Fraction(params.n) / params.base ** j
     y_cap = int(lim.numerator // lim.denominator)  # range extension is y <= lim
 
-    members = dec.product_members(j)
     pair_sum = (complex(np.sum(nu_values[members] * F.values[members]))
                 if members.size else 0j)
 
@@ -462,16 +477,18 @@ def _block_ledger(dec: Decomposition, j: int, nu_values: np.ndarray,
                            y_cap, int(ps.size), int(qs.size))
 
     nu_p = nu_values[ps]
-    # inner(y) = sum_{x in P_j} nu(x) F(x y) for y in Q_j
-    fxq = F.values[(ps[:, None] * qs[None, :])]
+    # fxy[a, y-1] = F(p_a y) for y <= y_cap, one strided row per prime
+    fxy = np.empty((ps.size, y_cap), dtype=np.complex128)
+    for row, p in zip(fxy, ps.tolist()):
+        row[:] = F.values[p:p * y_cap + 1:p]
+    # inner(y) = sum_{x in P_j} nu(x) F(x y) for y in Q_j, where Q_j <= q_max(j) < y_cap
+    fxq = fxy.take(qs - 1, axis=1)
     inner_q = nu_p @ fxq
     factored = complex(np.sum(nu_values[qs] * inner_q))
     t_j = float(np.sum(np.abs(inner_q)))
     sumsq_q = float(np.sum(np.abs(inner_q) ** 2))
     cauchy = math.sqrt(len(qs)) * math.sqrt(sumsq_q)
 
-    ys = np.arange(1, y_cap + 1, dtype=np.int64)
-    fxy = F.values[(ps[:, None] * ys[None, :])]
     inner_all = nu_p @ fxy
     sumsq_all = float(np.sum(np.abs(inner_all) ** 2))
     extended = math.sqrt(len(qs)) * math.sqrt(sumsq_all)

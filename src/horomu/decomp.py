@@ -42,6 +42,9 @@ from .arith import SEGMENT, PrimeBlock, PrimeTable, prime_blocks
 from .errors import CapacityError, DomainError, RangeCoverageError, ValidationError
 
 DECOMP_BUDGET = 30_000_000
+# entries per block-table gather: small index temporaries keep the
+# builder's peak memory down
+_GATHER = 1 << 16
 
 TAG_NOT_IN_S = 0
 TAG_UNIQUE = 1
@@ -189,7 +192,13 @@ def _block_primes(params: DecompositionParams, primes: PrimeTable, j_end: int):
 
 
 class Decomposition:
-    """Classification arrays and exact counts for the whole window [1, N)."""
+    """Classification arrays and exact counts for the whole window [1, N).
+
+    Per n: ``tags`` (int8), ``block_of`` (int16, the least block, -1 outside
+    S), ``unique_prime`` (int32, the one block prime of a unique n, else 0;
+    N <= DECOMP_BUDGET = 3e7 < 2^31, so every block prime fits) and
+    ``in_pq`` (bool). ``q_sets[j]`` holds Q_j as ascending int64.
+    """
 
     def __init__(self, params, blocks, tags, block_of, unique_prime, in_pq, q_sets):
         self.params = params
@@ -264,14 +273,21 @@ class Decomposition:
 def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Decomposition:
     """Classify every n in [1, N) and mark the product sets, by sieving.
 
-    One loop over the block primes in ascending order: a multiple of p in
-    block j whose least block is not yet set, or is already j, has least
-    block j. The same step counts its divisors in that block, records p as
-    its unique prime, marks it in S when p > floor(D0), and flags the
-    multiples of p^2 with least block j as repeated. Q_j is then read from
-    the least-block array, Q_j = {1 <= m <= q_max(j): least block of m > j},
-    and one segmented pass applies the cofactor test n/p <= q_max(j) that
-    closes product-set membership.
+    One loop over the block primes in ascending order, each step a strided
+    in-place ufunc on the multiples of p. ``unique_prime`` keeps the least
+    block prime dividing n (``np.minimum`` with p), so a multiple of p in
+    block j has least block j exactly when that value was >= the block's
+    lower bound before the step. The same step counts n's divisors in
+    that block, marks n in S when p > floor(D0), marks the first q_max(j)
+    multiples n = p*m as candidates for P_j Q_j, and flags the multiples
+    of p^2 with least block j as repeated. Q_j is read from the same
+    array, Q_j = {1 <= m <= q_max(j): least block of m > j}. The least
+    block of every n is then gathered from a table of block indices, and
+    the masks are applied as 0/1 factors: outside S the least
+    block becomes -1, and unique_prime and in_pq keep only unique n. For a
+    unique n the least block prime is its one block prime. No step
+    scatters through an index or boolean mask, and all of it is exact
+    integer work.
     """
     n = params.n
     if n > DECOMP_BUDGET:
@@ -282,45 +298,59 @@ def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Deco
     blocks = (prime_blocks(params.alpha, params.j0, params.j1 - 1, primes)
               if params.j0 < params.j1 else [])
 
-    # least block dividing n; the sentinel j1 lies above every block index
-    block_of = np.full(n, params.j1, dtype=np.int16)
+    cap = np.zeros(params.j1, dtype=np.int64)  # cap[j] = q_max(j)
+    cap[params.j0:] = params.caps
+    bounds = params.bounds.tolist()
+    # least block prime dividing n; the sentinel lies above every prime, so
+    # the least block of n is j exactly when this is >= bounds[j - j0]
+    unique_prime = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
     in_s = np.zeros(n, dtype=bool)
     divisor_count = np.zeros(n, dtype=np.int16)
     squared = np.zeros(n, dtype=bool)
-    unique_prime = np.zeros(n, dtype=np.int64)
+    in_pq = np.zeros(n, dtype=bool)  # n = p*m, m <= q_max(j), j least block
     d0_floor = math.floor(params.d0)
     for block in blocks:
-        j = block.j
-        for p in block.primes:
-            p = int(p)
-            view = block_of[p::p]
-            least = view >= j
-            view[least] = j
-            divisor_count[p::p][least] += 1
-            unique_prime[p::p][least] = p
+        lo, q_max = bounds[block.j - params.j0], int(cap[block.j])
+        for p in block.primes.tolist():
+            view = unique_prime[p::p]
+            least = view >= lo
+            np.minimum(view, p, out=view)
+            divisor_count[p::p] += least
+            in_pq[p:p * q_max + 1:p] |= least[:q_max]
             if p > d0_floor:
                 in_s[p::p] = True
             if p * p < n:
-                squared[p * p::p * p] |= block_of[p * p::p * p] == j
+                squared[p * p::p * p] |= unique_prime[p * p::p * p] >= lo
 
-    cap = np.zeros(params.j1, dtype=np.int64)  # cap[j] = q_max(j)
-    cap[params.j0:] = params.caps
     q_sets = {}
     for block in blocks:
-        j = block.j
-        q_sets[j] = (np.nonzero(block_of[1:cap[j] + 1] > j)[0] + 1).astype(np.int64)
+        j, hi = block.j, bounds[block.j - params.j0 + 1]
+        q_sets[j] = (np.nonzero(unique_prime[1:cap[j] + 1] >= hi)[0] + 1).astype(np.int64)
 
-    tags = np.zeros(n, dtype=np.int8)
-    tags[in_s] = TAG_MULTIPLE
-    unique = in_s & (divisor_count == 1) & ~squared
-    tags[unique] = TAG_UNIQUE
-    block_of[tags == TAG_NOT_IN_S] = -1
-    unique_prime[tags != TAG_UNIQUE] = 0
+    unique = divisor_count == 1
+    unique &= in_s > squared  # in S and not squared
+    del divisor_count, squared
+    # TAG_MULTIPLE = 2 on S, less one where n is unique: TAG_UNIQUE = 1
+    tags = in_s.view(np.int8) * np.int8(TAG_MULTIPLE)
+    tags -= unique.view(np.int8)
 
-    in_pq = np.zeros(n, dtype=bool)
-    for lo in range(0, n, SEGMENT):
-        idx = lo + np.nonzero(unique[lo:lo + SEGMENT])[0]
-        in_pq[idx] = idx // unique_prime[idx] <= cap[block_of[idx]]
+    # the block of each integer in [bounds[0], bounds[-1]], the sentinel
+    # mapping to j1, gathered _GATHER entries at a time
+    block_table = np.repeat(np.arange(params.j0, params.j1 + 1, dtype=np.int16),
+                            np.diff(params.bounds, append=bounds[-1] + 1))
+    block_of = np.empty(n, dtype=np.int16)
+    for start in range(0, n, _GATHER):
+        stop = start + _GATHER
+        offset = np.minimum(unique_prime[start:stop], bounds[-1], dtype=np.intp)
+        offset -= bounds[0]
+        block_table.take(offset, out=block_of[start:stop], mode="clip")
+    # masks as 0/1 factors: block_of -> -1 outside S, unique_prime and
+    # in_pq -> 0 where n is not unique (int16 wraps, so j1 + 1 is safe)
+    block_of += 1
+    block_of *= in_s
+    block_of -= 1
+    unique_prime *= unique
+    in_pq &= unique
 
     return Decomposition(params, blocks, tags, block_of, unique_prime, in_pq, q_sets)
 

@@ -31,6 +31,7 @@ _LIMB = 24
 _LIMB_MASK = (1 << _LIMB) - 1
 _NLIMB = FRAC_SHIFT // _LIMB
 MAX_FRAC_INDEX = 1 << 38  # keeps limb products inside int64
+_FRAC_CHUNK = 1 << 14  # indices per pass of the limb loop
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,11 @@ def frac_parts(value, ns) -> np.ndarray:
 
     Exact to ~2^-53 absolute: the constant is replaced by its 96-bit
     fixed-point floor P, and (n*P) mod 2^96 is evaluated limb-wise in
-    int64, so the only float rounding is the final division by 2^96.
+    int64, so the only float rounding is the final division by 2^96. Each
+    limb adds (c & mask) * 2^(24k - 96), exact in float64, to the result in
+    limb order. The indices run in chunks of _FRAC_CHUNK through three
+    preallocated buffers that stay in cache; the work is elementwise, so
+    the result does not depend on the chunk size.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size and int(ns.max()) >= MAX_FRAC_INDEX:
@@ -102,13 +107,24 @@ def frac_parts(value, ns) -> np.ndarray:
     if ns.size and int(ns.min()) < 0:
         raise DescriptorError("frac_parts indices must be nonnegative")
     P = fixed_point_image(value, FRAC_SHIFT) % (1 << FRAC_SHIFT)
-    limbs = [(P >> (_LIMB * k)) & _LIMB_MASK for k in range(_NLIMB)]
+    limbs = [((P >> (_LIMB * k)) & _LIMB_MASK, 2.0 ** (_LIMB * k - FRAC_SHIFT))
+             for k in range(_NLIMB)]
     out = np.zeros(ns.shape, dtype=np.float64)
-    carry = np.zeros(ns.shape, dtype=np.int64)
-    for k in range(_NLIMB):
-        c = ns * limbs[k] + carry
-        out += (c & _LIMB_MASK).astype(np.float64) * 2.0 ** (_LIMB * k - FRAC_SHIFT)
-        carry = c >> _LIMB
+    flat_ns, flat_out = ns.reshape(-1), out.reshape(-1)
+    size = min(ns.size, _FRAC_CHUNK)
+    c_buf, carry_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    part_buf = np.empty(size, dtype=np.float64)
+    for lo in range(0, ns.size, _FRAC_CHUNK):
+        n_chunk, out_chunk = flat_ns[lo:lo + _FRAC_CHUNK], flat_out[lo:lo + _FRAC_CHUNK]
+        c, carry, part = (buf[:n_chunk.size] for buf in (c_buf, carry_buf, part_buf))
+        carry.fill(0)
+        for limb, scale in limbs:
+            np.multiply(n_chunk, limb, out=c)
+            c += carry
+            np.bitwise_and(c, _LIMB_MASK, out=carry)  # carry doubles as the work buffer
+            np.multiply(carry, scale, out=part)
+            out_chunk += part
+            np.right_shift(c, _LIMB, out=carry)
     return out
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from horomu import arith
 from horomu.arith import (MultiplicativeTable, prime_blocks, sieve_liouville,
                           sieve_mobius, sieve_primes)
 from horomu.errors import CapacityError, RangeCoverageError, ValidationError
@@ -97,6 +98,23 @@ class TestLiouvilleSieve:
         table = sieve_liouville(10_000)
         for n in range(1, 10_001):
             assert table.value(n) == liouville_oracle(n), n
+
+
+@pytest.fixture(scope="module")
+def sign_oracles_10k():
+    ns = range(1, 10_001)
+    return [mobius_oracle(n) for n in ns], [liouville_oracle(n) for n in ns]
+
+
+class TestSegmentedSignSieve:
+    @pytest.mark.parametrize("segment", [97, 1000])
+    def test_many_segments_match_oracles(self, segment, sign_oracles_10k, monkeypatch):
+        # segments after the first start their prime-power slices at
+        # -lo % p^k; at the default SEGMENT, n <= 1e4 fits in one segment
+        monkeypatch.setattr(arith, "SEGMENT", segment)
+        mu_oracle, lam_oracle = sign_oracles_10k
+        assert sieve_mobius(10_000).values[1:].tolist() == mu_oracle
+        assert sieve_liouville(10_000).values[1:].tolist() == lam_oracle
 
 
 class TestMultiplicativeTable:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from horomu import criterion
-from horomu.arith import SEGMENT, MultiplicativeTable, sieve_mobius
+from horomu.arith import SEGMENT, MultiplicativeTable, sieve_mobius, sieve_primes
 from horomu.criterion import (BoundedSequence, bilinear_sum, criterion_ledger,
                               tau_estimate, vinogradov_bound, weighted_sum)
+from horomu.decomp import DecompositionParams, build_decomposition
 from horomu.errors import (DomainError, EmptyPairSetError, HorizonError,
                            ValidationError)
 from horomu.exactreal import frac_parts
@@ -384,6 +385,58 @@ class TestLedger:
         assert ledger.bound_rhs >= 0
         assert 0 < ledger.tau_effective <= 1
         assert abs(ledger.weighted) <= self.N
+
+
+def _decomposition(n, alpha, j0, j1):
+    params = DecompositionParams(n, Fraction(alpha), j0, j1)
+    return build_decomposition(params, sieve_primes(int(math.ceil(float(params.d1))) + 1))
+
+
+class TestBlockMembers:
+    @pytest.mark.parametrize("args", [(5000, "3/10", 5, 12), (1000, 1, 1, 4),
+                                      (20_000, "1/10", 10, 60), (100, 1, 3, 3)])
+    def test_grouped_members_equal_product_members(self, args):
+        dec = _decomposition(*args)
+        groups = criterion._block_members(dec)
+        assert len(groups) == len(dec.params.block_range)
+        for j, got in zip(dec.params.block_range, groups):
+            want = dec.product_members(j)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), j
+
+    def test_blocks_without_members_and_equal_indices(self):
+        groups = criterion._block_members(_decomposition(20_000, "1/10", 10, 60))
+        assert any(g.size == 0 for g in groups) and any(g.size for g in groups)
+        assert criterion._block_members(_decomposition(100, 1, 3, 3)) == []
+
+    @pytest.mark.parametrize("theta", ["sqrt2", "inv_e"])
+    def test_block_ledger_matches_index_gather(self, theta):
+        # the same ledger lines from a 2-D index gather of F(p y) and a
+        # window scan for the members: the matrices are equal, so every
+        # field is equal bit for bit
+        dec = _decomposition(5000, "3/10", 5, 12)
+        mu = sieve_mobius(6500)
+        F = BoundedSequence.exponential(theta, 6500)
+        for j, members in zip(dec.params.block_range, criterion._block_members(dec)):
+            got = criterion._block_ledger(dec, j, members, mu.values, F)
+            ps = dec.block(j).primes.astype(np.int64)
+            qs = dec.q_set(j)
+            ys = np.arange(1, got.y_cap + 1)
+            nu_p = mu.values[ps]
+            fxq = F.values[ps[:, None] * qs[None, :]]
+            fxy = F.values[ps[:, None] * ys[None, :]]
+            inner_q, inner_all = nu_p @ fxq, nu_p @ fxy
+            gram = fxy @ fxy.conj().T
+            want = dec.product_members(j)
+            assert got.pair_sum == complex(np.sum(mu.values[want] * F.values[want]))
+            assert got.factored_sum == complex(np.sum(mu.values[qs] * inner_q))
+            assert got.inner_abs == float(np.sum(np.abs(inner_q)))
+            assert got.cauchy == (math.sqrt(len(qs))
+                                  * math.sqrt(float(np.sum(np.abs(inner_q) ** 2))))
+            assert got.extended == (math.sqrt(len(qs))
+                                    * math.sqrt(float(np.sum(np.abs(inner_all) ** 2))))
+            assert got.diagonal == float(np.sum(gram.diagonal().real))
+            assert got.off_diagonal == float(np.sum(np.abs(gram))
+                                             - np.sum(np.abs(gram.diagonal())))
 
 
 def rep_members(rep):

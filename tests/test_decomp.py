@@ -176,7 +176,21 @@ class TestBuild:
         params = DecompositionParams(5000, Fraction(3, 10), 5, 12)
         dec = build_decomposition(params, primes_10k)
         for n in range(1, 5000):
-            assert classify(n, params, primes_10k) == dec.classification(n), n
+            got = classify(n, params, primes_10k)
+            assert got == dec.classification(n), n
+            # in_pq: unique with cofactor n/p <= q_max(j)
+            expect_pq = got.tag == TAG_UNIQUE and n // got.prime <= params.q_max(got.j)
+            assert bool(dec.in_pq[n]) == expect_pq, n
+
+    def test_array_dtypes(self, dec_pow2):
+        assert dec_pow2.tags.dtype == np.int8
+        assert dec_pow2.block_of.dtype == np.int16
+        assert dec_pow2.unique_prime.dtype == np.int32
+        assert dec_pow2.in_pq.dtype == np.bool_
+        assert int(dec_pow2.unique_prime[0]) == 0 and int(dec_pow2.block_of[0]) == -1
+        nonunique = dec_pow2.tags != TAG_UNIQUE
+        assert not dec_pow2.unique_prime[nonunique].any()
+        assert not dec_pow2.in_pq[nonunique].any()
 
     def test_counting_identity(self, dec_pow2, params_pow2):
         total = dec_pow2.count_not_in_s + dec_pow2.count_multiple

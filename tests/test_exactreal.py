@@ -4,9 +4,27 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from horomu import exactreal
 from horomu.errors import DescriptorError
-from horomu.exactreal import (SymbolicReal, frac_parts, ratio_as_rational,
+from horomu.exactreal import (FRAC_SHIFT, MAX_FRAC_INDEX, SymbolicReal,
+                              fixed_point_image, frac_parts, ratio_as_rational,
                               symbol_spec)
+
+from conftest import TEST_SEED
+
+
+def frac_parts_reference(value, ns):
+    """The per-limb expression of frac_parts with fresh temporaries per limb."""
+    ns = np.asarray(ns, dtype=np.int64)
+    P = fixed_point_image(value, FRAC_SHIFT) % (1 << FRAC_SHIFT)
+    limbs = [(P >> (24 * k)) & 0xFFFFFF for k in range(4)]
+    out = np.zeros(ns.shape, dtype=np.float64)
+    carry = np.zeros(ns.shape, dtype=np.int64)
+    for k in range(4):
+        c = ns * limbs[k] + carry
+        out += (c & 0xFFFFFF).astype(np.float64) * 2.0 ** (24 * k - 96)
+        carry = c >> 24
+    return out
 
 
 class TestParsing:
@@ -84,6 +102,21 @@ class TestFracParts:
     def test_rational_angles(self):
         got = frac_parts(Fraction(3, 8), np.arange(9))
         assert got == pytest.approx([(3 * n / 8) % 1 for n in range(9)], abs=1e-15)
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("symbol", ["sqrt2", "inv_e", "pi"])
+    def test_bytes_equal_reference_expression(self, symbol, chunk, monkeypatch):
+        if chunk is not None:  # many chunks, the last one partial
+            monkeypatch.setattr(exactreal, "_FRAC_CHUNK", chunk)
+        rng = np.random.default_rng(TEST_SEED)
+        for ns in (np.arange(MAX_FRAC_INDEX - 4096, MAX_FRAC_INDEX),
+                   rng.integers(0, MAX_FRAC_INDEX, 1 << 16),
+                   np.arange(0, 5000), np.array([], dtype=np.int64),
+                   np.arange(12).reshape(3, 4)):
+            got = frac_parts(symbol, ns)
+            want = frac_parts_reference(symbol, ns)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_index_cap(self):
         with pytest.raises(DescriptorError):
