@@ -17,9 +17,11 @@ from horomu import (ParabolicElement, PointDescriptor, chi,
                     classify_correlator, conjugation_exponent_check,
                     surd_group_element)
 
-beta = ParabolicElement(2.0, 0.0, 0.5)
-print(f"chi(diag(2, 1/2)) = {chi(beta)}  "
-      f"(conjugation law verified: {conjugation_exponent_check(beta)})")
+for beta in (ParabolicElement(2, 0, Fraction(1, 2)),
+             ParabolicElement(Fraction(3, 5), 7, Fraction(5, 3)),
+             ParabolicElement("sqrt2", 1, "1/2*sqrt2")):
+    print(f"chi({beta.alpha}, {beta.beta}; 0, {beta.delta}) = {chi(beta)}  "
+          f"(conjugation law verified exactly: {conjugation_exponent_check(beta)})")
 
 print("\nclassification across the boundary-point trichotomy:")
 cases = [
@@ -38,7 +40,7 @@ print("\nstabilizer elements of the golden ratio (a, b, c) = (1, -1, -1), d = 5:
 for t, u in [(3, 1), (4, 1), (7, 2), (3, -1)]:
     el = surd_group_element(1, -1, -1, t, u)
     print(f"  (t, u) = ({t:2d},{u:+2d}): multiplier {el.value_float:10.6f} "
-          f"= {el.value.x} + {el.value.y}*sqrt(5)   rational: "
+          f"= {el.value}   rational: "
           f"{el.is_rational_value}")
 print("\nonly u = 0 ever lands on a rational multiplier:")
 el = surd_group_element(1, -1, -1, 2, 0)

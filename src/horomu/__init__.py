@@ -14,9 +14,9 @@ __version__ = "0.1.0"
 
 from .arith import (MultiplicativeTable, PrimeBlock, PrimeTable, prime_blocks,
                     sieve_liouville, sieve_mobius, sieve_primes)
-from .correlator import (CorrelatorClass, ParabolicElement, PointDescriptor,
-                         QSurd, chi, classify_correlator,
-                         conjugation_exponent_check, surd_group_element)
+from .correlator import (CorrelatorClass, ParabolicElement, PointDescriptor, chi,
+                         classify_correlator, conjugation_exponent_check,
+                         surd_group_element)
 from .criterion import (BoundedSequence, CriterionReport, PairCorrelation,
                         TauEstimate, bilinear_sum, criterion_ledger,
                         tau_estimate, vinogradov_bound, weighted_sum)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, RangeCoverageError, ValidationError
+from .errors import CapacityError, RangeCoverageError, ReportIOError, ValidationError
 
 # Memory budget: one-byte values allow tables up to ~1e8 entries.
 SIEVE_BUDGET = 200_000_000
@@ -144,21 +144,43 @@ class MultiplicativeTable:
 
     @classmethod
     def from_csv(cls, path, label: str = "table") -> "MultiplicativeTable":
-        ns, vs = [], []
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            if [h.strip() for h in header[:2]] != ["n", "value"]:
-                raise ValidationError(f"{path}: expected header n,value")
-            for row in r:
-                ns.append(int(row[0]))
-                vs.append(complex(row[1]))
-        if not ns:
+        """Read a header ``n,value`` and then one row per integer n >= 1.
+
+        Blank lines are skipped and an n without a row reads as 0. An
+        unreadable file raises ReportIOError; a malformed header or row, or
+        a repeated n, raises ValidationError naming the path and line.
+        """
+        rows = {}
+        try:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, [])
+                if [h.strip() for h in header[:2]] != ["n", "value"]:
+                    raise ValidationError(f"{path}: expected header n,value")
+                for row in reader:
+                    if not row:
+                        continue
+                    try:
+                        n, v = int(row[0]), complex(row[1])
+                        bad = n < 1 or n in rows
+                    except (IndexError, ValueError):
+                        bad = True
+                    if bad:
+                        raise ValidationError(
+                            f"{path} line {reader.line_num}: expected an integer "
+                            f"n >= 1 not seen before and a value, got {row}")
+                    rows[n] = v
+        except OSError as exc:
+            raise ReportIOError(f"cannot read table {path}: {exc}") from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"{path}: not a CSV table ({exc})") from None
+        if not rows:
             raise ValidationError(f"{path}: empty table")
-        n_max = max(ns)
+        n_max = max(rows)
+        if n_max > SIEVE_BUDGET:
+            raise CapacityError(f"{path}: n = {n_max} exceeds table budget {SIEVE_BUDGET}")
         values = np.zeros(n_max + 1, dtype=np.complex128)
-        for n, v in zip(ns, vs):
-            values[n] = v
+        values[list(rows)] = list(rows.values())
         return cls(n_max, values, label)
 
     def __repr__(self):

@@ -39,6 +39,9 @@ EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 EXIT_PRECISION = 4
 EXIT_IO = 5
+# every other HoromuError is a validation error
+_EXIT_CODES = {ReportIOError: EXIT_IO, CapacityError: EXIT_CAPACITY,
+               PrecisionError: EXIT_PRECISION}
 
 
 # ---------------------------------------------------------------------------
@@ -563,18 +566,10 @@ def main(argv=None) -> int:
         }
         emit_report(report, args.out, args.format)
         return EXIT_OK
-    except ReportIOError as exc:
+    except HoromuError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CapacityError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except PrecisionError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except (ValidationError, HoromuError) as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next((code for kind, code in _EXIT_CODES.items()
+                     if isinstance(exc, kind)), EXIT_VALIDATION)
     except (ValueError, OSError) as exc:
         print(f"error[unexpected]: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED

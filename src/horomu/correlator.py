@@ -13,7 +13,8 @@ joinings, and they depend only on the arithmetic of z:
   u sqrt d), none of which is rational except 1;
 * z any other irrational: only the identity.
 
-All rationality decisions run in exact arithmetic over Q(sqrt d).
+The character, the conjugation law and every rationality decision run in
+exact arithmetic: SymbolicReal entries, over Q(sqrt d) for the surds.
 """
 
 from __future__ import annotations
@@ -23,88 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .errors import DescriptorError, ShapeError, ValidationError
-from .exactreal import symbol_spec
-
-_ENTRY_TOL = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# exact arithmetic in Q(sqrt d)
-# ---------------------------------------------------------------------------
-
-class QSurd:
-    """x + y*sqrt(d) with exact rational x, y; d a positive nonsquare."""
-
-    __slots__ = ("x", "y", "d")
-
-    def __init__(self, x, y, d: int):
-        d = int(d)
-        if d <= 1 or math.isqrt(d) ** 2 == d:
-            raise DescriptorError(f"discriminant must be a positive nonsquare, got {d}")
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-        self.d = d
-
-    def _lift(self, other) -> "QSurd":
-        if isinstance(other, QSurd):
-            if other.d != self.d:
-                raise DescriptorError(f"mixed discriminants {self.d} and {other.d}")
-            return other
-        return QSurd(Fraction(other), 0, self.d)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return QSurd(self.x + o.x, self.y + o.y, self.d)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return QSurd(self.x - o.x, self.y - o.y, self.d)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return QSurd(self.x * o.x + self.d * self.y * o.y,
-                     self.x * o.y + self.y * o.x, self.d)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        nrm = o.norm()
-        if nrm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt d)")
-        conj = o.conjugate()
-        num = self * conj
-        return QSurd(num.x / nrm, num.y / nrm, self.d)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "QSurd":
-        return QSurd(self.x, -self.y, self.d)
-
-    def norm(self) -> Fraction:
-        return self.x * self.x - self.d * self.y * self.y
-
-    @property
-    def is_rational(self) -> bool:
-        return self.y == 0
-
-    def __eq__(self, other):
-        try:
-            o = self._lift(other)
-        except (DescriptorError, TypeError, ValueError):
-            return NotImplemented
-        return self.x == o.x and self.y == o.y
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.d))
-
-    def __float__(self):
-        return float(self.x) + float(self.y) * math.sqrt(self.d)
-
-    def __repr__(self):
-        return f"QSurd({self.x} + {self.y}*sqrt({self.d}))"
+from .exactreal import SymbolicReal, as_symbolic, symbol_spec
 
 
 # ---------------------------------------------------------------------------
@@ -113,34 +34,33 @@ class QSurd:
 
 @dataclass(frozen=True)
 class ParabolicElement:
-    """Upper-triangular (alpha, beta; 0, delta) with alpha*delta = 1."""
+    """Upper-triangular (alpha, beta; 0, delta) with alpha*delta = 1 exactly.
 
-    alpha: float
-    beta: float
-    delta: float
+    Entries are SymbolicReal; a float converts exactly, as Fraction(float) does.
+    """
+
+    alpha: SymbolicReal
+    beta: SymbolicReal
+    delta: SymbolicReal
 
     def __post_init__(self):
-        if self.alpha == 0 or self.delta == 0:
-            raise ShapeError("parabolic element needs nonzero diagonal")
-        if abs(self.alpha * self.delta - 1) > _ENTRY_TOL:
-            raise ShapeError(
-                f"alpha*delta = {self.alpha * self.delta} is not 1 within {_ENTRY_TOL}")
+        for name in ("alpha", "beta", "delta"):
+            object.__setattr__(self, name, as_symbolic(getattr(self, name)))
+        if self.alpha * self.delta != 1:
+            raise ShapeError(f"alpha*delta = {self.alpha * self.delta} is not 1")
 
     @classmethod
     def from_matrix(cls, matrix) -> "ParabolicElement":
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ShapeError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if m[1, 0] != 0:
-            raise ShapeError(f"lower-left entry must be exactly 0, got {m[1, 0]}")
-        return cls(float(m[0, 0]), float(m[0, 1]), float(m[1, 1]))
+        rows = [list(row) for row in matrix]
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
+            raise ShapeError(f"expected a 2x2 matrix, got {rows}")
+        (a, b), (c, d) = rows
+        if as_symbolic(c) != 0:
+            raise ShapeError(f"lower-left entry must be exactly 0, got {c}")
+        return cls(a, b, d)
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.alpha, self.beta], [0.0, self.delta]])
-
-    def inverse_matrix(self) -> np.ndarray:
-        det = self.alpha * self.delta
-        return np.array([[self.delta, -self.beta], [0.0, self.alpha]]) / det
+    def inverse(self) -> "ParabolicElement":
+        return ParabolicElement(self.delta, -self.beta, self.alpha)
 
     def compose(self, other: "ParabolicElement") -> "ParabolicElement":
         return ParabolicElement(self.alpha * other.alpha,
@@ -148,19 +68,15 @@ class ParabolicElement:
                                 self.delta * other.delta)
 
 
-def chi(beta: ParabolicElement) -> float:
-    """The multiplier alpha^2 > 0 of a parabolic element."""
+def chi(beta: ParabolicElement) -> SymbolicReal:
+    """The exact multiplier alpha^2 > 0 of a parabolic element."""
     return beta.alpha * beta.alpha
 
 
-_U = np.array([[1.0, 1.0], [0.0, 1.0]])
-
-
-def conjugation_exponent_check(beta: ParabolicElement, tol: float = _ENTRY_TOL) -> bool:
-    """Verify beta u beta^-1 = (1, chi(beta); 0, 1) entrywise within tol."""
-    lhs = beta.as_matrix() @ _U @ beta.inverse_matrix()
-    rhs = np.array([[1.0, chi(beta)], [0.0, 1.0]])
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
+def conjugation_exponent_check(beta: ParabolicElement) -> bool:
+    """Verify beta u beta^-1 = (1, chi(beta); 0, 1) exactly."""
+    step = ParabolicElement(1, 1, 1)
+    return beta.compose(step).compose(beta.inverse()) == ParabolicElement(1, chi(beta), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +196,7 @@ class SurdGroupElement:
     c: int
     t: Fraction
     u: Fraction
-    value: QSurd
+    value: SymbolicReal
     matrix: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
     @property
@@ -292,8 +208,9 @@ class SurdGroupElement:
         return self.value.is_rational
 
     def as_dict(self) -> dict:
+        d = self.b * self.b - 4 * self.a * self.c
         return {"t": str(self.t), "u": str(self.u),
-                "value": f"{self.value.x} + {self.value.y}*sqrt({self.value.d})",
+                "value": f"{self.value.rational} + {self.value.coeff}*sqrt({d})",
                 "value_float": repr(self.value_float),
                 "matrix": [[str(v) for v in row] for row in self.matrix],
                 "rational": self.is_rational_value}
@@ -302,9 +219,10 @@ class SurdGroupElement:
 def surd_group_element(a: int, b: int, c: int, t, u) -> SurdGroupElement:
     """Build the stabilizer element with parameters (t, u), t^2 - d u^2 > 0.
 
-    Verifies exactly that the matrix fixes z = (-b + sqrt d)/(2a), and
-    numerically (1e-10) that its eigenvalue ratio equals the returned
-    multiplier (t + u sqrt d)/(t - u sqrt d).
+    Verifies exactly, in Q(sqrt d), that the matrix fixes
+    z = (-b + sqrt d)/(2a) with eigenvalue r z + s = (t + u sqrt d)/2; the
+    multiplier is that eigenvalue over its conjugate, the eigenvalue at the
+    conjugate fixed point.
     """
     t, u = Fraction(t), Fraction(u)
     desc = PointDescriptor.quadratic_surd(a, b, c)
@@ -312,33 +230,11 @@ def surd_group_element(a: int, b: int, c: int, t, u) -> SurdGroupElement:
     norm = t * t - d * u * u
     if norm <= 0:
         raise ValidationError(f"need t^2 - d u^2 > 0, got {norm}")
-    num = QSurd(t, u, d)
-    den = QSurd(t, -u, d)
-    value = num / den
-
+    root = f"sqrt{d}"
     m = ((t - b * u) / 2, Fraction(-c * u)), (Fraction(a * u), (t + b * u) / 2)
-    z = QSurd(Fraction(-b, 2 * a), Fraction(1, 2 * a), d)
-    pz = QSurd(m[0][0], 0, d) * z + m[0][1]
-    qz = QSurd(m[1][0], 0, d) * z + m[1][1]
-    if qz.norm() == 0 or pz / qz != z:
+    z = SymbolicReal(Fraction(-b, 2 * a), Fraction(1, 2 * a), root)
+    eigen = SymbolicReal(t / 2, u / 2, root)
+    if z * m[1][0] + m[1][1] != eigen or z * m[0][0] + m[0][1] != z * eigen:
         raise ValidationError(
             f"stabilizer construction failed to fix the surd for (t,u)=({t},{u})")
-    # eigenvalue at the fixed point is exactly rz + s = (t + u sqrt d)/2
-    if qz != QSurd(t / 2, u / 2, d) or (QSurd(t / 2, u / 2, d)
-                                        / QSurd(t / 2, -u / 2, d)) != value:
-        raise ValidationError("eigenvalue identity failed (internal inconsistency)")
-
-    if u != 0:
-        # independent numeric check: conjugate to triangular form by the
-        # eigenvector basis (z, 1), (z', 1) and read the diagonal ratio
-        zf = (-b + math.sqrt(d)) / (2 * a)
-        zc = (-b - math.sqrt(d)) / (2 * a)
-        basis = np.array([[zf, zc], [1.0, 1.0]])
-        gmat = np.array([[float(m[0][0]), float(m[0][1])],
-                         [float(m[1][0]), float(m[1][1])]])
-        tri = np.linalg.solve(basis, gmat @ basis)
-        ratio = tri[0, 0] / tri[1, 1]
-        if abs(ratio - float(value)) > 1e-10 * max(1.0, abs(ratio)):
-            raise ValidationError(
-                f"multiplier mismatch: conjugated ratio {ratio} vs {float(value)}")
-    return SurdGroupElement(a, b, c, t, u, value, m)
+    return SurdGroupElement(a, b, c, t, u, eigen / eigen.conjugate(), m)

@@ -168,6 +168,8 @@ def _pair_plan(horizon: int, prime_cutoff: float, M: Optional[int],
         raise ValidationError(f"prime cutoff must be finite, got {prime_cutoff}")
     if prime_cutoff < 3:
         raise EmptyPairSetError(f"no prime pairs below cutoff {prime_cutoff}")
+    if M is not None and M < 1:
+        raise HorizonError(f"pair length M = {M} must be at least 1")
     ps = sieve_primes(int(prime_cutoff)).primes
     skip = _normalize_excluded(excluded)
     listed = set(ps.tolist())

@@ -45,7 +45,7 @@ from .arith import MultiplicativeTable
 from .criterion import BoundedSequence
 from .errors import (ConvergenceError, DescriptorError, PrecisionError,
                      ValidationError)
-from .exactreal import SymbolicReal, ratio_as_rational
+from .exactreal import SymbolicReal, as_symbolic, ratio_as_rational
 
 _MAX_REDUCE_STEPS = 20000
 
@@ -161,7 +161,7 @@ class ModularPoint:
     """
 
     def __init__(self, a, b, c, d):
-        self.entries = tuple(_sym(v) for v in (a, b, c, d))
+        self.entries = tuple(as_symbolic(v) for v in (a, b, c, d))
         syms = {e.symbol for e in self.entries if e.symbol is not None}
         if len(syms) > 1:
             raise DescriptorError(f"entries mix symbolic constants {sorted(syms)}")
@@ -189,12 +189,12 @@ class ModularPoint:
     @classmethod
     def lower(cls, t) -> "ModularPoint":
         """(1, 0; t, 1): cusp direction 1/t."""
-        return cls(1, 0, _sym(t), 1)
+        return cls(1, 0, t, 1)
 
     @classmethod
     def upper(cls, t) -> "ModularPoint":
         """(1, t; 0, 1): cusp direction infinity."""
-        return cls(1, _sym(t), 0, 1)
+        return cls(1, t, 0, 1)
 
     @classmethod
     def from_rationals(cls, a, b, c, d) -> "ModularPoint":
@@ -227,14 +227,6 @@ class ModularPoint:
     def __repr__(self):
         a, b, c, d = self.entries
         return f"ModularPoint([{a}, {b}; {c}, {d}])"
-
-
-def _sym(v) -> SymbolicReal:
-    if isinstance(v, SymbolicReal):
-        return v
-    if isinstance(v, str):
-        return SymbolicReal.parse(v)
-    return SymbolicReal.rat(v)
 
 
 @dataclass(frozen=True)

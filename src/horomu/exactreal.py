@@ -137,9 +137,9 @@ _TOKEN = re.compile(r"^\s*(?P<rat>-?\d+(?:/\d+)?|-?\d*\.\d+)?\s*"
 class SymbolicReal:
     """Exact scalar q0 + q1*sigma with rational q0, q1 and named sigma.
 
-    All arithmetic that leaves this module's closed form (e.g. products of
-    two transcendental parts) raises rather than approximating, so any
-    rationality decision downstream is sound.
+    All arithmetic that leaves this module's closed form (e.g. products or
+    quotients of two transcendental parts) raises rather than approximating,
+    so any rationality decision downstream is sound.
     """
 
     __slots__ = ("rational", "coeff", "symbol")
@@ -147,9 +147,8 @@ class SymbolicReal:
     def __init__(self, rational=0, coeff=0, symbol=None):
         self.rational = Fraction(rational)
         self.coeff = Fraction(coeff)
-        self.symbol = symbol if self.coeff != 0 else None
-        if self.symbol is not None:
-            symbol_spec(self.symbol)  # validate vocabulary
+        # the canonical name validates the vocabulary and makes sqrt:2 == sqrt2
+        self.symbol = symbol_spec(symbol).name if self.coeff != 0 else None
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -190,6 +189,15 @@ class SymbolicReal:
     def is_rational(self) -> bool:
         return self.symbol is None
 
+    def _square(self) -> tuple[Fraction, Fraction]:
+        """(a, b) with sigma^2 = a + b*sigma; raises for a transcendental sigma."""
+        square = symbol_spec(self.symbol).square
+        if square is None:
+            raise DescriptorError(
+                f"{self.symbol!r} has no quadratic relation, so this product or "
+                "quotient leaves the affine module")
+        return square
+
     def _compatible(self, other: "SymbolicReal") -> Optional[str]:
         if self.symbol is None:
             return other.symbol
@@ -200,13 +208,13 @@ class SymbolicReal:
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other):
-        other = _coerce(other)
+        other = as_symbolic(other)
         sym = self._compatible(other)
         return SymbolicReal(self.rational + other.rational,
                             self.coeff + other.coeff, sym)
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = as_symbolic(other)
         sym = self._compatible(other)
         return SymbolicReal(self.rational - other.rational,
                             self.coeff - other.coeff, sym)
@@ -215,7 +223,7 @@ class SymbolicReal:
         return SymbolicReal(-self.rational, -self.coeff, self.symbol)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = as_symbolic(other)
         if self.symbol is None or other.symbol is None:
             sym = self._compatible(other)
             if self.symbol is None:
@@ -226,30 +234,49 @@ class SymbolicReal:
                 k = other.rational
             return SymbolicReal(k * r, k * c, sym)
         sym = self._compatible(other)
-        square = symbol_spec(sym).square
-        if square is None:
-            raise DescriptorError(
-                f"product of two {sym!r} terms leaves the affine module")
-        a, b = square  # sigma^2 = a + b*sigma
+        a, b = self._square()
         cross = self.coeff * other.coeff
         return SymbolicReal(
             self.rational * other.rational + cross * a,
             self.rational * other.coeff + self.coeff * other.rational + cross * b,
             sym)
 
+    def __truediv__(self, other):
+        other = as_symbolic(other)
+        if other.symbol is None:
+            if other.rational == 0:
+                raise ZeroDivisionError("division of a symbolic real by zero")
+            return SymbolicReal(self.rational / other.rational,
+                                self.coeff / other.rational, self.symbol)
+        return self * other.conjugate() / other.norm()
+
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return as_symbolic(other) - self
+
+    def conjugate(self) -> "SymbolicReal":
+        """Galois conjugate: sigma -> b - sigma, the other root of its relation."""
+        if self.symbol is None:
+            return self
+        _, b = self._square()
+        return SymbolicReal(self.rational + self.coeff * b, -self.coeff, self.symbol)
+
+    def norm(self) -> Fraction:
+        """x*conjugate(x) = x^2 + b*x*y - a*y^2 for x + y*sigma; 0 only at 0."""
+        if self.symbol is None:
+            return self.rational * self.rational
+        a, b = self._square()
+        x, y = self.rational, self.coeff
+        return x * x + b * x * y - a * y * y
 
     def __eq__(self, other):
-        other = _coerce(other)
+        other = as_symbolic(other)
         try:
-            sym = self._compatible(other)
+            self._compatible(other)
         except DescriptorError:
             return False
-        del sym
         return self.rational == other.rational and self.coeff == other.coeff
 
     def __hash__(self):
@@ -301,9 +328,13 @@ class SymbolicReal:
         return f"{parts[0]}{sign}{mag}"
 
 
-def _coerce(value) -> SymbolicReal:
+def as_symbolic(value) -> SymbolicReal:
+    """A SymbolicReal as is, a string through ``SymbolicReal.parse``, any
+    other number exactly through ``Fraction`` (a float keeps every bit)."""
     if isinstance(value, SymbolicReal):
         return value
+    if isinstance(value, str):
+        return SymbolicReal.parse(value)
     return SymbolicReal(Fraction(value))
 
 

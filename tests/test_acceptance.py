@@ -290,8 +290,8 @@ def test_criterion_11_correlator_classification():
         while abs(alpha) < 0.1:
             alpha = rng.uniform(-10, 10)
         beta = rng.uniform(-10, 10)
-        if not conjugation_exponent_check(ParabolicElement(alpha, beta, 1 / alpha),
-                                          tol=1e-12):
+        alpha = Fraction(alpha)  # the sampled float, exactly
+        if not conjugation_exponent_check(ParabolicElement(alpha, beta, 1 / alpha)):
             conj_bad += 1
 
     probe_bad = 0

@@ -211,6 +211,13 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert report["result"]["excluded"] == [[2, 3], [5, 7]]
 
+    def test_sqrt_symbol_spellings_agree(self, tmp_path):
+        # sqrt:2 and sqrt2 name one constant, so the determinant is exactly 1
+        code, report = run(["orbit", "--point", "point:matrix:sqrt2;0;0;1/2*sqrt:2",
+                            "--n", "5"], tmp_path)
+        assert code == EXIT_OK
+        assert report["result"]["point"] == "ModularPoint([sqrt2, 0; 0, 1/2*sqrt2])"
+
     def test_orbit_series_schema(self, tmp_path):
         series = tmp_path / "orbit.csv"
         code, report = run(["orbit", "--point", "point:lower:t=exp1",
@@ -329,6 +336,42 @@ class TestExitCodes:
                      ["criterion", "--seq", "const:nan"] + criterion[3:]):
             code = main(args + ["--out", str(tmp_path / "x.json")])
             assert code == EXIT_VALIDATION, args
+
+    @pytest.mark.parametrize("body, expect", [
+        (None, EXIT_IO),  # no such file
+        ("n,value\nx,1\n", EXIT_VALIDATION),
+        ("n,value\n1,abc\n", EXIT_VALIDATION),
+        ("n,value\n1\n", EXIT_VALIDATION),  # row with no value
+        ("n,value\n1,1\n-3,1\n", EXIT_VALIDATION),
+        ("n,value\n1,1\n0,1\n", EXIT_VALIDATION),
+        ("n,value\n1,1\n1,1\n", EXIT_VALIDATION),  # n repeated
+        ("", EXIT_VALIDATION),  # no header
+        ("n,value\n1,1\n1000000000000,0\n", EXIT_CAPACITY),
+    ])
+    def test_malformed_table(self, tmp_path, capsys, body, expect):
+        table = tmp_path / "nu.csv"
+        if body is not None:
+            table.write_text(body)
+        spec = f"table:{table}"
+        window = ["--n", "3", "--alpha", "0.3", "--j0", "1", "--j1", "2",
+                  "--cutoff", "5"]
+        for args in (["disjointness", "--point", "point:identity", "--n", "3",
+                      "--nu", spec],
+                     ["criterion", "--nu", spec, "--seq", "const:1"] + window,
+                     ["criterion", "--seq", spec] + window):
+            assert main(args + ["--out", str(tmp_path / "x.json")]) == expect, args
+            err = capsys.readouterr().err
+            assert str(table) in err and "Traceback" not in err, err
+            if expect == EXIT_VALIDATION and body:
+                assert f"{table} line " in err or "header" in err, err
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_nonpositive_pair_length(self, tmp_path, capsys, m):
+        code = main(["criterion", "--seq", "exp:theta=sqrt2", "--n", "1000",
+                     "--alpha", "0.3", "--j0", "5", "--j1", "10", "--cutoff", "50",
+                     "--m", m, "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_VALIDATION
+        assert f"pair length M = {m} must be at least 1" in capsys.readouterr().err
 
     def test_flags_only_where_read(self, tmp_path):
         out = ["--out", str(tmp_path / "x.json")]

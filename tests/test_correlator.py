@@ -2,75 +2,105 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from horomu.correlator import (CorrelatorClass, ParabolicElement, PointDescriptor,
-                               QSurd, chi, classify_correlator,
+                               chi, classify_correlator,
                                conjugation_exponent_check, surd_group_element)
 from horomu.errors import DescriptorError, ShapeError, ValidationError
+from horomu.exactreal import SymbolicReal
 
 from conftest import TEST_SEED
 
 
+def surd(x, y, d):
+    return SymbolicReal(x, y, f"sqrt{d}")
+
+
 class TestQSurd:
+    """Arithmetic in Q(sqrt d) and Q(golden), carried by SymbolicReal."""
+
     def test_arithmetic(self):
-        a = QSurd(1, 1, 5)
-        b = QSurd(2, -1, 5)
-        assert a * b == QSurd(-3, 1, 5)
-        assert (a / a) == QSurd(1, 0, 5)
+        a = surd(1, 1, 5)
+        b = surd(2, -1, 5)
+        assert a * b == surd(-3, 1, 5)
+        assert (a / a) == 1
+        assert a.conjugate() == surd(1, -1, 5)
         assert a.conjugate().norm() == a.norm() == Fraction(-4)
+        assert a / b == surd(-7, -3, 5)
+
+    def test_golden_conjugate(self):
+        g = SymbolicReal.const("golden")
+        assert g.conjugate() == 1 - g
+        assert g.norm() == -1 == g * g.conjugate()
+        assert SymbolicReal.rat(1) / g == g - 1
+        v = SymbolicReal(Fraction(3, 2), Fraction(-5, 7), "golden")
+        assert v.norm() == v * v.conjugate()
+        assert (v / v.conjugate()) * (v.conjugate() / v) == 1
 
     def test_rationality_is_exact(self):
-        v = QSurd(Fraction(7, 2), Fraction(3, 2), 5)
+        v = surd(Fraction(7, 2), Fraction(3, 2), 5)
         assert not v.is_rational
         assert (v * v.conjugate()).is_rational
 
     def test_rejects_square_discriminant(self):
         with pytest.raises(DescriptorError):
-            QSurd(1, 1, 9)
+            surd(1, 1, 9)
 
     def test_mixed_discriminants(self):
         with pytest.raises(DescriptorError):
-            QSurd(1, 1, 5) + QSurd(1, 1, 7)
+            surd(1, 1, 5) + surd(1, 1, 7)
+        with pytest.raises(DescriptorError):
+            surd(1, 1, 5) / surd(1, 1, 7)
 
 
 class TestChi:
     def test_two_half(self):
-        assert chi(ParabolicElement(2.0, 0.0, 0.5)) == 4.0
+        assert chi(ParabolicElement(2.0, 0.0, 0.5)) == 4
 
     def test_identity(self):
-        assert chi(ParabolicElement(1.0, 0.0, 1.0)) == 1.0
+        assert chi(ParabolicElement(1, 0, 1)) == 1
 
     def test_three_seven(self):
-        assert chi(ParabolicElement(3.0, 7.0, 1 / 3)) == pytest.approx(9.0, rel=1e-12)
+        assert chi(ParabolicElement(3, 7, Fraction(1, 3))) == 9
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            ParabolicElement.from_matrix([[1.0, 2.0], [0.5, 1.0]])
+            ParabolicElement.from_matrix([[1, 2], [Fraction(1, 2), 1]])
         with pytest.raises(ShapeError):
-            ParabolicElement(2.0, 0.0, 2.0)  # alpha*delta != 1
+            ParabolicElement.from_matrix([[1, 2, 3], [0, 1, 1]])
+        with pytest.raises(ShapeError):
+            ParabolicElement(2, 0, 2)  # alpha*delta != 1
+        with pytest.raises(ShapeError):
+            ParabolicElement(3.0, 7.0, 1 / 3)  # the float 1/3 is not exactly 1/3
+        assert ParabolicElement.from_matrix([[2, 1], [0, 0.5]]) == \
+            ParabolicElement(2, 1, Fraction(1, 2))
+
+    def test_surd_entries(self):
+        root2 = SymbolicReal.const("sqrt2")
+        beta = ParabolicElement(root2, "1+sqrt:2", root2 / 2)
+        assert chi(beta) == 2 and chi(beta).is_rational
+        assert conjugation_exponent_check(beta)
 
     def test_homomorphism_sampled(self):
         rng = random.Random(TEST_SEED)
         for _ in range(100):
-            a1, a2 = rng.uniform(0.2, 4), rng.uniform(0.2, 4)
+            a1, a2 = Fraction(rng.uniform(0.2, 4)), Fraction(rng.uniform(0.2, 4))
             b1, b2 = rng.uniform(-5, 5), rng.uniform(-5, 5)
             e1 = ParabolicElement(a1, b1, 1 / a1)
             e2 = ParabolicElement(a2, b2, 1 / a2)
             prod = e1.compose(e2)
-            assert chi(prod) == pytest.approx(chi(e1) * chi(e2), rel=1e-10)
+            assert chi(prod) == chi(e1) * chi(e2)
 
 
 class TestConjugationLaw:
     def test_identity(self):
-        assert conjugation_exponent_check(ParabolicElement(1.0, 0.0, 1.0))
+        assert conjugation_exponent_check(ParabolicElement(1, 0, 1))
 
     def test_diag_two(self):
         beta = ParabolicElement(2.0, 0.0, 0.5)
-        lhs = beta.as_matrix() @ np.array([[1.0, 1.0], [0.0, 1.0]]) \
-            @ beta.inverse_matrix()
-        assert lhs[0, 1] == pytest.approx(4.0, abs=1e-12)
+        lhs = beta.compose(ParabolicElement(1, 1, 1)).compose(beta.inverse())
+        assert (lhs.alpha, lhs.beta, lhs.delta) == (1, 4, 1)
         assert conjugation_exponent_check(beta)
 
     def test_hundred_random(self):
@@ -80,8 +110,13 @@ class TestConjugationLaw:
             while abs(alpha) < 0.1:
                 alpha = rng.uniform(-10, 10)
             beta = rng.uniform(-10, 10)
-            assert conjugation_exponent_check(
-                ParabolicElement(alpha, beta, 1.0 / alpha), tol=1e-12)
+            alpha = Fraction(alpha)  # the sampled float, exactly
+            assert conjugation_exponent_check(ParabolicElement(alpha, beta, 1 / alpha))
+
+    def test_detects_a_wrong_exponent(self):
+        beta = ParabolicElement(3, 1, Fraction(1, 3))
+        lhs = beta.compose(ParabolicElement(1, 1, 1)).compose(beta.inverse())
+        assert lhs == ParabolicElement(1, 9, 1) != ParabolicElement(1, 3, 1)
 
 
 class TestDescriptors:
@@ -124,12 +159,13 @@ class TestClassification:
 class TestSurdGroupElements:
     def test_identity_element(self):
         el = surd_group_element(1, 0, -2, 1, 0)
-        assert el.value == QSurd(1, 0, 8)
+        assert el.value == 1
         assert el.value_float == 1.0
 
     def test_golden_fundamental(self):
         el = surd_group_element(1, -1, -1, 3, 1)
-        assert el.value == QSurd(Fraction(7, 2), Fraction(3, 2), 5)
+        assert el.value == surd(Fraction(7, 2), Fraction(3, 2), 5)
+        assert el.value == surd(3, 1, 5) / surd(3, -1, 5)
         assert el.value_float == pytest.approx((3 + math.sqrt(5)) / (3 - math.sqrt(5)),
                                                rel=1e-14)
         assert el.value_float == pytest.approx(6.854101966249685, rel=1e-12)
@@ -137,14 +173,14 @@ class TestSurdGroupElements:
     def test_matrix_fixes_golden_ratio(self):
         el = surd_group_element(1, -1, -1, 3, 1)
         (p, q), (r, s) = el.matrix
-        phi = (1 + math.sqrt(5)) / 2
-        image = (float(p) * phi + float(q)) / (float(r) * phi + float(s))
-        assert image == pytest.approx(phi, rel=1e-14)
+        phi = SymbolicReal.const("golden")
+        assert (phi * p + q) / (phi * r + s) == phi
 
     def test_inverse_parameters(self):
         el = surd_group_element(1, -1, -1, 3, -1)
         base = surd_group_element(1, -1, -1, 3, 1)
-        assert el.value * base.value == QSurd(1, 0, 5)
+        assert el.value * base.value == 1
+        assert el.value == base.value.conjugate()
 
     def test_norm_precondition(self):
         with pytest.raises(ValidationError):
@@ -169,18 +205,18 @@ class TestSurdGroupElements:
             el = surd_group_element(a, b, c, t, u)
             assert el.is_rational_value == (u == 0)
             if u == 0:
-                assert el.value == QSurd(1, 0, d)
+                assert el.value == 1
             done += 1
 
     def test_group_closure_under_product(self):
         # values multiply like the stabilizer composes
         e1 = surd_group_element(1, -1, -1, 3, 1)
         e2 = surd_group_element(1, -1, -1, 4, 1)
-        m1 = np.array([[float(v) for v in row] for row in e1.matrix])
-        m2 = np.array([[float(v) for v in row] for row in e2.matrix])
-        prod = m1 @ m2
-        phi = (1 + math.sqrt(5)) / 2
-        image = (prod[0, 0] * phi + prod[0, 1]) / (prod[1, 0] * phi + prod[1, 1])
-        assert image == pytest.approx(phi, rel=1e-12)
-        assert float(e1.value * e2.value) == pytest.approx(
-            e1.value_float * e2.value_float, rel=1e-12)
+        (p1, q1), (r1, s1) = e1.matrix
+        (p2, q2), (r2, s2) = e2.matrix
+        p, q = p1 * p2 + q1 * r2, p1 * q2 + q1 * s2
+        r, s = r1 * p2 + s1 * r2, r1 * q2 + s1 * s2
+        phi = surd(Fraction(1, 2), Fraction(1, 2), 5)
+        assert (phi * p + q) / (phi * r + s) == phi
+        eigen = phi * r + s  # the product's eigenvalue at phi
+        assert eigen / eigen.conjugate() == e1.value * e2.value

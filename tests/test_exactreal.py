@@ -6,7 +6,7 @@ from mpmath import mp
 
 from horomu import exactreal
 from horomu.errors import DescriptorError
-from horomu.exactreal import (FRAC_SHIFT, MAX_FRAC_INDEX, SymbolicReal,
+from horomu.exactreal import (FRAC_SHIFT, MAX_FRAC_INDEX, SymbolicReal, as_symbolic,
                               fixed_point_image, frac_parts, ratio_as_rational,
                               symbol_spec)
 
@@ -70,6 +70,38 @@ class TestArithmetic:
     def test_rational_collapse(self):
         v = SymbolicReal.const("sqrt2") - SymbolicReal.const("sqrt2")
         assert v.is_rational and v == SymbolicReal.rat(0)
+
+
+    def test_sqrt_spellings_are_one_symbol(self):
+        a, b = SymbolicReal.const("sqrt:2"), SymbolicReal.const("sqrt2")
+        assert a.symbol == b.symbol == "sqrt2"
+        assert a * b == 2 and a - b == 0
+        assert SymbolicReal.parse("1/2*sqrt:2") == b / 2
+
+    @pytest.mark.parametrize("name, square", [("sqrt7", (7, 0)), ("golden", (1, 1))])
+    def test_conjugate_norm_division(self, name, square):
+        a, b = square  # sigma^2 = a + b*sigma; the conjugate root is b - sigma
+        sigma = SymbolicReal.const(name)
+        assert sigma.conjugate() == b - sigma
+        x = SymbolicReal(Fraction(3, 4), Fraction(-5, 2), name)
+        assert x.norm() == Fraction(3, 4) ** 2 + b * Fraction(3, 4) * Fraction(-5, 2) \
+            - a * Fraction(-5, 2) ** 2
+        assert x * x.conjugate() == x.norm()
+        assert (x / sigma) * sigma == x and SymbolicReal.rat(1) / x * x == 1
+        assert x / 3 == SymbolicReal(Fraction(1, 4), Fraction(-5, 6), name)
+
+    def test_division_rejects_zero_and_transcendentals(self):
+        with pytest.raises(ZeroDivisionError):
+            _ = SymbolicReal.const("sqrt2") / 0
+        with pytest.raises(DescriptorError):
+            _ = SymbolicReal.rat(1) / SymbolicReal.const("e")
+        assert SymbolicReal.const("e", coeff=4) / 2 == SymbolicReal.const("e", coeff=2)
+
+    def test_coercion_is_exact(self):
+        assert as_symbolic(0.1) == Fraction(0.1) != Fraction(1, 10)
+        assert as_symbolic("1+2*sqrt:3") == SymbolicReal(1, 2, "sqrt3")
+        v = SymbolicReal.const("pi")
+        assert as_symbolic(v) is v
 
 
 class TestRatio:
