@@ -30,6 +30,10 @@ from .errors import (CapacityError, DomainError, EmptyPairSetError, HorizonError
 from .exactreal import frac_parts
 
 SEQUENCE_BUDGET = 50_000_000
+# window indices per step of the window pass; its temporaries stay this
+# small at any N, and each sum adds at most this many terms before the
+# per-block partials are added in index order
+WINDOW_BLOCK = 1 << 12
 
 
 class BoundedSequence:
@@ -404,9 +408,9 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
     _pair_plan(F.horizon, cutoff, M, excluded, N)  # fail before the costly steps
     primes = sieve_primes(max(int(math.ceil(float(params.d1))) + 1, 3))
     dec = build_decomposition(params, primes)
-    leftover_sum, leftover_count, total = _window_sums(dec, nu.values, F)
-    blocks = [_block_ledger(dec, j, members, nu.values, F)
-              for j, members in zip(params.block_range, _block_members(dec))]
+    total, leftover_sum, leftover_count, pair_sums = _window_pass(dec, nu.values, F)
+    blocks = [_block_ledger(dec, j, pair_sum, nu.values, F)
+              for j, pair_sum in zip(params.block_range, pair_sums)]
     del dec  # free the decomposition before the tau tiles
     tau = tau_estimate(F, cutoff, M=M, excluded=excluded, threads=threads, window=N)
     tau_eff = max(tau.tau_hat, 1 / math.log(cutoff))
@@ -433,13 +437,35 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
         params=params, diagnostics=diagnostics)
 
 
-def _window_sums(dec: Decomposition, nu_values: np.ndarray, F: BoundedSequence):
-    """Leftover sum and count and the total over [1, N); the products over
-    the window are freed on return, before the block ledgers run."""
-    prod = nu_values[: dec.params.n] * F.values[: dec.params.n]
-    left = dec.leftover_mask()
-    return (complex(np.sum(prod[left])), int(np.count_nonzero(left)),
-            complex(np.sum(prod[1:])))
+def _window_pass(dec: Decomposition, nu_values: np.ndarray, F: BoundedSequence):
+    """The total, the leftover sum and count, and every P_j Q_j sum over [1, N).
+
+    One pass over the window in blocks [lo, hi) aligned to multiples of
+    WINDOW_BLOCK (the first starts at 1). Each block forms nu(n) F(n) once:
+    ``np.sum`` gives its share of the total, and ``np.bincount`` on the key
+    in_pq * (j - j0 + 1) adds its entries left to right into the leftover
+    (key 0) or the product set of block j. The shares are added in index
+    order, so the sums depend on WINDOW_BLOCK and on nothing else, and no
+    temporary grows with N. The total is summed apart from the keyed sums,
+    so the triangle step compares two independent sums. Returns
+    (total, leftover_sum, leftover_count, pair_sums), with pair_sums in
+    ``block_range`` order.
+    """
+    params = dec.params
+    n, keys = params.n, len(params.block_range) + 1
+    total, members = 0j, 0
+    real, imag = np.zeros(keys), np.zeros(keys)
+    for lo in range(0, n, WINDOW_BLOCK):
+        window = slice(max(lo, 1), min(lo + WINDOW_BLOCK, n))
+        prod = nu_values[window] * F.values[window]
+        total += complex(np.sum(prod))
+        key = dec.block_of[window] - (params.j0 - 1)
+        key *= dec.in_pq[window]
+        real += np.bincount(key, weights=prod.real, minlength=keys)
+        imag += np.bincount(key, weights=prod.imag, minlength=keys)
+        members += int(np.count_nonzero(key))
+    sums = [complex(r, i) for r, i in zip(real.tolist(), imag.tolist())]
+    return total, sums[0], n - 1 - members, sums[1:]
 
 
 def _ledger_horizon(params: DecompositionParams) -> int:
@@ -447,22 +473,7 @@ def _ledger_horizon(params: DecompositionParams) -> int:
     return int(math.ceil(lim))
 
 
-def _block_members(dec: Decomposition) -> list[np.ndarray]:
-    """P_j Q_j for every block j in ``block_range``, each ascending.
-
-    One stable argsort of the least blocks of the product-set members keeps
-    each block's members in ascending order, so each array equals
-    ``dec.product_members(j)`` without a scan of the window per block.
-    """
-    params = dec.params
-    pq = np.flatnonzero(dec.in_pq)
-    keys = dec.block_of[pq]
-    members = pq[np.argsort(keys, kind="stable")]
-    counts = np.bincount(keys - params.j0, minlength=len(params.block_range))
-    return np.split(members, np.cumsum(counts)[:-1]) if counts.size else []
-
-
-def _block_ledger(dec: Decomposition, j: int, members: np.ndarray,
+def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,
                   nu_values: np.ndarray, F: BoundedSequence) -> BlockLedger:
     params = dec.params
     block = dec.block(j)
@@ -470,9 +481,6 @@ def _block_ledger(dec: Decomposition, j: int, members: np.ndarray,
     ps = block.primes.astype(np.int64)
     lim = Fraction(params.n) / params.base ** j
     y_cap = int(lim.numerator // lim.denominator)  # range extension is y <= lim
-
-    pair_sum = (complex(np.sum(nu_values[members] * F.values[members]))
-                if members.size else 0j)
 
     if ps.size == 0 or qs.size == 0:
         return BlockLedger(j, pair_sum, 0j, 0.0, 0.0, 0.0, 0.0, 0.0,

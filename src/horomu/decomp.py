@@ -264,11 +264,6 @@ class Decomposition:
     def leftover_count(self) -> int:
         return self.window_size - self.count_pq
 
-    def leftover_mask(self) -> np.ndarray:
-        mask = ~self.in_pq
-        mask[0] = False
-        return mask
-
 
 def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Decomposition:
     """Classify every n in [1, N) and mark the product sets, by sieving.

@@ -16,6 +16,7 @@ oracle reduce angles through the identical channel.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -272,7 +273,15 @@ class SymbolicReal:
         return x * x + b * x * y - a * y * y
 
     def __eq__(self, other):
-        other = as_symbolic(other)
+        """Exact equality with a SymbolicReal, a rational or a float (nan
+        and the infinities equal nothing); any other operand, a string
+        included, is left to Python, so == is False and does not raise."""
+        if isinstance(other, float) and not math.isfinite(other):
+            return False
+        if isinstance(other, (float, numbers.Rational)):
+            other = SymbolicReal(Fraction(other))
+        elif not isinstance(other, SymbolicReal):
+            return NotImplemented
         try:
             self._compatible(other)
         except DescriptorError:
@@ -280,6 +289,10 @@ class SymbolicReal:
         return self.rational == other.rational and self.coeff == other.coeff
 
     def __hash__(self):
+        # a rational value hashes as its Fraction, so it agrees with == on
+        # int, Fraction and float
+        if self.symbol is None:
+            return hash(self.rational)
         return hash((self.rational, self.coeff, self.symbol))
 
     # -- evaluation -----------------------------------------------------

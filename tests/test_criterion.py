@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -393,31 +394,16 @@ def _decomposition(n, alpha, j0, j1):
 
 
 class TestBlockMembers:
-    @pytest.mark.parametrize("args", [(5000, "3/10", 5, 12), (1000, 1, 1, 4),
-                                      (20_000, "1/10", 10, 60), (100, 1, 3, 3)])
-    def test_grouped_members_equal_product_members(self, args):
-        dec = _decomposition(*args)
-        groups = criterion._block_members(dec)
-        assert len(groups) == len(dec.params.block_range)
-        for j, got in zip(dec.params.block_range, groups):
-            want = dec.product_members(j)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), j
-
-    def test_blocks_without_members_and_equal_indices(self):
-        groups = criterion._block_members(_decomposition(20_000, "1/10", 10, 60))
-        assert any(g.size == 0 for g in groups) and any(g.size for g in groups)
-        assert criterion._block_members(_decomposition(100, 1, 3, 3)) == []
-
     @pytest.mark.parametrize("theta", ["sqrt2", "inv_e"])
     def test_block_ledger_matches_index_gather(self, theta):
-        # the same ledger lines from a 2-D index gather of F(p y) and a
-        # window scan for the members: the matrices are equal, so every
-        # field is equal bit for bit
+        # the same ledger lines from a 2-D index gather of F(p y): the
+        # matrices are equal, so every field is equal bit for bit
         dec = _decomposition(5000, "3/10", 5, 12)
         mu = sieve_mobius(6500)
         F = BoundedSequence.exponential(theta, 6500)
-        for j, members in zip(dec.params.block_range, criterion._block_members(dec)):
-            got = criterion._block_ledger(dec, j, members, mu.values, F)
+        pair_sums = criterion._window_pass(dec, mu.values, F)[3]
+        for j, pair_sum in zip(dec.params.block_range, pair_sums):
+            got = criterion._block_ledger(dec, j, pair_sum, mu.values, F)
             ps = dec.block(j).primes.astype(np.int64)
             qs = dec.q_set(j)
             ys = np.arange(1, got.y_cap + 1)
@@ -426,8 +412,6 @@ class TestBlockMembers:
             fxy = F.values[ps[:, None] * ys[None, :]]
             inner_q, inner_all = nu_p @ fxq, nu_p @ fxy
             gram = fxy @ fxy.conj().T
-            want = dec.product_members(j)
-            assert got.pair_sum == complex(np.sum(mu.values[want] * F.values[want]))
             assert got.factored_sum == complex(np.sum(mu.values[qs] * inner_q))
             assert got.inner_abs == float(np.sum(np.abs(inner_q)))
             assert got.cauchy == (math.sqrt(len(qs))
@@ -437,6 +421,103 @@ class TestBlockMembers:
             assert got.diagonal == float(np.sum(gram.diagonal().real))
             assert got.off_diagonal == float(np.sum(np.abs(gram))
                                              - np.sum(np.abs(gram.diagonal())))
+
+
+def _window_reference(dec, nu_values, F):
+    """The window pass written out set by set from ``product_members(j)``
+    and ``~in_pq``: per block [lo, hi) of WINDOW_BLOCK, ``np.sum`` of the
+    products for the total and a left-to-right float loop over each set's
+    members in the block; the block shares are added in index order."""
+    n, step = dec.params.n, criterion.WINDOW_BLOCK
+    left = np.flatnonzero(~dec.in_pq)
+    sets = [left[left >= 1]] + [dec.product_members(j) for j in dec.params.block_range]
+    total, sums = 0j, [0j] * len(sets)
+    for start in range(0, n, step):
+        lo, hi = max(start, 1), min(start + step, n)
+        prod = nu_values[lo:hi] * F.values[lo:hi]
+        total += complex(np.sum(prod))
+        for k, members in enumerate(sets):
+            re = im = 0.0
+            for v in prod[members[(members >= lo) & (members < hi)] - lo].tolist():
+                re += v.real
+                im += v.imag
+            sums[k] += complex(re, im)
+    return total, sums[0], sums[1:], sets
+
+
+def _fsum_gap_bound(terms: np.ndarray, n: int) -> float:
+    """Bound on |window-pass sum - math.fsum| for the real or imaginary
+    parts ``terms`` of one of its sums over [1, n).
+
+    On its way to the result a term passes through at most
+    WINDOW_BLOCK - 1 additions inside its block (any order ``np.sum`` or
+    ``np.bincount`` takes has a tree of that height or less) and at most
+    K = ceil(n / WINDOW_BLOCK) additions of block shares. With u = 2^-53
+    and d = WINDOW_BLOCK - 1 + K, a summation tree of height d has error
+    at most gamma_d * sum |x|, gamma_d = d u / (1 - d u) (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., sec. 4.2), and fsum is
+    correctly rounded, |fsum - s| <= u |s|. So the gap is at most
+    (gamma_d + u) * sum |x|.
+    """
+    u = 2.0 ** -53
+    d = criterion.WINDOW_BLOCK - 1 + -(-n // criterion.WINDOW_BLOCK)
+    return (d * u / (1 - d * u) + u) * math.fsum(np.abs(terms))
+
+
+def _window_inputs(n, alpha, j0, j1):
+    return (_decomposition(n, alpha, j0, j1), sieve_mobius(n).values,
+            BoundedSequence.exponential("inv_e", n))
+
+
+class TestWindowPass:
+    @pytest.mark.parametrize("args, block", [
+        ((1000, 1, 1, 4), None),            # N below one block
+        ((5000, "3/10", 5, 12), None),      # N not a multiple of the block
+        ((20_000, "1/10", 10, 60), None),   # blocks without members
+        ((100, 1, 3, 3), None),             # j0 == j1: no blocks at all
+        ((5000, "3/10", 5, 12), 61)])       # many blocks, a short last one
+    def test_sums_equal_fixed_block_reference(self, args, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(criterion, "WINDOW_BLOCK", block)
+        dec, nu, F = _window_inputs(*args)
+        n = dec.params.n
+        total, leftover, leftover_count, pair_sums = criterion._window_pass(dec, nu, F)
+        want_total, want_leftover, want_pairs, sets = _window_reference(dec, nu, F)
+        # bit for bit: repr tells every float apart, -0.0 from 0.0 included
+        assert repr(total) == repr(want_total)
+        assert repr(leftover) == repr(want_leftover)
+        assert len(pair_sums) == len(dec.params.block_range)
+        assert [repr(s) for s in pair_sums] == [repr(s) for s in want_pairs]
+        assert leftover_count == sets[0].size == n - 1 - dec.count_pq
+        prod = nu[:n] * F.values[:n]
+        for got, members in zip([total, leftover, *pair_sums],
+                                [np.arange(1, n), *sets]):
+            for part, terms in ((got.real, prod.real[members]),
+                                (got.imag, prod.imag[members])):
+                assert abs(part - math.fsum(terms)) <= _fsum_gap_bound(terms, n)
+
+    def test_blocks_without_members(self):
+        dec, nu, F = _window_inputs(20_000, "1/10", 10, 60)
+        pair_sums = criterion._window_pass(dec, nu, F)[3]
+        counts = [dec.count_pq_j(j) for j in dec.params.block_range]
+        assert 0 in counts and max(counts) > 0
+        assert all(s == 0j for s, c in zip(pair_sums, counts) if c == 0)
+
+    def test_memory_stays_flat_in_n(self):
+        # the pass holds one block's temporaries, whatever N is; summing
+        # the whole window at once peaks near 24 MB at N = 1e6
+        peaks = {}
+        for n in (200_000, 1_000_000):
+            dec, nu, F = _window_inputs(n, "3/10", 9, 30)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                criterion._window_pass(dec, nu, F)
+                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peaks[1_000_000] < 2 * 2 ** 20, peaks
+        assert peaks[1_000_000] <= peaks[200_000] + 64 * 2 ** 10, peaks
 
 
 def rep_members(rep):

@@ -97,6 +97,21 @@ class TestArithmetic:
             _ = SymbolicReal.rat(1) / SymbolicReal.const("e")
         assert SymbolicReal.const("e", coeff=4) / 2 == SymbolicReal.const("e", coeff=2)
 
+    def test_hash_agrees_with_equality(self):
+        four, half = SymbolicReal(4), SymbolicReal(Fraction(1, 2))
+        assert 4 in {four} and four in {Fraction(4)} and 4.0 in {four}
+        assert hash(four) == hash(4) == hash(Fraction(4)) == hash(4.0)
+        assert len({half, 0.5, Fraction(1, 2)}) == 1
+        sqrt2 = SymbolicReal.const("sqrt2")
+        assert sqrt2 - sqrt2 in {0}
+        assert SymbolicReal.const("sqrt:2") in {sqrt2} and 2 not in {sqrt2}
+
+    def test_equality_with_other_types_is_false(self):
+        one = SymbolicReal(1)
+        for other in ("abc", "1", None, [1], float("nan"), float("inf")):
+            assert not one == other and one != other, other
+        assert one in [None, "abc", 1] and one not in [None, "abc"]
+
     def test_coercion_is_exact(self):
         assert as_symbolic(0.1) == Fraction(0.1) != Fraction(1, 10)
         assert as_symbolic("1+2*sqrt:3") == SymbolicReal(1, 2, "sqrt3")
