@@ -30,6 +30,7 @@ from .errors import (CapacityError, DomainError, EmptyPairSetError, HorizonError
 from .exactreal import frac_parts
 
 SEQUENCE_BUDGET = 50_000_000
+PAIR_PRIME_BUDGET = 4096  # primes in a tau estimate: a 268 MB Gram matrix
 # window indices per step of the window pass; its temporaries stay this
 # small at any N, and each sum adds at most this many terms before the
 # per-block partials are added in index order
@@ -151,23 +152,22 @@ def _normalize_excluded(excluded) -> set[frozenset]:
     return out
 
 
-@dataclass(frozen=True)
-class _PairPlan:
-    """The prime pairs of a tau estimate, checked before any sum is taken.
-
-    ``primes`` holds, ascending, every prime <= cutoff that is in some pair
-    left after exclusion; ``limits[i]`` is the last m sampled for it, so a
-    pair (p_i, p_k) sums over m <= min(limits[i], limits[k]).
-    """
-
-    primes: np.ndarray
-    limits: np.ndarray
-    skip: set[frozenset]
-    policy: str
+def _excluded_index(primes: np.ndarray, excluded: Sequence[tuple[int, int]]):
+    """Row and column in ``primes`` of each excluded pair (p < q) with both in it."""
+    pairs = np.array(excluded, dtype=np.int64).reshape(-1, 2)
+    at = np.searchsorted(primes, pairs).clip(max=primes.size - 1)
+    both = (primes[at] == pairs).all(axis=1)
+    return at[both, 0], at[both, 1]
 
 
 def _pair_plan(horizon: int, prime_cutoff: float, M: Optional[int],
-               excluded: Sequence, window: Optional[int]) -> _PairPlan:
+               excluded: Sequence, window: Optional[int]):
+    """(primes, limits, excluded, policy) of a tau estimate, checked before any sum.
+
+    ``primes`` holds, ascending, every prime <= cutoff in some pair left
+    after exclusion; ``limits[i]`` is the last m sampled for it, so a pair
+    (p_i, p_k), i < k, sums over m <= limits[k]. ``excluded`` is sorted.
+    """
     if not math.isfinite(prime_cutoff):
         raise ValidationError(f"prime cutoff must be finite, got {prime_cutoff}")
     if prime_cutoff < 3:
@@ -181,11 +181,15 @@ def _pair_plan(horizon: int, prime_cutoff: float, M: Optional[int],
     if bad:
         raise ValidationError(
             f"excluded pairs must be two distinct primes <= {prime_cutoff:g}, got {bad}")
+    skip = sorted(tuple(sorted(s)) for s in skip)
     # a prime stays while some pair through it is not excluded
-    partners = len(ps) - 1 - np.array([sum(int(p) in s for s in skip) for p in ps])
-    ps = ps[partners > 0]
+    cut = np.bincount(np.concatenate(_excluded_index(ps, skip)), minlength=ps.size)
+    ps = ps[cut < ps.size - 1]
     if ps.size == 0:
         raise EmptyPairSetError("all pairs below the cutoff were excluded")
+    if ps.size > PAIR_PRIME_BUDGET:
+        raise CapacityError(f"{ps.size} primes in pairs below cutoff {prime_cutoff:g} "
+                            f"exceed the pair budget {PAIR_PRIME_BUDGET}")
     ref = horizon if window is None else min(window, horizon)
     if M is None:
         limits = ref // ps
@@ -200,7 +204,7 @@ def _pair_plan(horizon: int, prime_cutoff: float, M: Optional[int],
     if int(ps[-1]) * int(limits[-1]) > horizon:
         raise HorizonError(f"need index {int(ps[-1]) * int(limits[-1])} "
                            f"beyond horizon {horizon}")
-    return _PairPlan(ps, limits, skip, policy)
+    return ps, limits, skip, policy
 
 
 def _pair_gram(values: np.ndarray, primes: np.ndarray, limits: np.ndarray) -> np.ndarray:
@@ -224,19 +228,29 @@ def _pair_gram(values: np.ndarray, primes: np.ndarray, limits: np.ndarray) -> np
     return gram
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TauEstimate:
+    """tau_hat over the pairs of ``primes``: ``gram[i, k]`` (i < k) is the total
+    of (primes[i], primes[k]) over m <= limits[k], excluded pairs included."""
+
     tau_hat: float
     worst_pair: tuple[int, int]
-    pairs: list[PairCorrelation]
+    primes: np.ndarray
+    limits: np.ndarray
+    gram: np.ndarray
     excluded: list[tuple[int, int]]
     m_policy: str
 
-    def as_dict(self) -> dict:
-        return {"tau_hat": repr(self.tau_hat), "worst_pair": list(self.worst_pair),
-                "excluded": [list(p) for p in self.excluded],
-                "m_policy": self.m_policy,
-                "pairs": [p.as_dict() for p in self.pairs]}
+    @property
+    def pairs(self) -> list[PairCorrelation]:
+        """Every pair not excluded, by (p1, p2) ascending; built on each access."""
+        keep = np.triu(np.ones(self.gram.shape, dtype=bool), 1)
+        keep[_excluded_index(self.primes, self.excluded)] = False
+        rows, cols = np.nonzero(keep)
+        ps, ms = self.primes.tolist(), self.limits.tolist()
+        return [PairCorrelation(ps[i], ps[k], ms[k], t, abs(t) / ms[k])
+                for i, k, t in zip(rows.tolist(), cols.tolist(),
+                                   self.gram[rows, cols].tolist())]
 
 
 def tau_estimate(F: BoundedSequence, prime_cutoff: float,
@@ -248,29 +262,24 @@ def tau_estimate(F: BoundedSequence, prime_cutoff: float,
     defaulting to the horizon, so every sampled product stays inside the
     window; explicit M applies uniformly. Excluded pairs must be two
     distinct primes <= cutoff; they are skipped and echoed back, never
-    silently dropped.
+    silently dropped. Over PAIR_PRIME_BUDGET primes raise CapacityError.
 
     All pair sums come from one Hermitian Gram matrix of the rows
     F(p m), accumulated over tiles of m in BLAS; each pair total equals
-    ``bilinear_sum`` up to float64 rounding. Pair totals and tau_hat are
-    float64 sums: they agree to rounding, not bit for bit, across BLAS
-    thread counts. ``threads`` is accepted for existing callers; it changes
-    neither the result nor the work split.
+    ``bilinear_sum`` up to float64 rounding. tau_hat is the largest
+    |total| / m, the first of equals in row-major order. Pair totals and
+    tau_hat are float64 sums: they agree to rounding, not bit for bit,
+    across BLAS thread counts. ``threads`` is accepted for existing
+    callers; it changes neither the result nor the work split.
     """
-    plan = _pair_plan(F.horizon, prime_cutoff, M, excluded, window)
-    gram = _pair_gram(F.values, plan.primes, plan.limits)
-    ps = plan.primes.tolist()
-    pairs = []
-    for i in range(len(ps)):
-        for k in range(i + 1, len(ps)):
-            if frozenset((ps[i], ps[k])) in plan.skip:
-                continue
-            m = int(min(plan.limits[i], plan.limits[k]))
-            total = complex(gram[i, k])
-            pairs.append(PairCorrelation(ps[i], ps[k], m, total, abs(total) / m))
-    best = max(pairs, key=lambda pc: pc.normalized)  # the first of equals
-    return TauEstimate(best.normalized, (best.p1, best.p2), pairs,
-                       sorted(tuple(sorted(s)) for s in plan.skip), plan.policy)
+    ps, limits, skip, policy = _pair_plan(F.horizon, prime_cutoff, M, excluded, window)
+    gram = _pair_gram(F.values, ps, limits)
+    norm = np.hypot(gram.real, gram.imag) / limits  # rounds as abs() of a complex
+    norm[np.tri(ps.size, dtype=bool)] = -1
+    norm[_excluded_index(ps, skip)] = -1
+    i, k = np.unravel_index(np.argmax(norm), norm.shape)
+    return TauEstimate(float(norm[i, k]), (int(ps[i]), int(ps[k])),
+                       ps, limits, gram, skip, policy)
 
 
 def vinogradov_bound(tau: float, N: int) -> float:
@@ -399,7 +408,7 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
     and the pair lengths are checked before the decomposition is built.
     """
     params = DecompositionParams(N, Fraction(alpha), j0, j1)
-    need = _ledger_horizon(params)
+    need = math.ceil(Fraction(N) * params.base)
     if F.horizon < need:
         raise HorizonError(
             f"ledger needs F on [1,{need}] (range extension), horizon {F.horizon}")
@@ -466,11 +475,6 @@ def _window_pass(dec: Decomposition, nu_values: np.ndarray, F: BoundedSequence):
         members += int(np.count_nonzero(key))
     sums = [complex(r, i) for r, i in zip(real.tolist(), imag.tolist())]
     return total, sums[0], n - 1 - members, sums[1:]
-
-
-def _ledger_horizon(params: DecompositionParams) -> int:
-    lim = Fraction(params.n) * params.base
-    return int(math.ceil(lim))
 
 
 def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,

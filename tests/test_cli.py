@@ -277,6 +277,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_CAPACITY
 
+    def test_criterion_pair_budget(self, tmp_path, capsys):
+        # 4203 primes below the cutoff are over the budget of 4096; the pair
+        # plan refuses them before the decomposition is built
+        code = main(["criterion", "--nu", "mobius", "--seq", "exp:theta=sqrt2",
+                     "--n", "300000", "--alpha", "3/10", "--j0", "9", "--j1", "30",
+                     "--cutoff", "40000", "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert "4203 primes" in err and "Traceback" not in err, err
+
     def test_precision(self, tmp_path):
         code = main(["orbit", "--point", "point:lower:t=exp1", "--n", "100000",
                      "--precision-bits", "8",

@@ -11,8 +11,10 @@ from horomu.arith import SEGMENT, MultiplicativeTable, sieve_mobius, sieve_prime
 from horomu.criterion import (BoundedSequence, bilinear_sum, criterion_ledger,
                               tau_estimate, vinogradov_bound, weighted_sum)
 from horomu.decomp import DecompositionParams, build_decomposition
-from horomu.errors import (DomainError, EmptyPairSetError, HorizonError,
-                           ValidationError)
+from horomu.dynamics import (ModularPoint, bump_observable, orbit_sequence,
+                             pair_correlation, split_observable)
+from horomu.errors import (CapacityError, DomainError, EmptyPairSetError,
+                           HorizonError, ValidationError)
 from horomu.exactreal import frac_parts
 
 from conftest import mobius_oracle
@@ -213,8 +215,14 @@ class TestPairGram:
     def test_constant_sequence_is_exactly_one(self):
         F = BoundedSequence.constant(1, 10_000)
         est = tau_estimate(F, 50)
-        assert est.tau_hat == 1.0
+        assert est.tau_hat == 1.0 and est.worst_pair == (2, 3)
         assert all(pc.total == pc.m for pc in est.pairs)
+
+    def test_ties_go_to_the_first_pair_in_row_major_order(self):
+        # every pair ties at 1; (2, 7) comes first by rows, (3, 5) by columns
+        F = BoundedSequence.constant(1, 10_000)
+        est = tau_estimate(F, 50, excluded=[(2, 3), (2, 5)])
+        assert est.tau_hat == 1.0 and est.worst_pair == (2, 7)
 
     def test_many_tiles(self, exp_sqrt2_40k, monkeypatch):
         # tiles of at most 50 entries: rows end inside tiles and the
@@ -246,6 +254,45 @@ class TestPairGram:
                 tau_estimate(exp_sqrt2_40k, 30, excluded=skip)
         with pytest.raises(EmptyPairSetError):
             tau_estimate(exp_sqrt2_40k, 5, excluded=[(2, 3), (2, 5), (3, 5)])
+
+    def test_prime_budget(self, exp_sqrt2_40k, monkeypatch):
+        # 4203 primes below 40000: refused before any sum or horizon check
+        with pytest.raises(CapacityError):
+            tau_estimate(exp_sqrt2_40k, 40_000)
+        # the budget counts the primes left in some pair: 10 below 30, and 9
+        # once every pair through 29 is excluded
+        monkeypatch.setattr(criterion, "PAIR_PRIME_BUDGET", 9)
+        with pytest.raises(CapacityError):
+            tau_estimate(exp_sqrt2_40k, 30)
+        skip = [(p, 29) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
+        assert tau_estimate(exp_sqrt2_40k, 30, excluded=skip).primes.size == 9
+
+    def test_retained_memory_is_the_gram_matrix(self):
+        # 669 primes below 5000 and 223,446 pairs: the estimate keeps the
+        # Gram matrix, not one object per pair
+        F = BoundedSequence.exponential("inv_e", 100_000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            est = tau_estimate(F, 5000)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert est.primes.size == 669
+        assert held < 2 * 669 ** 2 * 16, held
+
+
+@pytest.mark.parametrize("t", ["inv_e", "sqrt2", Fraction(1, 2)])
+def test_pair_totals_match_the_orbit_correlations(t):
+    # F(n) = f1(xi u^n) for the centred bump: each pair total over m is the
+    # two-speed orbit correlation of the dynamics leg times m
+    f1, _ = split_observable(bump_observable())
+    xi = ModularPoint.lower(t)
+    est = tau_estimate(orbit_sequence(xi, f1, 3000), 7)
+    assert len(est.pairs) == 6
+    for pc in est.pairs:
+        corr = pair_correlation(f1, xi, pc.p1, pc.p2, pc.m, target=0).value
+        assert abs(pc.total / pc.m - corr) <= 1e-14, (t, pc.p1, pc.p2)
 
 
 class TestVinogradovBound:
