@@ -4,7 +4,9 @@
 For F(n) = exp(2 pi i n sqrt 2): measure all pair correlations below a
 prime cutoff, form the effective correlation level tau, and compare the
 weighted sum |sum mu(n) F(n)| against 2 sqrt(tau log 1/tau) N. Then replay
-the proof's inequality chain on the same data and print each line.
+the proof's inequality chain on the same data and print each line. The
+verdict holds only when the bound beats the trivial bound sum |mu(n) F(n)|;
+at this desk-scale cutoff it does not, so the verdict is inconclusive.
 """
 
 import math
@@ -44,4 +46,6 @@ for line in rep.chain:
     print(f"  [{kind}] {line.name:28s} {line.lhs:14.2f} <= {line.rhs:14.2f}  {mark}")
 print(f"\nleftover below the product sets: {rep.leftover_count} integers, "
       f"|partial sum| = {abs(rep.leftover_sum):.2f}")
+print(f"bound {rep.bound_rhs:.3e} against the trivial bound sum |mu(n) F(n)| = "
+      f"{rep.trivial_bound:.3e} (ratio {rep.bound_rhs / rep.trivial_bound:.2f})")
 print(f"verdict: {rep.verdict} (margin {rep.margin:.0f}x)")

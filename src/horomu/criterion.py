@@ -35,6 +35,16 @@ PAIR_PRIME_BUDGET = 4096  # primes in a tau estimate: a 268 MB Gram matrix
 # small at any N, and each sum adds at most this many terms before the
 # per-block partials are added in index order
 WINDOW_BLOCK = 1 << 12
+# entries of F(p y) per block-ledger tile: 1 MB of complex values, which
+# stays in a 2 MB L2 cache; the ledger holds a few such tiles at any N
+LEDGER_TILE = 1 << 16
+# indices per chunk of BoundedSequence.exponential: its temporaries take
+# 384 KB and stay in cache; 2^12 or 2^13 pay the fixed cost of each
+# frac_parts call too often, 2^18 leaves the cache
+TRIG_CHUNK = 1 << 14
+# entries of the k x k product added into the tau Gram per band of rows:
+# the band's temporary is 4 MB however many primes the estimate has
+GRAM_BAND = 1 << 18
 
 
 class BoundedSequence:
@@ -96,14 +106,19 @@ class BoundedSequence:
         theta may be a symbolic-constant name ('sqrt2', 'e', ...), an exact
         rational, or a float; reduction goes through the shared fixed-point
         channel so closed-form cross-checks see identical angles. The
-        values are written one SEGMENT of indices at a time; the work is
-        elementwise, so they equal the one-shot formula bit for bit.
+        values are written TRIG_CHUNK indices at a time: cos and sin of
+        x = frac * 2 pi go straight into the real and imaginary parts. The
+        work is elementwise, so the values equal the one-shot formula
+        exp(2j pi frac) bit for bit.
         """
         _check_budget(horizon)
         vals = np.empty(horizon + 1, dtype=np.complex128)
-        for lo in range(0, horizon + 1, SEGMENT):
-            ns = np.arange(lo, min(lo + SEGMENT, horizon + 1), dtype=np.int64)
-            np.exp(2j * np.pi * frac_parts(theta, ns), out=vals[lo:lo + ns.size])
+        for lo in range(0, horizon + 1, TRIG_CHUNK):
+            out = vals[lo:lo + TRIG_CHUNK]
+            angle = frac_parts(theta, np.arange(lo, lo + out.size, dtype=np.int64))
+            angle *= 2 * np.pi
+            np.cos(angle, out=out.real)
+            np.sin(angle, out=out.imag)
         name = theta if isinstance(theta, str) else repr(theta)
         return cls._owned(vals, label or f"exp:{name}")
 
@@ -207,24 +222,50 @@ def _pair_plan(horizon: int, prime_cutoff: float, M: Optional[int],
     return ps, limits, skip, policy
 
 
+def _row_tiles(values: np.ndarray, primes: np.ndarray, limits: np.ndarray,
+               entries: int):
+    """Stream the rows values[p_i m], m = 1 .. limits[i], as (m0, tile) pairs.
+
+    ``tile[i, t] = values[p_i (m0 + t)]`` for the rows still active at m0,
+    and 0 past row i's own limit. Limits never increase, so the active rows
+    are a prefix; a tile is as wide as ``entries`` allows for them, and at
+    least one m wide. Each row is one strided slice copy into a buffer
+    allocated once per call, so a tile is valid only until the next one.
+    """
+    k, top = primes.size, int(limits[0])
+    buf = np.empty(min(max(entries, k), k * top), dtype=values.dtype)
+    ps, lims = primes.tolist(), limits.tolist()
+    m0 = 1
+    while m0 <= top:
+        rows = int(np.count_nonzero(limits >= m0))
+        width = min(max(1, entries // rows), top + 1 - m0)
+        tile = buf[:rows * width].reshape(rows, width)
+        end = m0 + width - 1
+        for row, p, lim in zip(tile, ps, lims):
+            count = min(lim, end) - m0 + 1
+            row[:count] = values[p * m0:p * (m0 + count - 1) + 1:p]
+            row[count:] = 0
+        yield m0, tile
+        m0 += width
+
+
 def _pair_gram(values: np.ndarray, primes: np.ndarray, limits: np.ndarray) -> np.ndarray:
     """C[i, k] = sum_{m <= min(limits[i], limits[k])} F(p_i m) conj(F(p_k m)).
 
-    m runs in tiles of at most SEGMENT gathered entries. The rows still
-    active in a tile are a prefix, because limits never increase; entries
-    past a row's own limit read values[0], which is 0.
+    m runs in row tiles of at most SEGMENT entries. Each tile's product is
+    added in bands of rows, so no temporary grows with the square of the
+    prime count beyond GRAM_BAND entries.
     """
     k = primes.size
     gram = np.zeros((k, k), dtype=np.complex128)
-    m0, top = 1, int(limits[0])
-    while m0 <= top:
-        rows = int(np.count_nonzero(limits >= m0))
-        ms = np.arange(m0, min(m0 + max(1, SEGMENT // rows), top + 1), dtype=np.int64)
-        idx = primes[:rows, None] * ms
-        idx[ms > limits[:rows, None]] = 0
-        tile = values[idx]
-        gram[:rows, :rows] += tile @ tile.conj().T
-        m0 += ms.size
+    for _, tile in _row_tiles(values, primes, limits, SEGMENT):
+        rows = tile.shape[0]
+        tile_h = tile.conj().T
+        band = max(1, GRAM_BAND // rows)
+        for lo in range(0, rows, band):
+            hi = min(lo + band, rows)
+            gram[lo:hi, :rows] += tile[lo:hi] @ tile_h
+        del tile_h  # free this copy before the next tile's is made
     return gram
 
 
@@ -274,7 +315,8 @@ def tau_estimate(F: BoundedSequence, prime_cutoff: float,
     """
     ps, limits, skip, policy = _pair_plan(F.horizon, prime_cutoff, M, excluded, window)
     gram = _pair_gram(F.values, ps, limits)
-    norm = np.hypot(gram.real, gram.imag) / limits  # rounds as abs() of a complex
+    norm = np.hypot(gram.real, gram.imag)  # rounds as abs() of a complex
+    norm /= limits
     norm[np.tri(ps.size, dtype=bool)] = -1
     norm[_excluded_index(ps, skip)] = -1
     i, k = np.unravel_index(np.argmax(norm), norm.shape)
@@ -355,6 +397,7 @@ class CriterionReport:
     tau: TauEstimate
     tau_effective: float
     bound_rhs: float
+    trivial_bound: float       # sum over [1, N) of |nu(n) F(n)|
     weighted: complex          # sum over [1, N) of nu(n) F(n)
     leftover_sum: complex
     leftover_count: int
@@ -383,6 +426,9 @@ class CriterionReport:
             "m_policy": self.tau.m_policy,
             "excluded": [list(p) for p in self.excluded],
             "bound_rhs": repr(self.bound_rhs),
+            "trivial_bound": repr(self.trivial_bound),
+            "bound_to_trivial": (repr(self.bound_rhs / self.trivial_bound)
+                                 if self.trivial_bound > 0 else None),
             "weighted_sum": [repr(self.weighted.real), repr(self.weighted.imag)],
             "weighted_abs": repr(abs(self.weighted)),
             "leftover_count": self.leftover_count,
@@ -406,6 +452,9 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
     range-extension step samples F up to ceil((1+alpha) * N), so the
     sequence horizon must reach that far. The cutoff, the excluded pairs
     and the pair lengths are checked before the decomposition is built.
+    The verdict is ``holds`` only when the bound is below the trivial
+    bound sum |nu(n) F(n)|; a larger bound says nothing and is
+    ``inconclusive``.
     """
     params = DecompositionParams(N, Fraction(alpha), j0, j1)
     need = math.ceil(Fraction(N) * params.base)
@@ -417,7 +466,8 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
     _pair_plan(F.horizon, cutoff, M, excluded, N)  # fail before the costly steps
     primes = sieve_primes(max(int(math.ceil(float(params.d1))) + 1, 3))
     dec = build_decomposition(params, primes)
-    total, leftover_sum, leftover_count, pair_sums = _window_pass(dec, nu.values, F)
+    total, leftover_sum, leftover_count, pair_sums, trivial = _window_pass(
+        dec, nu.values, F)
     blocks = [_block_ledger(dec, j, pair_sum, nu.values, F)
               for j, pair_sum in zip(params.block_range, pair_sums)]
     del dec  # free the decomposition before the tau tiles
@@ -429,7 +479,9 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
         bound = vinogradov_bound(tau_eff, N)
         ratio = abs(total) / bound if bound > 0 else math.inf
         if ratio <= 1:
-            verdict = "holds" if ratio <= 0.5 else "inconclusive"
+            # a bound no smaller than sum |nu F| certifies nothing the
+            # triangle inequality does not
+            verdict = "holds" if ratio <= 0.5 and bound < trivial else "inconclusive"
         else:
             verdict = "fails" if ratio >= 2 else "inconclusive"
         margin = bound / abs(total) if abs(total) > 0 else math.inf
@@ -439,15 +491,16 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
         margin = None
     return CriterionReport(
         n=N, prime_cutoff=cutoff, tau=tau, tau_effective=tau_eff,
-        bound_rhs=bound, weighted=total, leftover_sum=leftover_sum,
-        leftover_count=leftover_count, blocks=blocks, chain=chain,
-        verdict=verdict, margin=margin,
+        bound_rhs=bound, trivial_bound=trivial, weighted=total,
+        leftover_sum=leftover_sum, leftover_count=leftover_count, blocks=blocks,
+        chain=chain, verdict=verdict, margin=margin,
         excluded=tau.excluded,
         params=params, diagnostics=diagnostics)
 
 
 def _window_pass(dec: Decomposition, nu_values: np.ndarray, F: BoundedSequence):
-    """The total, the leftover sum and count, and every P_j Q_j sum over [1, N).
+    """The total, the leftover sum and count, every P_j Q_j sum and the
+    trivial bound sum |nu(n) F(n)| over [1, N).
 
     One pass over the window in blocks [lo, hi) aligned to multiples of
     WINDOW_BLOCK (the first starts at 1). Each block forms nu(n) F(n) once:
@@ -456,25 +509,27 @@ def _window_pass(dec: Decomposition, nu_values: np.ndarray, F: BoundedSequence):
     (key 0) or the product set of block j. The shares are added in index
     order, so the sums depend on WINDOW_BLOCK and on nothing else, and no
     temporary grows with N. The total is summed apart from the keyed sums,
-    so the triangle step compares two independent sums. Returns
-    (total, leftover_sum, leftover_count, pair_sums), with pair_sums in
-    ``block_range`` order.
+    so the triangle step compares two independent sums. The trivial bound
+    adds each block's ``np.sum`` of |nu(n) F(n)| in index order. Returns
+    (total, leftover_sum, leftover_count, pair_sums, trivial), with
+    pair_sums in ``block_range`` order.
     """
     params = dec.params
     n, keys = params.n, len(params.block_range) + 1
-    total, members = 0j, 0
+    total, trivial, members = 0j, 0.0, 0
     real, imag = np.zeros(keys), np.zeros(keys)
     for lo in range(0, n, WINDOW_BLOCK):
         window = slice(max(lo, 1), min(lo + WINDOW_BLOCK, n))
         prod = nu_values[window] * F.values[window]
         total += complex(np.sum(prod))
+        trivial += float(np.sum(np.abs(prod)))
         key = dec.block_of[window] - (params.j0 - 1)
         key *= dec.in_pq[window]
         real += np.bincount(key, weights=prod.real, minlength=keys)
         imag += np.bincount(key, weights=prod.imag, minlength=keys)
         members += int(np.count_nonzero(key))
     sums = [complex(r, i) for r, i in zip(real.tolist(), imag.tolist())]
-    return total, sums[0], n - 1 - members, sums[1:]
+    return total, sums[0], n - 1 - members, sums[1:], trivial
 
 
 def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,
@@ -490,24 +545,26 @@ def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,
         return BlockLedger(j, pair_sum, 0j, 0.0, 0.0, 0.0, 0.0, 0.0,
                            y_cap, int(ps.size), int(qs.size))
 
+    # one pass over y <= y_cap in row tiles of F(p y), p in P_j; inner(y) =
+    # sum_{x in P_j} nu(x) F(x y) is one tile-wide row, and the members of
+    # Q_j (all below y_cap) read theirs from the tile that holds them
     nu_p = nu_values[ps]
-    # fxy[a, y-1] = F(p_a y) for y <= y_cap, one strided row per prime
-    fxy = np.empty((ps.size, y_cap), dtype=np.complex128)
-    for row, p in zip(fxy, ps.tolist()):
-        row[:] = F.values[p:p * y_cap + 1:p]
-    # inner(y) = sum_{x in P_j} nu(x) F(x y) for y in Q_j, where Q_j <= q_max(j) < y_cap
-    fxq = fxy.take(qs - 1, axis=1)
-    inner_q = nu_p @ fxq
-    factored = complex(np.sum(nu_values[qs] * inner_q))
-    t_j = float(np.sum(np.abs(inner_q)))
-    sumsq_q = float(np.sum(np.abs(inner_q) ** 2))
+    gram = np.zeros((ps.size, ps.size), dtype=np.complex128)
+    factored, t_j, sumsq_q, sumsq_all = 0j, 0.0, 0.0, 0.0
+    limits = np.full(ps.size, y_cap, dtype=np.int64)
+    for y0, tile in _row_tiles(F.values, ps, limits, LEDGER_TILE):
+        inner = nu_p @ tile
+        lo, hi = np.searchsorted(qs, (y0, y0 + tile.shape[1]))
+        if lo < hi:
+            inner_q = inner[qs[lo:hi] - y0]
+            factored += complex(np.sum(nu_values[qs[lo:hi]] * inner_q))
+            mag = np.abs(inner_q)
+            t_j += float(np.sum(mag))
+            sumsq_q += float(np.sum(mag ** 2))
+        sumsq_all += float(np.sum(np.abs(inner) ** 2))
+        gram += tile @ tile.conj().T  # gram[a,b] = sum_y F(p_a y) conj(F(p_b y))
     cauchy = math.sqrt(len(qs)) * math.sqrt(sumsq_q)
-
-    inner_all = nu_p @ fxy
-    sumsq_all = float(np.sum(np.abs(inner_all) ** 2))
     extended = math.sqrt(len(qs)) * math.sqrt(sumsq_all)
-
-    gram = fxy @ fxy.conj().T  # gram[a,b] = sum_y F(p_a y) conj(F(p_b y))
     diag = float(np.sum(gram.diagonal().real))
     off = float(np.sum(np.abs(gram)) - np.sum(np.abs(gram.diagonal())))
     return BlockLedger(j, pair_sum, factored, t_j, cauchy, extended, diag, off,

@@ -226,10 +226,20 @@ class TestPairGram:
 
     def test_many_tiles(self, exp_sqrt2_40k, monkeypatch):
         # tiles of at most 50 entries: rows end inside tiles and the
-        # active prefix shrinks from tile to tile
+        # active prefix shrinks from tile to tile; each tile's product is
+        # added in bands of one or two rows
         monkeypatch.setattr(criterion, "SEGMENT", 50)
+        monkeypatch.setattr(criterion, "GRAM_BAND", 16)
+        sizes, row_tiles = [], criterion._row_tiles
+
+        def spy(*args):
+            for m0, tile in row_tiles(*args):
+                sizes.append(tile.size)
+                yield m0, tile
+        monkeypatch.setattr(criterion, "_row_tiles", spy)
         est = tau_estimate(exp_sqrt2_40k, 30, window=3_001)
         assert_matches_oracle(exp_sqrt2_40k, est)
+        assert len(sizes) > 10 and max(sizes) <= 50
         est = tau_estimate(exp_sqrt2_40k, 30, M=37)
         assert_matches_oracle(exp_sqrt2_40k, est)
 
@@ -375,6 +385,7 @@ class TestLedger:
         rep = criterion_ledger(mu, F, N, Fraction(3, 10), 4, 10, cutoff=10)
         for b in rep.blocks:
             assert b.inner_abs == pytest.approx(b.p_count * b.q_count, rel=1e-12)
+        assert rep.tau.tau_hat == 1.0 and rep.verdict == "inconclusive"
 
     def test_single_block_degenerate(self):
         # j1 = j0 + 1 keeps exactly one block; ledger equals direct computation
@@ -434,6 +445,39 @@ class TestLedger:
         assert 0 < ledger.tau_effective <= 1
         assert abs(ledger.weighted) <= self.N
 
+    def test_holds_needs_a_bound_below_the_trivial_one(self, ledger, monkeypatch):
+        # tau_eff >= 1/ln 20 puts the bound above N, so above sum |mu F|
+        trivial = ledger.trivial_bound
+        assert ledger.bound_rhs > trivial > abs(ledger.weighted)
+        assert ledger.verdict == "inconclusive"
+        out = ledger.as_dict()
+        assert out["trivial_bound"] == repr(trivial)
+        assert out["bound_to_trivial"] == repr(ledger.bound_rhs / trivial)
+        horizon = int(math.ceil(1.3 * self.N))
+        args = (sieve_mobius(horizon), BoundedSequence.exponential("sqrt2", horizon),
+                self.N, Fraction(3, 10), 5, 12)
+        for bound, verdict in ((np.nextafter(trivial, 0), "holds"),
+                               (trivial, "inconclusive")):
+            monkeypatch.setattr(criterion, "vinogradov_bound", lambda tau, n: bound)
+            rep = criterion_ledger(*args, cutoff=20)
+            assert rep.trivial_bound == trivial and rep.bound_rhs == bound
+            assert rep.verdict == verdict, bound
+
+
+@pytest.mark.parametrize("n, theta, cutoff", [
+    (10 ** 5, "sqrt2", 50.0),          # demos/03_bilinear_criterion.py
+    (3 * 10 ** 6, "inv_e", 1000.0)])   # the bench `bilinear` criterion run
+def test_default_runs_are_inconclusive(n, theta, cutoff):
+    # tau_eff = 1/ln(cutoff) gives a bound above N, while sum |mu F| is
+    # the squarefree count below N, about 0.61 N
+    horizon = int(math.ceil(1.3 * n))
+    F = BoundedSequence.exponential(theta, horizon)
+    rep = criterion_ledger(sieve_mobius(horizon), F, n, Fraction(3, 10), 9, 30,
+                           cutoff=cutoff)
+    assert rep.tau_effective == 1 / math.log(cutoff)
+    assert rep.bound_rhs > n > rep.trivial_bound
+    assert rep.exact_chain_holds and rep.verdict == "inconclusive"
+
 
 def _decomposition(n, alpha, j0, j1):
     params = DecompositionParams(n, Fraction(alpha), j0, j1)
@@ -469,27 +513,112 @@ class TestBlockMembers:
             assert got.off_diagonal == float(np.sum(np.abs(gram))
                                              - np.sum(np.abs(gram.diagonal())))
 
+    @pytest.mark.parametrize("budget", [50, 1])
+    def test_many_tiles_match_index_gather(self, budget, monkeypatch):
+        # tiles of at most 50 entries (or one y per tile): Q_j spans many
+        # tiles, so each field is a sum of tile partials and differs from
+        # the one-shot gather only by rounding, within the derived bound
+        monkeypatch.setattr(criterion, "LEDGER_TILE", budget)
+        dec = _decomposition(5000, "3/10", 5, 12)
+        mu = sieve_mobius(6500)
+        F = BoundedSequence.exponential("inv_e", 6500)
+        for j in dec.params.block_range:
+            got = criterion._block_ledger(dec, j, 0j, mu.values, F)
+            ps = dec.block(j).primes.astype(np.int64)
+            qs = dec.q_set(j)
+            if ps.size == 0 or qs.size == 0:
+                continue
+            assert ps.size * got.y_cap > 3 * budget
+            nu_p, nu_q = mu.values[ps], mu.values[qs]
+            fxy = F.values[ps[:, None] * np.arange(1, got.y_cap + 1)]
+            inner = nu_p @ fxy
+            gram = fxy @ fxy.conj().T
+            inner_q = inner[qs - 1]
+            sq_q = float(np.sum(np.abs(inner_q) ** 2))
+            sq_all = float(np.sum(np.abs(inner) ** 2))
+            # a(y) = sum_x |nu(x) F(x y)| bounds |inner(y)| and its error
+            a = np.abs(nu_p) @ np.abs(fxy)
+            a_q, mag = a[qs - 1], np.abs(fxy)
+            d = ps.size ** 2 + got.y_cap + 8
+            assert abs(got.factored_sum - complex(np.sum(nu_q * inner_q))) \
+                <= _ledger_gap_bound(d, float(np.sum(np.abs(nu_q) * a_q)))
+            assert abs(got.inner_abs - float(np.sum(np.abs(inner_q)))) \
+                <= _ledger_gap_bound(d, float(np.sum(a_q)))
+            for field, sq, a_part in ((got.cauchy, sq_q, a_q), (got.extended, sq_all, a)):
+                want = math.sqrt(len(qs)) * math.sqrt(sq)
+                sq_gap = _ledger_gap_bound(d, 2 * float(np.sum(a_part ** 2)))
+                # |sqrt(s) - sqrt(t)| <= |s - t| / sqrt(t), then three roundings
+                assert abs(field - want) <= (math.sqrt(len(qs)) * sq_gap / math.sqrt(sq)
+                                             + 6 * 2.0 ** -53 * max(field, want))
+            assert abs(got.diagonal - float(np.sum(gram.diagonal().real))) \
+                <= _ledger_gap_bound(d, float(np.sum(mag ** 2)))
+            off = float(np.sum(np.abs(gram)) - np.sum(np.abs(gram.diagonal())))
+            assert abs(got.off_diagonal - off) \
+                <= _ledger_gap_bound(d, 2 * float(np.sum((mag @ mag.T))))
+
+    def test_memory_stays_flat_in_n(self):
+        # a block ledger holds a few tiles of LEDGER_TILE entries, whatever
+        # N is; gathering all of F(p y), y <= N / (1+alpha)^j, peaks at
+        # 10.5 MB for j = 9 at N = 1e6 and grows in proportion to N
+        tile_bytes = criterion.LEDGER_TILE * 16
+        peaks = {}
+        for n in (1_000_000, 2_000_000):
+            dec = _decomposition(n, "3/10", 9, 30)
+            nu = sieve_mobius(n).values
+            F = BoundedSequence.exponential("inv_e", math.ceil(1.3 * n))
+            peaks[n] = 0
+            for j in dec.params.block_range:
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    criterion._block_ledger(dec, j, 0j, nu, F)
+                    peaks[n] = max(peaks[n], tracemalloc.get_traced_memory()[1] - base)
+                finally:
+                    tracemalloc.stop()
+        assert peaks[2_000_000] < 6 * tile_bytes, peaks
+        assert peaks[2_000_000] <= peaks[1_000_000] + tile_bytes, peaks
+
+
+def _ledger_gap_bound(d: int, magnitude: float) -> float:
+    """Bound on the gap between two float64 evaluations of one block-ledger
+    quantity that differ only in how their sums are split and ordered.
+
+    Each is a sum of complex products, and an elementary term meets at
+    most ``d`` roundings on its way to the result: its products, the
+    additions of any summation tree and the adding of tile partials. With
+    u = 2^-53 each real part is then within gamma_d times the sum of the
+    moduli of its real terms of the exact value, and the complex value
+    within sqrt(2) gamma_d ``magnitude``, the sum of the moduli of the
+    elementary products, gamma_d = d u / (1 - d u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., secs. 3.1, 3.6 and 4.2).
+    Two evaluations differ by at most twice that.
+    """
+    u = 2.0 ** -53
+    return 2 * math.sqrt(2) * d * u / (1 - d * u) * magnitude
+
 
 def _window_reference(dec, nu_values, F):
     """The window pass written out set by set from ``product_members(j)``
     and ``~in_pq``: per block [lo, hi) of WINDOW_BLOCK, ``np.sum`` of the
-    products for the total and a left-to-right float loop over each set's
-    members in the block; the block shares are added in index order."""
+    products for the total, ``np.sum`` of their moduli for the trivial
+    bound and a left-to-right float loop over each set's members in the
+    block; the block shares are added in index order."""
     n, step = dec.params.n, criterion.WINDOW_BLOCK
     left = np.flatnonzero(~dec.in_pq)
     sets = [left[left >= 1]] + [dec.product_members(j) for j in dec.params.block_range]
-    total, sums = 0j, [0j] * len(sets)
+    total, trivial, sums = 0j, 0.0, [0j] * len(sets)
     for start in range(0, n, step):
         lo, hi = max(start, 1), min(start + step, n)
         prod = nu_values[lo:hi] * F.values[lo:hi]
         total += complex(np.sum(prod))
+        trivial += float(np.sum(np.abs(prod)))
         for k, members in enumerate(sets):
             re = im = 0.0
             for v in prod[members[(members >= lo) & (members < hi)] - lo].tolist():
                 re += v.real
                 im += v.imag
             sums[k] += complex(re, im)
-    return total, sums[0], sums[1:], sets
+    return total, sums[0], sums[1:], trivial, sets
 
 
 def _fsum_gap_bound(terms: np.ndarray, n: int) -> float:
@@ -528,10 +657,13 @@ class TestWindowPass:
             monkeypatch.setattr(criterion, "WINDOW_BLOCK", block)
         dec, nu, F = _window_inputs(*args)
         n = dec.params.n
-        total, leftover, leftover_count, pair_sums = criterion._window_pass(dec, nu, F)
-        want_total, want_leftover, want_pairs, sets = _window_reference(dec, nu, F)
+        total, leftover, leftover_count, pair_sums, trivial = criterion._window_pass(
+            dec, nu, F)
+        want_total, want_leftover, want_pairs, want_trivial, sets = _window_reference(
+            dec, nu, F)
         # bit for bit: repr tells every float apart, -0.0 from 0.0 included
         assert repr(total) == repr(want_total)
+        assert repr(trivial) == repr(want_trivial)
         assert repr(leftover) == repr(want_leftover)
         assert len(pair_sums) == len(dec.params.block_range)
         assert [repr(s) for s in pair_sums] == [repr(s) for s in want_pairs]
@@ -542,6 +674,9 @@ class TestWindowPass:
             for part, terms in ((got.real, prod.real[members]),
                                 (got.imag, prod.imag[members])):
                 assert abs(part - math.fsum(terms)) <= _fsum_gap_bound(terms, n)
+        # the trivial bound sums the moduli of the same products
+        moduli = np.abs(prod[1:])
+        assert abs(trivial - math.fsum(moduli)) <= _fsum_gap_bound(moduli, n)
 
     def test_blocks_without_members(self):
         dec, nu, F = _window_inputs(20_000, "1/10", 10, 60)
