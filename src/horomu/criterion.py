@@ -27,7 +27,7 @@ from .arith import SEGMENT, MultiplicativeTable, check_unit_bound, sieve_primes
 from .decomp import Decomposition, DecompositionParams, build_decomposition
 from .errors import (CapacityError, DomainError, EmptyPairSetError, HorizonError,
                      ValidationError)
-from .exactreal import frac_parts
+from .exactreal import FRAC_SHIFT, _image_frac_parts, fixed_point_image
 
 SEQUENCE_BUDGET = 50_000_000
 PAIR_PRIME_BUDGET = 4096  # primes in a tau estimate: a 268 MB Gram matrix
@@ -113,9 +113,10 @@ class BoundedSequence:
         """
         _check_budget(horizon)
         vals = np.empty(horizon + 1, dtype=np.complex128)
+        image = fixed_point_image(theta, FRAC_SHIFT)  # one mpmath evaluation
         for lo in range(0, horizon + 1, TRIG_CHUNK):
             out = vals[lo:lo + TRIG_CHUNK]
-            angle = frac_parts(theta, np.arange(lo, lo + out.size, dtype=np.int64))
+            angle = _image_frac_parts(image, np.arange(lo, lo + out.size, dtype=np.int64))
             angle *= 2 * np.pi
             np.cos(angle, out=out.real)
             np.sin(angle, out=out.imag)
@@ -452,9 +453,10 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
     range-extension step samples F up to ceil((1+alpha) * N), so the
     sequence horizon must reach that far. The cutoff, the excluded pairs
     and the pair lengths are checked before the decomposition is built.
-    The verdict is ``holds`` only when the bound is below the trivial
-    bound sum |nu(n) F(n)|; a larger bound says nothing and is
-    ``inconclusive``.
+    The bound is formed only for tau_eff < 1/e, where it is monotone;
+    otherwise ``bound_rhs`` is the trivial bound sum |nu(n) F(n)|. The
+    verdict is ``holds`` only when the bound is below the trivial bound; a
+    bound no smaller says nothing and is ``inconclusive``.
     """
     params = DecompositionParams(N, Fraction(alpha), j0, j1)
     need = math.ceil(Fraction(N) * params.base)
@@ -475,7 +477,9 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
     tau_eff = max(tau.tau_hat, 1 / math.log(cutoff))
     chain, diagnostics = _assemble_chain(params, blocks, total, leftover_sum, tau_eff)
 
-    if 0 < tau_eff < 1:
+    # 2 sqrt(tau ln(1/tau)) falls again past tau = 1/e, so it bounds the sum
+    # only below 1/e; above, the trivial bound stands and says nothing new
+    if 0 < tau_eff < 1 / math.e:
         bound = vinogradov_bound(tau_eff, N)
         ratio = abs(total) / bound if bound > 0 else math.inf
         if ratio <= 1:
@@ -486,9 +490,7 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
             verdict = "fails" if ratio >= 2 else "inconclusive"
         margin = bound / abs(total) if abs(total) > 0 else math.inf
     else:
-        bound = 0.0
-        verdict = "inconclusive"
-        margin = None
+        bound, verdict, margin = trivial, "inconclusive", None
     return CriterionReport(
         n=N, prime_cutoff=cutoff, tau=tau, tau_effective=tau_eff,
         bound_rhs=bound, trivial_bound=trivial, weighted=total,

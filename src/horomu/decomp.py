@@ -16,10 +16,9 @@ computes the integer bounds ceil((1+alpha)^j), j = j0 .. j1, once from the
 exact powers and block membership is one ``searchsorted`` on them; a block
 prime lies strictly inside (D0, D1) exactly when p > floor(D0).
 
-The least block of n is the smallest j such that some prime of P_j divides
-n. Sieving the block primes in ascending order finds it: a multiple of p in
-P_j takes j unless an earlier block already claimed it. The cofactor sets
-are read from the same array, Q_j = {1 <= m <= q_max(j): least block of
+The least block of n is the block of the least block prime dividing n,
+which one minimum sieve over the block primes finds. The cofactor sets are
+read from the same array, Q_j = {1 <= m <= q_max(j): least block of
 m > j}, where q_max(j) is the largest integer below N/(1+alpha)^(j+1). A
 UNIQUE(j) element n = p*q lands in the product set P_j Q_j when its
 cofactor q <= q_max(j) (then q automatically has no block factor at all,
@@ -42,9 +41,9 @@ from .arith import SEGMENT, PrimeBlock, PrimeTable, prime_blocks
 from .errors import CapacityError, DomainError, RangeCoverageError, ValidationError
 
 DECOMP_BUDGET = 30_000_000
-# entries per block-table gather: small index temporaries keep the
-# builder's peak memory down
-_GATHER = 1 << 16
+# indices per chunk of the builder's pass: its buffers take ~0.7 MB, and
+# larger chunks are no faster
+_GATHER = 1 << 14
 
 TAG_NOT_IN_S = 0
 TAG_UNIQUE = 1
@@ -265,24 +264,29 @@ class Decomposition:
         return self.window_size - self.count_pq
 
 
+def _sieve_least(least: np.ndarray, block_primes: np.ndarray) -> None:
+    """least[m] = min(least[m], p) on the multiples m of each p, in place."""
+    for p in block_primes.tolist():
+        view = least[p::p]
+        np.minimum(view, p, out=view)
+
+
 def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Decomposition:
     """Classify every n in [1, N) and mark the product sets, by sieving.
 
-    One loop over the block primes in ascending order, each step a strided
-    in-place ufunc on the multiples of p. ``unique_prime`` keeps the least
-    block prime dividing n (``np.minimum`` with p), so a multiple of p in
-    block j has least block j exactly when that value was >= the block's
-    lower bound before the step. The same step counts n's divisors in
-    that block, marks n in S when p > floor(D0), marks the first q_max(j)
-    multiples n = p*m as candidates for P_j Q_j, and flags the multiples
-    of p^2 with least block j as repeated. Q_j is read from the same
-    array, Q_j = {1 <= m <= q_max(j): least block of m > j}. The least
-    block of every n is then gathered from a table of block indices, and
-    the masks are applied as 0/1 factors: outside S the least
-    block becomes -1, and unique_prime and in_pq keep only unique n. For a
-    unique n the least block prime is its one block prime. No step
-    scatters through an index or boolean mask, and all of it is exact
-    integer work.
+    ``unique_prime`` first holds the least block prime dividing n, one
+    strided ``np.minimum`` per block prime. A minimum does not depend on
+    order, so S is read off before the one block prime that can equal an
+    integer D0 is sieved, and Q_j = {1 <= m <= q_max(j): least block of
+    m > j} after. One pass over [0, N) then reads off the rest. With p the
+    least block prime of n, j its block and q = n/p, q has no block prime
+    below block j, so n in S is unique exactly when the least block prime
+    of q lies above block j (no second block-j prime and no p^2 divides
+    n), and in P_j Q_j when also q <= q_max(j). The chunks run downward
+    and q < n, so unique_prime is read at q before it is masked there. All
+    of it is exact integer work but q = n/p in float64, exact too: p divides
+    n (else p is the sentinel and q = 0), and an integer quotient of
+    integers below 2^53 rounds to itself.
     """
     n = params.n
     if n > DECOMP_BUDGET:
@@ -293,59 +297,53 @@ def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Deco
     blocks = (prime_blocks(params.alpha, params.j0, params.j1 - 1, primes)
               if params.j0 < params.j1 else [])
 
-    cap = np.zeros(params.j1, dtype=np.int64)  # cap[j] = q_max(j)
-    cap[params.j0:] = params.caps
-    bounds = params.bounds.tolist()
-    # least block prime dividing n; the sentinel lies above every prime, so
-    # the least block of n is j exactly when this is >= bounds[j - j0]
-    unique_prime = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
-    in_s = np.zeros(n, dtype=bool)
-    divisor_count = np.zeros(n, dtype=np.int16)
-    squared = np.zeros(n, dtype=bool)
-    in_pq = np.zeros(n, dtype=bool)  # n = p*m, m <= q_max(j), j least block
+    j0, bounds = params.j0, params.bounds
+    sentinel = np.iinfo(np.int32).max  # above every prime: no block prime divides n
+    unique_prime = np.full(n, sentinel, dtype=np.int32)
     d0_floor = math.floor(params.d0)
     for block in blocks:
-        lo, q_max = bounds[block.j - params.j0], int(cap[block.j])
-        for p in block.primes.tolist():
-            view = unique_prime[p::p]
-            least = view >= lo
-            np.minimum(view, p, out=view)
-            divisor_count[p::p] += least
-            in_pq[p:p * q_max + 1:p] |= least[:q_max]
-            if p > d0_floor:
-                in_s[p::p] = True
-            if p * p < n:
-                squared[p * p::p * p] |= unique_prime[p * p::p * p] >= lo
+        _sieve_least(unique_prime, block.primes[block.primes > d0_floor])
+    tags = np.less(unique_prime, sentinel).view(np.int8)  # in S, as 0/1
+    for block in blocks[:1]:  # a prime integer D0 opens the first block
+        _sieve_least(unique_prime, block.primes[block.primes <= d0_floor])
+    q_sets = {block.j: np.flatnonzero(unique_prime[1:cap + 1] >= hi) + 1
+              for block, hi, cap in zip(blocks, bounds[1:].tolist(), params.caps)}
 
-    q_sets = {}
-    for block in blocks:
-        j, hi = block.j, bounds[block.j - params.j0 + 1]
-        q_sets[j] = (np.nonzero(unique_prime[1:cap[j] + 1] >= hi)[0] + 1).astype(np.int64)
-
-    unique = divisor_count == 1
-    unique &= in_s > squared  # in S and not squared
-    del divisor_count, squared
-    # TAG_MULTIPLE = 2 on S, less one where n is unique: TAG_UNIQUE = 1
-    tags = in_s.view(np.int8) * np.int8(TAG_MULTIPLE)
-    tags -= unique.view(np.int8)
-
-    # the block of each integer in [bounds[0], bounds[-1]], the sentinel
-    # mapping to j1, gathered _GATHER entries at a time
-    block_table = np.repeat(np.arange(params.j0, params.j1 + 1, dtype=np.int16),
-                            np.diff(params.bounds, append=bounds[-1] + 1))
-    block_of = np.empty(n, dtype=np.int16)
-    for start in range(0, n, _GATHER):
-        stop = start + _GATHER
-        offset = np.minimum(unique_prime[start:stop], bounds[-1], dtype=np.intp)
-        offset -= bounds[0]
-        block_table.take(offset, out=block_of[start:stop], mode="clip")
-    # masks as 0/1 factors: block_of -> -1 outside S, unique_prime and
-    # in_pq -> 0 where n is not unique (int16 wraps, so j1 + 1 is safe)
-    block_of += 1
-    block_of *= in_s
-    block_of -= 1
-    unique_prime *= unique
-    in_pq &= unique
+    # the block of each integer in [bounds[0], bounds[-1]] (the sentinel
+    # clips to j1) and, per block k = j - j0, the least prime a unique
+    # cofactor can have and q_max(j)
+    block_table = np.repeat(np.arange(j0, params.j1 + 1, dtype=np.int16),
+                            np.diff(bounds, append=bounds[-1] + 1))
+    above = np.append(bounds[1:], sentinel).astype(np.int32)
+    caps = np.array(params.caps + (0,), dtype=np.int32)
+    block_of, in_pq = np.empty(n, dtype=np.int16), np.empty(n, dtype=bool)
+    ramp = np.arange(min(n, _GATHER), dtype=np.float64)
+    buffers = [np.empty(ramp.size, dtype=t)
+               for t in (float, np.intp, np.intp, np.int32, np.int32, bool)]
+    for lo in reversed(range(0, n, _GATHER)):
+        chunk = slice(lo, lo + _GATHER)
+        p, block, in_s, pq = unique_prime[chunk], block_of[chunk], tags[chunk], in_pq[chunk]
+        ratio, k, q, least_q, limit, unique = (b[:p.size] for b in buffers)
+        np.subtract(p, bounds[0], out=k)
+        block_table.take(k, out=block, mode="clip")
+        np.subtract(block, j0, out=k)
+        np.add(ramp[:p.size], lo, out=ratio)
+        ratio /= p
+        np.copyto(q, ratio, casting="unsafe")
+        # q and k are in range: "wrap" only skips the bounds check
+        unique_prime.take(q, out=least_q, mode="wrap")
+        above.take(k, out=limit, mode="wrap")
+        np.greater_equal(least_q, limit, out=unique)
+        unique &= in_s.view(bool)
+        caps.take(k, out=limit, mode="wrap")
+        np.less_equal(q, limit, out=pq)
+        pq &= unique
+        block += 1  # int16 wraps, so j1 + 1 is safe
+        block *= in_s
+        block -= 1
+        p *= unique
+        in_s += in_s  # TAG_MULTIPLE = 2 on S, less one where n is unique
+        in_s -= unique.view(np.int8)
 
     return Decomposition(params, blocks, tags, block_of, unique_prime, in_pq, q_sets)
 

@@ -102,12 +102,18 @@ def frac_parts(value, ns) -> np.ndarray:
     preallocated buffers that stay in cache; the work is elementwise, so
     the result does not depend on the chunk size.
     """
+    return _image_frac_parts(fixed_point_image(value, FRAC_SHIFT), ns)
+
+
+def _image_frac_parts(image: int, ns) -> np.ndarray:
+    """frac_parts of the constant whose image floor(value * 2^96) is given,
+    so a caller that reduces many index ranges evaluates the constant once."""
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size and int(ns.max()) >= MAX_FRAC_INDEX:
         raise DescriptorError(f"frac_parts index exceeds {MAX_FRAC_INDEX}")
     if ns.size and int(ns.min()) < 0:
         raise DescriptorError("frac_parts indices must be nonnegative")
-    P = fixed_point_image(value, FRAC_SHIFT) % (1 << FRAC_SHIFT)
+    P = image % (1 << FRAC_SHIFT)
     limbs = [((P >> (_LIMB * k)) & _LIMB_MASK, 2.0 ** (_LIMB * k - FRAC_SHIFT))
              for k in range(_NLIMB)]
     out = np.zeros(ns.shape, dtype=np.float64)

@@ -479,6 +479,20 @@ def test_default_runs_are_inconclusive(n, theta, cutoff):
     assert rep.exact_chain_holds and rep.verdict == "inconclusive"
 
 
+@pytest.mark.parametrize("n", [5000, 20000])
+def test_near_total_correlation_is_inconclusive(n):
+    # 226 pi lies within 6e-5 of an integer, so the pair (13, 239) correlates
+    # almost totally; 2 sqrt(tau ln(1/tau)) N, which falls again past 1/e,
+    # would read `fails` at 5000 and `holds` at 20000
+    horizon = int(math.ceil(1.3 * n))
+    F = BoundedSequence.exponential("pi", horizon)
+    rep = criterion_ledger(sieve_mobius(horizon), F, n, Fraction(3, 10), 5, 12,
+                           cutoff=240)
+    assert rep.tau.worst_pair == (13, 239) and rep.tau_effective > 0.999
+    assert rep.bound_rhs == rep.trivial_bound and rep.margin is None
+    assert rep.exact_chain_holds and rep.verdict == "inconclusive"
+
+
 def _decomposition(n, alpha, j0, j1):
     params = DecompositionParams(n, Fraction(alpha), j0, j1)
     return build_decomposition(params, sieve_primes(int(math.ceil(float(params.d1))) + 1))

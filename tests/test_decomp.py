@@ -1,16 +1,19 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from horomu import decomp
 from horomu.arith import prime_blocks, sieve_primes
-from horomu.decomp import (TAG_MULTIPLE, TAG_NOT_IN_S, TAG_UNIQUE, Classification,
-                           DecompositionParams, _block_primes, build_decomposition,
-                           classify, coverage_report, default_schedule,
-                           q_membership)
+from horomu.decomp import (DECOMP_BUDGET, TAG_MULTIPLE, TAG_NOT_IN_S, TAG_UNIQUE,
+                           Classification, DecompositionParams, _block_primes,
+                           build_decomposition, classify, coverage_report,
+                           default_schedule, q_membership)
 from horomu.errors import (CapacityError, DomainError, RangeCoverageError,
                            ValidationError)
 
@@ -257,6 +260,61 @@ class TestBuild:
         multi = np.nonzero(dec_pow2.tags == TAG_MULTIPLE)[0]
         assert multi.size > 0
         assert not dec_pow2.in_pq[multi].any()
+
+
+@st.composite
+def small_windows(draw):
+    """Windows with N <= 4000 and any 1 <= j0 <= j1 that keep D1 < N."""
+    alpha = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 10),
+                                  Fraction(1, 7)]))
+    n = draw(st.integers(3, 4000))
+    top = 1
+    while (1 + alpha) ** (top + 1) < n:
+        top += 1
+    j0 = draw(st.integers(1, top))
+    return DecompositionParams(n, alpha, j0, draw(st.integers(j0, top)))
+
+
+class TestBuildProperties:
+    @settings(max_examples=60)
+    @given(params=small_windows())
+    # D0 = 2 is an integer prime: a block prime outside (D0, D1)
+    @example(params=DecompositionParams(4000, Fraction(1), 1, 11))
+    def test_every_n_matches_the_oracle(self, primes_10k, params):
+        dec = build_decomposition(params, primes_10k)
+        for n in range(1, params.n):
+            want = classify(n, params, primes_10k)
+            assert dec.classification(n) == want, n
+            in_pq = want.tag == TAG_UNIQUE and n // want.prime <= params.q_max(want.j)
+            assert bool(dec.in_pq[n]) == in_pq, n
+
+    def test_float_cofactor_is_exact_near_the_budget(self):
+        # the builder takes q = n/p in float64: for every divisor d of every
+        # n in the last 2^16 integers below the budget, the quotient is exact
+        lo = DECOMP_BUDGET - (1 << 16)
+        ns = np.arange(lo, DECOMP_BUDGET)
+        for k in range(1, 6000):
+            multiples = ns[-lo % k::k]
+            for d in (np.full(multiples.size, k), multiples // k):
+                ratio = multiples.astype(np.float64)
+                ratio /= d.astype(np.int32)
+                assert np.array_equal(ratio.astype(np.intp), multiples // d), k
+
+    def test_peak_stays_within_the_outputs(self):
+        # beyond its outputs (~9.7 B/n) the builder holds only the pass's
+        # buffers and the block tables, ~0.8 MB at any N
+        params = DecompositionParams(10 ** 6, Fraction(3, 10), 9, 30)
+        primes = sieve_primes(3000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dec = build_decomposition(params, primes)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in (dec.tags, dec.block_of, dec.unique_prime,
+                                         dec.in_pq, *dec.q_sets.values()))
+        assert peak <= outputs + (1 << 20), (peak, outputs)
 
 
 class TestCoverage:
