@@ -566,7 +566,9 @@ def main(argv=None) -> int:
         }
         emit_report(report, args.out, args.format)
         return EXIT_OK
-    except HoromuError as exc:
+    except (HoromuError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = CapacityError(f"out of memory: {str(exc) or 'MemoryError'}")
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return next((code for kind, code in _EXIT_CODES.items()
                      if isinstance(exc, kind)), EXIT_VALIDATION)

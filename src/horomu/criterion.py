@@ -30,7 +30,7 @@ from .errors import (CapacityError, DomainError, EmptyPairSetError, HorizonError
 from .exactreal import FRAC_SHIFT, _image_frac_parts, fixed_point_image
 
 SEQUENCE_BUDGET = 50_000_000
-PAIR_PRIME_BUDGET = 4096  # primes in a tau estimate: a 268 MB Gram matrix
+PAIR_PRIME_BUDGET = 4096  # primes in the tau Gram or one block's: 268 MB
 # window indices per step of the window pass; its temporaries stay this
 # small at any N, and each sum adds at most this many terms before the
 # per-block partials are added in index order
@@ -42,8 +42,8 @@ LEDGER_TILE = 1 << 16
 # 384 KB and stay in cache; 2^12 or 2^13 pay the fixed cost of each
 # frac_parts call too often, 2^18 leaves the cache
 TRIG_CHUNK = 1 << 14
-# entries of the k x k product added into the tau Gram per band of rows:
-# the band's temporary is 4 MB however many primes the estimate has
+# entries of the k x k product added into a Gram per band of rows: the
+# band's temporary is 4 MB however many primes the Gram has
 GRAM_BAND = 1 << 18
 
 
@@ -224,7 +224,7 @@ def _pair_plan(horizon: int, prime_cutoff: float, M: Optional[int],
 
 
 def _row_tiles(values: np.ndarray, primes: np.ndarray, limits: np.ndarray,
-               entries: int):
+               entries: int, gram: np.ndarray):
     """Stream the rows values[p_i m], m = 1 .. limits[i], as (m0, tile) pairs.
 
     ``tile[i, t] = values[p_i (m0 + t)]`` for the rows still active at m0,
@@ -232,6 +232,9 @@ def _row_tiles(values: np.ndarray, primes: np.ndarray, limits: np.ndarray,
     are a prefix; a tile is as wide as ``entries`` allows for them, and at
     least one m wide. Each row is one strided slice copy into a buffer
     allocated once per call, so a tile is valid only until the next one.
+    Before a tile is yielded, its product is added into ``gram`` in bands
+    of rows of at most GRAM_BAND entries, so at the end gram[i, k] =
+    sum_{m <= min(limits[i], limits[k])} F(p_i m) conj(F(p_k m)).
     """
     k, top = primes.size, int(limits[0])
     buf = np.empty(min(max(entries, k), k * top), dtype=values.dtype)
@@ -246,28 +249,14 @@ def _row_tiles(values: np.ndarray, primes: np.ndarray, limits: np.ndarray,
             count = min(lim, end) - m0 + 1
             row[:count] = values[p * m0:p * (m0 + count - 1) + 1:p]
             row[count:] = 0
-        yield m0, tile
-        m0 += width
-
-
-def _pair_gram(values: np.ndarray, primes: np.ndarray, limits: np.ndarray) -> np.ndarray:
-    """C[i, k] = sum_{m <= min(limits[i], limits[k])} F(p_i m) conj(F(p_k m)).
-
-    m runs in row tiles of at most SEGMENT entries. Each tile's product is
-    added in bands of rows, so no temporary grows with the square of the
-    prime count beyond GRAM_BAND entries.
-    """
-    k = primes.size
-    gram = np.zeros((k, k), dtype=np.complex128)
-    for _, tile in _row_tiles(values, primes, limits, SEGMENT):
-        rows = tile.shape[0]
         tile_h = tile.conj().T
         band = max(1, GRAM_BAND // rows)
         for lo in range(0, rows, band):
             hi = min(lo + band, rows)
             gram[lo:hi, :rows] += tile[lo:hi] @ tile_h
         del tile_h  # free this copy before the next tile's is made
-    return gram
+        yield m0, tile
+        m0 += width
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,7 +304,9 @@ def tau_estimate(F: BoundedSequence, prime_cutoff: float,
     callers; it changes neither the result nor the work split.
     """
     ps, limits, skip, policy = _pair_plan(F.horizon, prime_cutoff, M, excluded, window)
-    gram = _pair_gram(F.values, ps, limits)
+    gram = np.zeros((ps.size, ps.size), dtype=np.complex128)
+    for _ in _row_tiles(F.values, ps, limits, SEGMENT, gram):
+        pass
     norm = np.hypot(gram.real, gram.imag)  # rounds as abs() of a complex
     norm /= limits
     norm[np.tri(ps.size, dtype=bool)] = -1
@@ -467,6 +458,10 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
         raise HorizonError(f"nu table covers [1,{nu.n_max}], need {N - 1}")
     _pair_plan(F.horizon, cutoff, M, excluded, N)  # fail before the costly steps
     primes = sieve_primes(max(int(math.ceil(float(params.d1))) + 1, 3))
+    widest = int(np.diff(primes.primes.searchsorted(params.bounds)).max(initial=0))
+    if widest > PAIR_PRIME_BUDGET:
+        raise CapacityError(f"a block of {widest} primes exceeds the pair budget "
+                            f"{PAIR_PRIME_BUDGET}")
     dec = build_decomposition(params, primes)
     total, leftover_sum, leftover_count, pair_sums, trivial = _window_pass(
         dec, nu.values, F)
@@ -536,6 +531,9 @@ def _window_pass(dec: Decomposition, nu_values: np.ndarray, F: BoundedSequence):
 
 def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,
                   nu_values: np.ndarray, F: BoundedSequence) -> BlockLedger:
+    """Block j's lines from one pass over y <= y_cap in ``_row_tiles`` of
+    F(p y), p in P_j, which also form its Gram; inner(y) = sum_{x in P_j}
+    nu(x) F(x y) is one tile-wide row, read at the members of Q_j."""
     params = dec.params
     block = dec.block(j)
     qs = dec.q_set(j)
@@ -547,14 +545,11 @@ def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,
         return BlockLedger(j, pair_sum, 0j, 0.0, 0.0, 0.0, 0.0, 0.0,
                            y_cap, int(ps.size), int(qs.size))
 
-    # one pass over y <= y_cap in row tiles of F(p y), p in P_j; inner(y) =
-    # sum_{x in P_j} nu(x) F(x y) is one tile-wide row, and the members of
-    # Q_j (all below y_cap) read theirs from the tile that holds them
     nu_p = nu_values[ps]
     gram = np.zeros((ps.size, ps.size), dtype=np.complex128)
     factored, t_j, sumsq_q, sumsq_all = 0j, 0.0, 0.0, 0.0
     limits = np.full(ps.size, y_cap, dtype=np.int64)
-    for y0, tile in _row_tiles(F.values, ps, limits, LEDGER_TILE):
+    for y0, tile in _row_tiles(F.values, ps, limits, LEDGER_TILE, gram):
         inner = nu_p @ tile
         lo, hi = np.searchsorted(qs, (y0, y0 + tile.shape[1]))
         if lo < hi:
@@ -564,7 +559,6 @@ def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,
             t_j += float(np.sum(mag))
             sumsq_q += float(np.sum(mag ** 2))
         sumsq_all += float(np.sum(np.abs(inner) ** 2))
-        gram += tile @ tile.conj().T  # gram[a,b] = sum_y F(p_a y) conj(F(p_b y))
     cauchy = math.sqrt(len(qs)) * math.sqrt(sumsq_q)
     extended = math.sqrt(len(qs)) * math.sqrt(sumsq_all)
     diag = float(np.sum(gram.diagonal().real))

@@ -93,9 +93,11 @@ class DecompositionParams:
             raise ValidationError(f"need alpha in (0, 1], got {self.alpha}")
         if not 0 < self.j0 <= self.j1:
             raise ValidationError(f"need 0 < j0 <= j1, got j0={self.j0}, j1={self.j1}")
-        if self.d1 >= self.n:
+        # logarithms first: the exact (1+alpha)^j1 is out of reach far past N
+        top = math.log(self.n) / max(math.log1p(self.alpha), math.ulp(0))
+        if self.j1 > top * (1 + 1e-9) or self.d1 >= self.n:
             raise ValidationError(
-                f"need D1 < N: D1 = (1+alpha)^j1 = {float(self.d1):.6g} >= N = {self.n}")
+                f"need D1 < N: D1 = (1 + {self.alpha})^{self.j1} >= N = {self.n}")
         if self.d1 >= 2 ** 63:
             raise CapacityError(f"D1 = {float(self.d1):.6g} exceeds int64 block bounds")
         power, bounds, caps = self.d0, [], []

@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from horomu import cli, criterion
 from horomu.cli import (EXIT_CAPACITY, EXIT_IO, EXIT_OK, EXIT_PRECISION,
                         EXIT_VALIDATION, emit_series, main, parse_config,
                         parse_descriptor, parse_observable, parse_point,
@@ -286,6 +288,42 @@ class TestExitCodes:
         assert code == EXIT_CAPACITY
         err = capsys.readouterr().err
         assert "4203 primes" in err and "Traceback" not in err, err
+
+    def test_criterion_block_budget(self, tmp_path, capsys, monkeypatch):
+        # the block [2^17, 2^18) holds 10749 primes, over the budget of 4096:
+        # refused before the decomposition is built
+        def costly(*args):
+            raise AssertionError("decomposition built before the blocks were checked")
+        monkeypatch.setattr(criterion, "build_decomposition", costly)
+        code = main(["criterion", "--nu", "mobius", "--seq", "exp:theta=inv_e",
+                     "--n", "1000000", "--alpha", "1", "--j0", "1", "--j1", "18",
+                     "--cutoff", "100", "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert "error[capacity]: a block of 10749 primes" in err, err
+        assert "Traceback" not in err, err
+
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        def exhausted(args, timings):
+            raise MemoryError("Unable to allocate 1.72 GiB")
+        monkeypatch.setitem(cli._HANDLERS, "classify", exhausted)
+        code = main(["classify", "--z", "e", "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert "error[capacity]: out of memory: Unable to allocate" in err, err
+        assert "Traceback" not in err, err
+
+    @pytest.mark.parametrize("alpha", ["0.1", "0.01"])
+    def test_default_schedule_past_n(self, tmp_path, capsys, alpha):
+        # the default j1 (15129 and 95394289) puts D1 far above N; that is
+        # decided from logarithms, before the exact power is formed
+        started = time.perf_counter()
+        code = main(["decompose", "--n", "100000", "--alpha", alpha,
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_VALIDATION
+        assert time.perf_counter() - started < 5
+        err = capsys.readouterr().err
+        assert "error[validation]: need D1 < N" in err and "Traceback" not in err, err
 
     def test_precision(self, tmp_path):
         code = main(["orbit", "--point", "point:lower:t=exp1", "--n", "100000",

@@ -436,6 +436,12 @@ class TestLedger:
                 criterion_ledger(*args, skip, cutoff=cutoff)
         with pytest.raises(HorizonError):
             criterion_ledger(*args, cutoff=20, M=horizon)
+        # the 8 primes below 20 fit a budget of 50; the block [512, 1024)
+        # of the window (2000, 1, 1, 10) holds 75 primes and does not
+        monkeypatch.setattr(criterion, "PAIR_PRIME_BUDGET", 50)
+        mu, F = sieve_mobius(2 * N), BoundedSequence.exponential("sqrt2", 2 * N)
+        with pytest.raises(CapacityError, match="block of 75 primes"):
+            criterion_ledger(mu, F, N, 1, 1, 10, cutoff=20)
         with pytest.raises(AssertionError):
             criterion_ledger(*args, cutoff=20)
 
@@ -527,12 +533,16 @@ class TestBlockMembers:
             assert got.off_diagonal == float(np.sum(np.abs(gram))
                                              - np.sum(np.abs(gram.diagonal())))
 
-    @pytest.mark.parametrize("budget", [50, 1])
-    def test_many_tiles_match_index_gather(self, budget, monkeypatch):
+    @pytest.mark.parametrize("budget, band", [(50, criterion.GRAM_BAND),
+                                              (1, criterion.GRAM_BAND), (50, 1)],
+                             ids=["50", "1", "50-band1"])
+    def test_many_tiles_match_index_gather(self, budget, band, monkeypatch):
         # tiles of at most 50 entries (or one y per tile): Q_j spans many
         # tiles, so each field is a sum of tile partials and differs from
-        # the one-shot gather only by rounding, within the derived bound
+        # the one-shot gather only by rounding, within the derived bound;
+        # with band 1 each tile's Gram product is added one row at a time
         monkeypatch.setattr(criterion, "LEDGER_TILE", budget)
+        monkeypatch.setattr(criterion, "GRAM_BAND", band)
         dec = _decomposition(5000, "3/10", 5, 12)
         mu = sieve_mobius(6500)
         F = BoundedSequence.exponential("inv_e", 6500)

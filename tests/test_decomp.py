@@ -60,6 +60,13 @@ class TestParams:
     def test_d1_must_stay_below_n(self):
         with pytest.raises(ValidationError):
             DecompositionParams(10, Fraction(1), 1, 4)
+        # (1+alpha)^j1 = N exactly is refused too
+        with pytest.raises(ValidationError):
+            DecompositionParams(1024, Fraction(1), 1, 10)
+        # the default schedule's j1 = 95394289: refused from logarithms,
+        # without forming the exact power
+        with pytest.raises(ValidationError, match=r"\^95394289 >= N"):
+            DecompositionParams(100_000, Fraction(1, 100), *default_schedule(Fraction(1, 100)))
 
     @pytest.mark.parametrize("args", [(1000, 1, 1, 4), (1024, 1, 1, 4),
                                       (5000, Fraction(3, 10), 5, 12),
