@@ -7,7 +7,8 @@ and slices the primes into blocks between consecutive powers of 1 + alpha.
 
 from fractions import Fraction
 
-from horomu import prime_blocks, sieve_liouville, sieve_mobius, sieve_primes
+from horomu import (DecompositionParams, prime_blocks, sieve_liouville, sieve_mobius,
+                    sieve_primes)
 
 N = 10 ** 5
 
@@ -23,17 +24,18 @@ for n in (100, 1000, 10_000, 100_000):
           f"    sum lambda = {int(lam.values[1:n + 1].sum()):6d}")
 
 print()
-print("blocks of primes in [(1+a)^j, (1+a)^(j+1)) for a = 1/2:")
-blocks = prime_blocks(Fraction(1, 2), 2, 14, primes)
+print("blocks of primes in [(1+a)^j, (1+a)^(j+1)) for a = 1/2, that is in")
+print("[ceil((1+a)^j), ceil((1+a)^(j+1))) for integer p:")
+params = DecompositionParams(N, Fraction(1, 2), 2, 15)
+blocks = prime_blocks(params, primes)
 for b in blocks:
     head = ", ".join(str(int(p)) for p in b.primes[:6])
     more = " ..." if len(b.primes) > 6 else ""
-    print(f"  j={b.j:2d}  [{float(b.lo):9.2f}, {float(b.hi):9.2f})  "
-          f"{len(b.primes):3d} primes: {head}{more}")
+    print(f"  j={b.j:2d}  [{b.lo:4d}, {b.hi:4d})  {len(b.primes):3d} primes: {head}{more}")
 
 print()
 print("each prime lands in exactly one block (half-open tiling):")
 union = sorted(int(p) for b in blocks for p in b.primes)
-lo, hi = float(blocks[0].lo), float(blocks[-1].hi)
-inside = [int(p) for p in primes.primes if lo <= p < hi]
-print(f"  union of blocks == primes in [{lo:.2f}, {hi:.2f}): {union == inside}")
+inside = [int(p) for p in primes.primes if params.d0 <= p < params.d1]
+print(f"  union of blocks == primes in [D0, D1) = [{float(params.d0):.2f}, "
+      f"{float(params.d1):.2f}): {union == inside}")

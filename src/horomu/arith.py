@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,24 +49,8 @@ class PrimeTable:
         i = int(np.searchsorted(self.primes, p))
         return i < len(self.primes) and int(self.primes[i]) == p
 
-    def in_range(self, lo, hi) -> np.ndarray:
-        """Primes p with lo <= p < hi (exact rational bounds accepted)."""
-        lo_int = _ceil_exact(lo)
-        hi_int = _ceil_exact(hi)  # p < hi  <=>  p <= ceil(hi)-1
-        i = int(np.searchsorted(self.primes, lo_int))
-        j = int(np.searchsorted(self.primes, hi_int))
-        return self.primes[i:j]
-
     def __repr__(self):
         return f"PrimeTable(n_max={self.n_max}, count={len(self.primes)})"
-
-
-def _ceil_exact(x) -> int:
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, Fraction):
-        return -((-x.numerator) // x.denominator)
-    return math.ceil(x)
 
 
 def sieve_primes(n_max: int) -> PrimeTable:
@@ -243,46 +225,3 @@ def sieve_mobius(n_max: int) -> MultiplicativeTable:
 def sieve_liouville(n_max: int) -> MultiplicativeTable:
     """lambda(n) = (-1)^Omega(n), counting prime factors with multiplicity."""
     return MultiplicativeTable(n_max, _sieved_signs(n_max, liouville=True), "liouville")
-
-
-@dataclass(frozen=True)
-class PrimeBlock:
-    """Primes in the half-open interval [ (1+alpha)^j, (1+alpha)^(j+1) ).
-
-    Bounds are exact rationals so membership of integer primes is decided
-    without float comparisons; consecutive blocks tile their range.
-    """
-
-    j: int
-    lo: Fraction
-    hi: Fraction
-    primes: np.ndarray
-
-    def __post_init__(self):
-        self.primes.setflags(write=False)
-
-    def __len__(self):
-        return len(self.primes)
-
-
-def prime_blocks(alpha, j_lo: int, j_hi: int, primes: PrimeTable) -> list[PrimeBlock]:
-    """Blocks P_j for j_lo <= j <= j_hi, half-open so each prime lands once."""
-    alpha = Fraction(alpha)
-    if not 0 < alpha <= 1:
-        raise ValidationError(f"prime_blocks requires alpha in (0,1], got {alpha}")
-    if j_lo > j_hi:
-        raise ValidationError(f"prime_blocks requires j_lo <= j_hi, got {j_lo} > {j_hi}")
-    base = 1 + alpha
-    top = base ** (j_hi + 1)
-    if top > primes.n_max:
-        raise RangeCoverageError(
-            f"prime table covers {primes.n_max} but blocks need (1+alpha)^{j_hi + 1} "
-            f"= {float(top):.6g}")
-    blocks = []
-    bound = base ** j_lo
-    for j in range(j_lo, j_hi + 1):
-        lo, hi = bound, bound * base
-        blocks.append(PrimeBlock(j, lo, hi, primes.in_range(lo, hi)))
-        bound = hi
-    return blocks
-

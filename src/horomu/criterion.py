@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import SEGMENT, MultiplicativeTable, check_unit_bound, sieve_primes
-from .decomp import Decomposition, DecompositionParams, build_decomposition
+from .decomp import Decomposition, DecompositionParams, build_decomposition, prime_blocks
 from .errors import (CapacityError, DomainError, EmptyPairSetError, HorizonError,
                      ValidationError)
 from .exactreal import FRAC_SHIFT, _image_frac_parts, fixed_point_image
@@ -458,7 +458,7 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
         raise HorizonError(f"nu table covers [1,{nu.n_max}], need {N - 1}")
     _pair_plan(F.horizon, cutoff, M, excluded, N)  # fail before the costly steps
     primes = sieve_primes(max(int(math.ceil(float(params.d1))) + 1, 3))
-    widest = int(np.diff(primes.primes.searchsorted(params.bounds)).max(initial=0))
+    widest = max(map(len, prime_blocks(params, primes)), default=0)
     if widest > PAIR_PRIME_BUDGET:
         raise CapacityError(f"a block of {widest} primes exceeds the pair budget "
                             f"{PAIR_PRIME_BUDGET}")
@@ -538,8 +538,7 @@ def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,
     block = dec.block(j)
     qs = dec.q_set(j)
     ps = block.primes.astype(np.int64)
-    lim = Fraction(params.n) / params.base ** j
-    y_cap = int(lim.numerator // lim.denominator)  # range extension is y <= lim
+    y_cap = params.y_caps[j - params.j0]  # range extension is y <= N/(1+alpha)^j
 
     if ps.size == 0 or qs.size == 0:
         return BlockLedger(j, pair_sum, 0j, 0.0, 0.0, 0.0, 0.0, 0.0,

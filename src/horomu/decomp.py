@@ -11,10 +11,11 @@ and D1 = (1+alpha)^j1. The integers below N split into
 
 Blocks run j = j0 .. j1-1 so that they tile [D0, D1) exactly. For integer
 p, (1+alpha)^j <= p < (1+alpha)^(j+1) holds exactly when
-ceil((1+alpha)^j) <= p < ceil((1+alpha)^(j+1)), so ``DecompositionParams``
-computes the integer bounds ceil((1+alpha)^j), j = j0 .. j1, once from the
-exact powers and block membership is one ``searchsorted`` on them; a block
-prime lies strictly inside (D0, D1) exactly when p > floor(D0).
+ceil((1+alpha)^j) <= p < ceil((1+alpha)^(j+1)). ``DecompositionParams``
+alone forms these bounds and the cofactor caps, in one integer loop;
+``prime_blocks`` slices the prime table at the bounds with one
+``searchsorted``, and every consumer reads those blocks. A block prime
+lies strictly inside (D0, D1) exactly when p > floor(D0).
 
 The least block of n is the block of the least block prime dividing n,
 which one minimum sieve over the block primes finds. The cofactor sets are
@@ -24,7 +25,7 @@ UNIQUE(j) element n = p*q lands in the product set P_j Q_j when its
 cofactor q <= q_max(j) (then q automatically has no block factor at all,
 so the factorization map P_j x Q_j -> P_j Q_j is one-to-one).
 
-All interval bounds are exact rationals; all counts are exact integers.
+All bounds and counts are exact integers.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import SEGMENT, PrimeBlock, PrimeTable, prime_blocks
+from .arith import SEGMENT, PrimeTable
 from .errors import CapacityError, DomainError, RangeCoverageError, ValidationError
 
 DECOMP_BUDGET = 30_000_000
@@ -70,12 +71,12 @@ def default_schedule(alpha) -> tuple[int, int]:
 class DecompositionParams:
     """Window size N, ratio alpha in (0,1], and block index range.
 
-    ``bounds`` holds the integer block bounds ceil((1+alpha)^j) for
-    j = j0 .. j1 as a read-only int64 array: block j is the primes p with
-    bounds[j-j0] <= p < bounds[j-j0+1]. ``caps`` holds q_max(j) for
-    j = j0 .. j1-1, taken from the same running power. ``base``, ``d0``
-    and ``d1`` are exact powers computed on first access and kept; equality
-    and hashing use the four fields only.
+    The block geometry, read off one loop over the integers num^j and den^j
+    of 1 + alpha = num/den: ``bounds`` holds ceil((1+alpha)^j), j = j0 .. j1,
+    as a read-only int64 array; ``caps`` holds q_max(j) and ``y_caps`` the
+    range-extension limit floor(N/(1+alpha)^j), j = j0 .. j1-1. ``base``,
+    ``d0`` and ``d1`` are exact powers computed on first access and kept;
+    equality and hashing use the four fields only.
     """
 
     n: int
@@ -84,6 +85,7 @@ class DecompositionParams:
     j1: int
     bounds: np.ndarray = field(init=False, repr=False, compare=False)
     caps: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    y_caps: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -98,18 +100,26 @@ class DecompositionParams:
         if self.j1 > top * (1 + 1e-9) or self.d1 >= self.n:
             raise ValidationError(
                 f"need D1 < N: D1 = (1 + {self.alpha})^{self.j1} >= N = {self.n}")
+        if self.j1 > np.iinfo(np.int16).max:
+            raise CapacityError(f"j1 = {self.j1} exceeds the int16 block indices")
         if self.d1 >= 2 ** 63:
             raise CapacityError(f"D1 = {float(self.d1):.6g} exceeds int64 block bounds")
-        power, bounds, caps = self.d0, [], []
-        for j in range(self.j0, self.j1 + 1):  # a fresh power per j is quadratic
-            bounds.append(math.ceil(power))
-            if j > self.j0:  # q_max(j-1): the largest integer below N/power
-                caps.append(math.ceil(self.n / power) - 1)
-            power *= self.base
+        n, num, den = self.n, self.base.numerator, self.base.denominator
+        num_j, den_j = num ** self.j0, den ** self.j0
+        bounds, caps, y_caps = [], [], []
+        for j in range(self.j0, self.j1 + 1):
+            bounds.append(-(-num_j // den_j))
+            q, r = divmod(n * den_j, num_j)  # N/(1+alpha)^j = q + r/num_j
+            if j > self.j0:  # q_max(j-1): the largest integer below N/(1+alpha)^j
+                caps.append(q if r else q - 1)
+            if j < self.j1:
+                y_caps.append(q)
+            num_j, den_j = num_j * num, den_j * den
         bounds = np.array(bounds, dtype=np.int64)
         bounds.setflags(write=False)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "caps", tuple(caps))
+        object.__setattr__(self, "y_caps", tuple(y_caps))
 
     @cached_property
     def base(self) -> Fraction:
@@ -138,6 +148,42 @@ class DecompositionParams:
 
 
 @dataclass(frozen=True)
+class PrimeBlock:
+    """Block P_j: the primes p with lo <= p < hi, a slice of the prime table.
+
+    ``lo`` and ``hi`` are the integer bounds ceil((1+alpha)^j) and
+    ceil((1+alpha)^(j+1)); for integer p they give the same half-open
+    membership as the exact powers, so consecutive blocks tile their range.
+    """
+
+    j: int
+    lo: int
+    hi: int
+    primes: np.ndarray
+
+    def __len__(self):
+        return len(self.primes)
+
+
+def _block_starts(params: DecompositionParams, primes: PrimeTable) -> list[int]:
+    """The table index of each bound, from one ``searchsorted``: block j is
+    primes.primes[starts[j - j0]:starts[j - j0 + 1]]."""
+    if params.bounds[-1] > primes.n_max:
+        raise RangeCoverageError(
+            f"prime table covers {primes.n_max} but blocks need "
+            f"(1+alpha)^{params.j1} = {float(params.d1):.6g}")
+    return primes.primes.searchsorted(params.bounds).tolist()
+
+
+def prime_blocks(params: DecompositionParams, primes: PrimeTable) -> list[PrimeBlock]:
+    """The blocks P_j, j in ``block_range``, as slices of the prime table."""
+    starts, bounds = _block_starts(params, primes), params.bounds.tolist()
+    return [PrimeBlock(j, lo, hi, primes.primes[start:stop])
+            for j, lo, hi, start, stop in zip(params.block_range, bounds, bounds[1:],
+                                              starts, starts[1:])]
+
+
+@dataclass(frozen=True)
 class Classification:
     tag: int
     j: Optional[int] = None
@@ -155,14 +201,15 @@ def classify(n: int, params: DecompositionParams, primes: PrimeTable) -> Classif
     """
     if not 1 <= n < params.n:
         raise ValidationError(f"classify needs 1 <= n < N, got {n}")
-    block_primes = _block_primes(params, primes, params.j1)
-    divisors = block_primes[n % block_primes == 0]  # ascending
-    found = divisors.tolist()
+    starts = _block_starts(params, primes)
+    block_primes = primes.primes[starts[0]:starts[-1]]
+    at = np.flatnonzero(n % block_primes == 0)  # the divisors, ascending
+    found = block_primes[at].tolist()
     # a block prime lies outside (D0, D1) only when it equals an integer D0
     if not found or found == [params.d0]:
         return Classification(TAG_NOT_IN_S)
-    # position of each divisor's block among the bounds: j - j0 + 1
-    pos = params.bounds.searchsorted(divisors, side="right").tolist()
+    # block of each divisor: j - j0 + 1 is the number of starts at or below it
+    pos = np.searchsorted(starts, at + starts[0], side="right").tolist()
     least, witness = params.j0 + pos[0] - 1, found[0]
     if pos.count(pos[0]) == 1 and n % (witness * witness) != 0:
         return Classification(TAG_UNIQUE, least, witness)
@@ -178,18 +225,9 @@ def q_membership(m: int, j: int, params: DecompositionParams,
         raise ValidationError(f"block index {j} outside {params.block_range}")
     if m > params.q_max(j):
         return False
-    return not np.count_nonzero(m % _block_primes(params, primes, j + 1) == 0)
-
-
-def _block_primes(params: DecompositionParams, primes: PrimeTable, j_end: int):
-    """The primes of blocks j0 .. j_end-1, ascending."""
-    bounds = params.bounds
-    if bounds[-1] > primes.n_max:
-        raise RangeCoverageError(
-            f"prime table covers {primes.n_max} but blocks need "
-            f"(1+alpha)^{params.j1} = {float(params.d1):.6g}")
-    starts = primes.primes.searchsorted(bounds)
-    return primes.primes[starts[0]:starts[j_end - params.j0]]
+    starts = _block_starts(params, primes)
+    block_primes = primes.primes[starts[0]:starts[j - params.j0 + 1]]
+    return not np.count_nonzero(m % block_primes == 0)
 
 
 class Decomposition:
@@ -293,11 +331,7 @@ def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Deco
     n = params.n
     if n > DECOMP_BUDGET:
         raise CapacityError(f"N={n} exceeds decomposition budget {DECOMP_BUDGET}")
-    if params.d1 > primes.n_max:
-        raise ValidationError(
-            f"prime table covers {primes.n_max}, blocks need {float(params.d1):.6g}")
-    blocks = (prime_blocks(params.alpha, params.j0, params.j1 - 1, primes)
-              if params.j0 < params.j1 else [])
+    blocks = prime_blocks(params, primes)
 
     j0, bounds = params.j0, params.bounds
     sentinel = np.iinfo(np.int32).max  # above every prime: no block prime divides n
@@ -430,14 +464,12 @@ def coverage_report(d: Decomposition, primes: PrimeTable) -> CoverageReport:
         CoverageLine("unfactored_tail", unfactored, 2 * a * n),
         CoverageLine("uncovered_total", d.leftover_count, 3 * a * n),
     ]
-    product = 1.0
-    boundary = []
-    for p in primes.in_range(params.d0, params.d1):
-        p = int(p)
-        if Fraction(p) == params.d0:
-            boundary.append(p)
-            continue
-        product *= 1 - 1 / p
+    # every block prime is at least ceil(D0), so p <= floor(D0) only for a
+    # prime integer D0, which is not strictly inside (D0, D1)
+    d0_floor = math.floor(params.d0)
+    block_primes = [p for b in d.blocks for p in b.primes.tolist()]
+    boundary = [p for p in block_primes if p <= d0_floor]
+    product = math.prod((1 - 1 / p for p in block_primes if p > d0_floor), start=1.0)
     if params.d1.denominator == 1 and primes.contains(params.d1.numerator):
         boundary.append(params.d1.numerator)
     counts = {

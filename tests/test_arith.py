@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from horomu import arith
-from horomu.arith import (MultiplicativeTable, prime_blocks, sieve_liouville,
-                          sieve_mobius, sieve_primes)
+from horomu.arith import (MultiplicativeTable, sieve_liouville, sieve_mobius,
+                          sieve_primes)
+from horomu.decomp import DecompositionParams, prime_blocks
 from horomu.errors import CapacityError, RangeCoverageError, ValidationError
 
 from conftest import (TEST_SEED, is_prime_oracle, liouville_oracle,
@@ -43,12 +44,6 @@ class TestPrimeSieve:
     def test_validation(self):
         with pytest.raises(ValidationError):
             sieve_primes(1)
-
-    def test_in_range_exact_bounds(self, primes_10k):
-        got = primes_10k.in_range(Fraction(9, 4), Fraction(27, 8))
-        assert list(got) == [3]
-        assert list(primes_10k.in_range(11, 11)) == []
-        assert list(primes_10k.in_range(11, 12)) == [11]
 
 
 class TestMobiusSieve:
@@ -146,20 +141,17 @@ class TestMultiplicativeTable:
 
 class TestPrimeBlocks:
     def test_doubling_block_3(self, primes_10k):
-        blocks = prime_blocks(1, 3, 3, primes_10k)
+        blocks = prime_blocks(DecompositionParams(10_000, 1, 3, 4), primes_10k)
         assert list(blocks[0].primes) == [11, 13]
 
-    def test_empty_block_zero(self, primes_10k):
-        blocks = prime_blocks(1, 0, 0, primes_10k)
-        assert list(blocks[0].primes) == []  # [1, 2) holds no prime
-
     def test_half_ratio_block_2(self, primes_10k):
-        blocks = prime_blocks(Fraction(1, 2), 2, 2, primes_10k)
+        blocks = prime_blocks(DecompositionParams(10_000, Fraction(1, 2), 2, 3), primes_10k)
         assert list(blocks[0].primes) == [3]  # [2.25, 3.375)
+        assert (blocks[0].lo, blocks[0].hi) == (3, 4)  # the integer bounds
 
     def test_boundary_prime_lands_once(self, primes_10k):
         # alpha = 1: the prime 2 sits exactly at a block edge
-        blocks = prime_blocks(1, 0, 3, primes_10k)
+        blocks = prime_blocks(DecompositionParams(10_000, 1, 1, 4), primes_10k)
         membership = [int(p) for b in blocks for p in b.primes]
         assert membership == sorted(set(membership))
         assert 2 in membership
@@ -167,11 +159,15 @@ class TestPrimeBlocks:
     @pytest.mark.parametrize("alpha,j_hi", [(Fraction(3, 10), 14),
                                             (Fraction(1, 2), 14), (1, 12)])
     def test_tiling_partition(self, alpha, j_hi, primes_10k):
-        blocks = prime_blocks(alpha, 2, j_hi, primes_10k)
+        blocks = prime_blocks(DecompositionParams(10_000, alpha, 2, j_hi + 1), primes_10k)
         base = 1 + Fraction(alpha)
         union = []
-        for b in blocks:
-            assert all(b.lo <= p < b.hi for p in b.primes)
+        for j, b in zip(range(2, j_hi + 1), blocks, strict=True):
+            # the exact rational definition of P_j
+            lo, hi = base ** j, base ** (j + 1)
+            assert b.primes.tolist() == [p for p in primes_10k.primes.tolist()
+                                         if lo <= p < hi], j
+            assert b.j == j and all(b.lo <= p < b.hi for p in b.primes)
             union.extend(int(p) for p in b.primes)
         expect = [int(p) for p in primes_10k.primes
                   if base ** 2 <= p < base ** (j_hi + 1)]
@@ -179,12 +175,12 @@ class TestPrimeBlocks:
 
     def test_range_error(self, primes_10k):
         with pytest.raises(RangeCoverageError):
-            prime_blocks(1, 1, 20, primes_10k)
+            prime_blocks(DecompositionParams(10 ** 7, 1, 1, 21), primes_10k)
 
     def test_block_count_asymptotics(self):
         # density sanity: |P_j| * j * log(2) / 2^j near 1 once 2^j >= 1000
         table = sieve_primes(70_000)
         for j in (10, 12, 14, 15):
-            blocks = prime_blocks(1, j, j, table)
+            blocks = prime_blocks(DecompositionParams(100_000, 1, j, j + 1), table)
             ratio = len(blocks[0]) * j * math.log(2) / 2 ** j
             assert abs(ratio - 1) < 0.25, (j, ratio)

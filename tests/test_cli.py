@@ -313,6 +313,19 @@ class TestExitCodes:
         assert "error[capacity]: out of memory: Unable to allocate" in err, err
         assert "Traceback" not in err, err
 
+    @pytest.mark.parametrize("window", [("100", "1/100000", "32767", "32769"),
+                                        ("30000000", "1/2000", "32760", "32769")])
+    def test_block_index_past_int16(self, tmp_path, capsys, window):
+        # block indices are int16: a j1 past 32767 is refused before any
+        # power of 1 + alpha is formed in the bounds loop
+        n, alpha, j0, j1 = window
+        code = main(["decompose", "--n", n, "--alpha", alpha, "--j0", j0, "--j1", j1,
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert "error[capacity]: j1 = 32769 exceeds the int16 block indices" in err, err
+        assert "Traceback" not in err, err
+
     @pytest.mark.parametrize("alpha", ["0.1", "0.01"])
     def test_default_schedule_past_n(self, tmp_path, capsys, alpha):
         # the default j1 (15129 and 95394289) puts D1 far above N; that is

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -9,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horomu import decomp
-from horomu.arith import prime_blocks, sieve_primes
+from horomu.arith import sieve_primes
 from horomu.decomp import (DECOMP_BUDGET, TAG_MULTIPLE, TAG_NOT_IN_S, TAG_UNIQUE,
-                           Classification, DecompositionParams, _block_primes,
-                           build_decomposition, classify, coverage_report,
-                           default_schedule, q_membership)
+                           Classification, DecompositionParams, build_decomposition,
+                           classify, coverage_report, default_schedule, prime_blocks,
+                           q_membership)
 from horomu.errors import (CapacityError, DomainError, RangeCoverageError,
                            ValidationError)
 
@@ -70,13 +71,35 @@ class TestParams:
 
     @pytest.mark.parametrize("args", [(1000, 1, 1, 4), (1024, 1, 1, 4),
                                       (5000, Fraction(3, 10), 5, 12),
-                                      (60000, Fraction(1, 7), 5, 40)])
+                                      (60000, Fraction(1, 7), 5, 40),
+                                      (1024, 1, 1, 9),
+                                      (100_000, Fraction(1, 1000), 1000, 1100)])
     def test_caps_are_largest_cofactors(self, args):
-        # q_max(j) is the largest integer strictly below N/(1+alpha)^(j+1)
+        # the integer loop against the exact definitions: bounds[j - j0] =
+        # ceil((1+alpha)^j), y_caps = floor(N/(1+alpha)^j) and q_max(j) the
+        # largest integer strictly below N/(1+alpha)^(j+1)
         params = DecompositionParams(args[0], Fraction(args[1]), *args[2:])
-        assert len(params.caps) == len(params.block_range)
+        base, n = params.base, params.n
+        assert len(params.caps) == len(params.y_caps) == len(params.block_range)
+        assert params.bounds.tolist() == [math.ceil(base ** j)
+                                          for j in range(params.j0, params.j1 + 1)]
         for j in params.block_range:
             assert params.q_max(j) < params.q_limit(j) <= params.q_max(j) + 1, j
+            assert params.y_caps[j - params.j0] == math.floor(Fraction(n) / base ** j), j
+
+    def test_block_indices_fit_int16(self, primes_10k):
+        # block_of is int16: j1 = 32767 builds, one more is refused
+        params = DecompositionParams(100, Fraction(1, 100_000), 32766, 32767)
+        assert params.bounds.tolist() == [2, 2]
+        dec = build_decomposition(params, primes_10k)
+        assert dec.count_not_in_s == 99 and dec.blocks[0].j == 32766
+        with pytest.raises(CapacityError, match="j1 = 32768 exceeds the int16"):
+            DecompositionParams(100, Fraction(1, 100_000), 32766, 32768)
+        # past the guard, no power is formed: this window took > 60 s
+        started = time.perf_counter()
+        with pytest.raises(CapacityError):
+            DecompositionParams(100_000, Fraction(1, 10_000), 100_000, 110_000)
+        assert time.perf_counter() - started < 5
 
     def test_bounds_fit_int64(self):
         with pytest.raises(CapacityError):
@@ -96,21 +119,23 @@ class TestBlockBounds:
     @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(1, 2),
                                        Fraction(3, 10), Fraction(1, 7)])
     def test_flat_blocks_match_prime_blocks(self, alpha, primes_10k):
-        # integer bounds ceil((1+alpha)^j) give the same half-open blocks as
-        # the exact rational intervals of prime_blocks; alpha=1, j0=1 has the
-        # integer D0 = 2, a block prime that is not strictly interior
-        n = 10_000
-        top = max(j for j in range(1, 100) if (1 + alpha) ** j < n)
+        # the blocks from the integer bounds are the exact rational intervals
+        # [(1+alpha)^j, (1+alpha)^(j+1)); alpha=1, j0=1 has the integer
+        # D0 = 2, a block prime that is not strictly interior
+        n, base = 10_000, 1 + alpha
+        top = max(j for j in range(1, 100) if base ** j < n)
         cases = {(1, 1), (1, 2), (1, top), (2, 5), (top // 2, top), (top, top)}
         for j0, j1 in sorted(cases):
             params = DecompositionParams(n, alpha, j0, j1)
-            blocks = prime_blocks(alpha, j0, j1 - 1, primes_10k) if j0 < j1 else []
+            blocks = prime_blocks(params, primes_10k)
+            assert [b.j for b in blocks] == list(params.block_range)
+            small = [p for p in primes_10k.primes.tolist() if p < params.d1]
+            for b in blocks:
+                lo, hi = base ** b.j, base ** (b.j + 1)
+                assert b.primes.tolist() == [p for p in small if lo <= p < hi], b.j
             want_p = [int(p) for b in blocks for p in b.primes]
             want_j = [b.j for b in blocks for _ in b.primes]
             want_in = [params.d0 < p < params.d1 for p in want_p]
-            for j_end in range(j0, j1 + 1):  # blocks j0 .. j_end-1
-                got = _block_primes(params, primes_10k, j_end).tolist()
-                assert got == [p for p, j in zip(want_p, want_j) if j < j_end]
             # the rule classify applies: only an integer D0 is not interior
             assert [p != params.d0 for p in want_p] == want_in, (j0, j1)
             for p, j, inside in zip(want_p, want_j, want_in):
