@@ -21,7 +21,7 @@ from typing import Iterable
 
 from . import __version__
 from .arith import sieve_liouville, sieve_mobius, sieve_primes, MultiplicativeTable
-from .criterion import BoundedSequence, criterion_ledger
+from .criterion import BoundedSequence, _ledger
 from .correlator import PointDescriptor, classify_correlator
 from .decomp import DecompositionParams, build_decomposition, coverage_report
 from .dynamics import (ModularPoint, OBSERVABLE_FACTORIES, Observable,
@@ -30,6 +30,7 @@ from .dynamics import (ModularPoint, OBSERVABLE_FACTORIES, Observable,
                        split_observable)
 from .errors import (CapacityError, DescriptorError, HoromuError, PrecisionError,
                      ReportIOError, ValidationError)
+from .exactreal import exact_prefix_sums
 
 SCHEMA = "horomu/run-report/v1"
 
@@ -343,10 +344,8 @@ def _run_criterion(args, timings) -> dict:
     F = parse_sequence(args.seq, horizon, args.precision_bits)
     timings["inputs"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rep = criterion_ledger(nu, F, args.n, alpha, args.j0, args.j1,
-                           excluded=parse_excluded(args.exclude),
-                           cutoff=args.cutoff, M=args.m,
-                           threads=args.threads)
+    rep = _ledger(nu, F, params, parse_excluded(args.exclude),
+                  cutoff=args.cutoff, M=args.m, threads=args.threads)
     timings["ledger"] = time.perf_counter() - t0
     return rep.as_dict()
 
@@ -369,7 +368,7 @@ def _run_orbit(args, timings) -> dict:
     g = genericity(xi)
     return {"point": repr(xi), "observable": f.label, "n": args.n,
             "genericity": g.label,
-            "mean_f": repr(math.fsum(fs) / args.n),
+            "mean_f": repr(exact_prefix_sums(fs, [args.n])[0] / args.n),
             "final": {"x": repr(float(xs[-1])), "y": repr(float(ys[-1])),
                       "theta": repr(float(ts[-1]))}}
 

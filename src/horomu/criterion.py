@@ -449,7 +449,16 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
     verdict is ``holds`` only when the bound is below the trivial bound; a
     bound no smaller says nothing and is ``inconclusive``.
     """
-    params = DecompositionParams(N, Fraction(alpha), j0, j1)
+    return _ledger(nu, F, DecompositionParams(N, Fraction(alpha), j0, j1), excluded,
+                   cutoff=cutoff, M=M, threads=threads)
+
+
+def _ledger(nu: MultiplicativeTable, F: BoundedSequence, params: DecompositionParams,
+            excluded: Sequence = (), *, cutoff: float, M: Optional[int] = None,
+            threads: int = 1) -> CriterionReport:
+    """criterion_ledger over the window and blocks of the built ``params``,
+    so a caller that has already checked them builds their bounds once."""
+    N = params.n
     need = math.ceil(Fraction(N) * params.base)
     if F.horizon < need:
         raise HorizonError(

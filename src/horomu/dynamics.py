@@ -30,6 +30,12 @@ O(1) amortized. ``OrbitEvaluator.run`` evaluates arrays in blocks:
 * precision guard: each exact point (anchors and fallbacks) is compared
   with the closed form at 64 more bits, and a first-order bound on its
   coordinates above 1e-9 raises ``PrecisionError``.
+
+Orbit averages (Birkhoff, pair correlations, the disjointness ladder) are
+exactly rounded: each is the exact sum of its float64 terms, rounded once,
+the value ``math.fsum`` gives, then divided by N.
+``exactreal.exact_prefix_sums`` computes it in numpy chunks and returns
+every prefix a ladder asks for from one O(N) pass.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .arith import MultiplicativeTable
 from .criterion import BoundedSequence
 from .errors import (ConvergenceError, DescriptorError, PrecisionError,
                      ValidationError)
-from .exactreal import SymbolicReal, as_symbolic, ratio_as_rational
+from .exactreal import SymbolicReal, as_symbolic, exact_prefix_sums, ratio_as_rational
 
 _MAX_REDUCE_STEPS = 20000
 
@@ -375,7 +381,10 @@ class OrbitEvaluator:
         an exactly evaluated point may be more than _TOLERANCE off the
         closed form at _CHECK_BITS more bits.
         """
-        idx = np.fromiter(indices, dtype=np.int64)
+        if isinstance(indices, range):
+            idx = np.arange(indices.start, indices.stop, indices.step, dtype=np.int64)
+        else:
+            idx = np.fromiter(indices, dtype=np.int64)
         if len(idx) and (idx[0] < self._m or np.any(idx[1:] < idx[:-1])):
             raise ValidationError("OrbitEvaluator requires nondecreasing indices")
         check = OrbitEvaluator(self.xi, 2, self.bits + _CHECK_BITS)
@@ -397,15 +406,21 @@ class OrbitEvaluator:
             self.coords(m, need_theta=False)
             check.coords(m, need_theta=False)
             anchors.append((self._state, check._state))
+        # values of each anchor, (anchors,) or (4, anchors), computed once and
+        # then repeated over the points of its block
+        def spread(a):
+            return np.repeat(a, _ANCHOR_EVERY, axis=-1)[..., :len(idx)]
+
         hi, lo = np.array([[_split(v, self.one) for v in s[1]] for s, _ in anchors]).T
         # an integral anchor makes every float operation below exact
         rounded = ((lo != 0) | (hi != np.round(hi))).any(axis=0)
-        g0 = np.array([[float(v) for v in s[2]] for s, _ in anchors])
-        dt0, db0 = np.array([_state_error(s, ref, check.one) for s, ref in anchors]).T
-        which = np.arange(len(idx)) // _ANCHOR_EVERY
-        t = (idx - heads[which]).astype(float)
-        hi, lo = hi[:, which], lo[:, which]  # (4, n): A, B, C, D of each anchor
         w = hi + lo
+        scale = 1.0 + np.abs(w[0]) + np.abs(w[2])
+        g0 = np.array([[float(s[2][k]) for s, _ in anchors] for k in range(4)])
+        dt0, db0 = np.array([_state_error(s, ref, check.one) for s, ref in anchors]).T
+        t = (idx - spread(heads)).astype(float)
+        t1 = 1.0 + t
+        hi, lo, w = spread(hi), spread(lo), spread(w)  # (4, n): A, B, C, D
         # rows (A, B, p, q) and (C, D, r, s) of w*u^t and of the integer delta
         top = np.stack([w[0], w[1] + t * w[0], np.ones_like(t), np.zeros_like(t)])
         bot = np.stack([w[2], w[3] + t * w[2], np.zeros_like(t), np.ones_like(t)])
@@ -429,11 +444,11 @@ class OrbitEvaluator:
         xs[:] = (a * c + b * d) / den
         ys[:] = 1.0 / den
         # rounding, plus the anchor's own error carried by delta and u^t
-        dt, db = dt0[which] * (1.0 + t), db0[which] * (1.0 + t)
-        err = (_ERROR_SCALE * _EPS * (1.0 + t) * (1.0 + np.abs(w[0]) + np.abs(w[2]))
-               * ys * rounded[which] + _coordinate_bound(ys, np.abs(p) * dt + np.abs(q) * db,
-                                                  np.abs(r) * dt + np.abs(s) * db))
-        size = np.abs(p) + np.abs(q) + np.abs(r) + np.abs(s)
+        dt, db = spread(dt0) * t1, spread(db0) * t1
+        ap, aq, ar, as_ = np.abs(p), np.abs(q), np.abs(r), np.abs(s)
+        err = (_ERROR_SCALE * _EPS * t1 * spread(scale) * ys * spread(rounded)
+               + _coordinate_bound(ys, ap * dt + aq * db, ar * dt + as_ * db))
+        size = ap + aq + ar + as_
         # within err of the domain's boundary the exact path may pick the
         # other representative
         ok = ((err <= _TOLERANCE) & (size < _MAX_DELTA) & (0.5 - np.abs(xs) > err)
@@ -441,10 +456,10 @@ class OrbitEvaluator:
         if need_theta:
             # sign of gamma = delta * g0, normalized as in coords; exact while
             # every product stays below 2^53
-            g = g0[which]
-            gr = r * g[:, 0] + s * g[:, 2]
-            gs = r * g[:, 1] + s * g[:, 3]
-            ok &= size * np.abs(g).max(axis=1) < 2.0 ** 53
+            g = spread(g0)  # (4, n): the entries of g0
+            gr = r * g[0] + s * g[2]
+            gs = r * g[1] + s * g[3]
+            ok &= size * spread(np.abs(g0).max(axis=0)) < 2.0 ** 53
             sign = np.where((gr > 0) | ((gr == 0) & (gs > 0)), 1.0, -1.0)
             ts[:] = np.arctan2(sign * c, sign * d) % (2 * math.pi)
         bounds = list(zip(_coordinate_bound(ys[::_ANCHOR_EVERY], dt0, db0).tolist(),
@@ -650,11 +665,11 @@ def _orbit_values(f: Observable, xi: ModularPoint, indices: range,
 
 def birkhoff_average(f: Observable, xi: ModularPoint, N: int,
                      precision_bits: Optional[int] = None) -> float:
-    """(1/N) sum_{n=1..N} f(xi u^n), exactly-rounded accumulation."""
+    """(1/N) sum_{n=1..N} f(xi u^n); the sum is exactly rounded."""
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
     vals = _orbit_values(f, xi, range(1, N + 1), precision_bits)
-    return math.fsum(vals) / N
+    return exact_prefix_sums(vals, [N])[0] / N
 
 
 @dataclass(frozen=True)
@@ -682,7 +697,7 @@ def pair_correlation(f: Observable, xi: ModularPoint, p: int, q: int, N: int,
         raise ValidationError(f"need N >= 1, got {N}")
     vp = _orbit_values(f, xi, range(p, p * N + 1, p), precision_bits)
     vq = _orbit_values(f, xi, range(q, q * N + 1, q), precision_bits)
-    value = math.fsum(vp * vq) / N
+    value = exact_prefix_sums(vp * vq, [N])[0] / N
     if target is None:
         mean = f.exact_mean if f.exact_mean is not None else haar_mean(f, quad)
         target = mean * mean
@@ -730,6 +745,7 @@ def mobius_disjointness_sum(xi: ModularPoint, f: Observable, N: int,
 
     Each row also reports the mean-zero part: with f = f1 + c the average
     splits as (1/N) sum nu f1 + c * (1/N) sum nu. nu must be real on [1, N].
+    Both sums are exactly rounded at every rung, from one pass over [1, N].
     """
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
@@ -747,11 +763,11 @@ def mobius_disjointness_sum(xi: ModularPoint, f: Observable, N: int,
         raise ValidationError(f"{nu.label}: disjointness needs a real nu on [1,{N}]")
     c = f.exact_mean if f.exact_mean is not None else haar_mean(f)
     vals = _orbit_values(f, xi, range(1, N + 1), precision_bits)
-    nu_arr = nu_vals.real.astype(np.float64)  # fsum over int8 scalars is slower
+    nu_arr = nu_vals.real.astype(np.float64)
     rows = []
-    for nk in ladder:
-        total = math.fsum(nu_arr[:nk] * vals[:nk]) / nk
-        nu_mean = math.fsum(nu_arr[:nk]) / nk
+    for nk, total, nu_sum in zip(ladder, exact_prefix_sums(nu_arr * vals, ladder),
+                                 exact_prefix_sums(nu_arr, ladder)):
+        total, nu_mean = total / nk, nu_sum / nk
         rows.append(DisjointnessRow(nk, total, total - c * nu_mean, nu_mean))
     return DisjointnessReport(repr(xi), f.label, nu.label, c, rows)
 

@@ -1,12 +1,14 @@
 """Exact real scalars for symbolic matrix entries and phase reduction.
 
-Two needs drive this module:
+Three needs drive this module:
 
 * genericity decisions must never be made from floats, so matrix entries
   are stored as ``q0 + q1*sigma`` with exact rational ``q0, q1`` and a
   named irrational constant ``sigma``;
 * long exponential sums need ``frac(n*theta)`` to full double precision
-  for n up to ~1e9, which a plain float64 product cannot deliver.
+  for n up to ~1e9, which a plain float64 product cannot deliver;
+* orbit averages are rounded once from the exact sum of their float64
+  terms (``exact_prefix_sums``, at array speed).
 
 The fractional parts are computed through a 96-bit fixed-point integer
 image of the constant, so both the sequence builder and any closed-form
@@ -33,6 +35,8 @@ _LIMB_MASK = (1 << _LIMB) - 1
 _NLIMB = FRAC_SHIFT // _LIMB
 MAX_FRAC_INDEX = 1 << 38  # keeps limb products inside int64
 _FRAC_CHUNK = 1 << 14  # indices per pass of the limb loop
+_SUM_CHUNK = 1 << 13  # below 2^26, so a chunk's sums of 27-bit halves stay exact
+_EXP_OFFSET = 1074  # np.frexp exponents of finite floats are >= -1073
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,62 @@ def _image_frac_parts(image: int, ns) -> np.ndarray:
             out_chunk += part
             np.right_shift(c, _LIMB, out=carry)
     return out
+
+
+def exact_prefix_sums(values, ends) -> list[float]:
+    """The correctly rounded sum of values[:e] for each of the nondecreasing
+    ends e, equal bit for bit to math.fsum(values[:e]).
+
+    np.frexp writes each finite value as M * 2^(k - 53) with an integer
+    |M| < 2^53, split into a 27-bit high and a 26-bit low half. Per chunk
+    of at most _SUM_CHUNK values, one np.bincount per half adds the halves
+    of each exponent k; every chunk sum stays below 2^53, so float64 adds
+    them exactly, and they go into int64 buckets per exponent. At each end
+    the buckets become one Python int by Horner over the exponents, and one
+    int / int true division rounds it once, correctly. Temporaries stay
+    O(_SUM_CHUNK). A non-finite value, or one so large that fsum's partial
+    sums could overflow, sends every end that reaches it to math.fsum, so
+    the result is the same value or the same error.
+    """
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    ends = [int(e) for e in ends]
+    if ends and (ends[0] < 0 or ends[-1] > values.size
+                 or any(b < a for a, b in zip(ends, ends[1:]))):
+        raise ValueError(f"ends must be nondecreasing in [0, {values.size}]")
+    # fsum's partials stay finite while n * max|x| <= 2^1021
+    nbuckets = 1021 - values.size.bit_length() + _EXP_OFFSET + 1
+    high = np.zeros(nbuckets, dtype=np.int64)
+    low = np.zeros(nbuckets, dtype=np.int64)
+    sums, pos = [], 0
+    for k, end in enumerate(ends):
+        while pos < end:
+            mant, exp = np.frexp(values[pos:min(end, pos + _SUM_CHUNK)])
+            pos += mant.size
+            exp += _EXP_OFFSET
+            mant *= 2.0 ** 27
+            half = np.floor(mant)
+            chunk = np.bincount(exp, half, nbuckets)
+            if chunk.size > nbuckets or not math.isfinite(chunk.sum()):
+                return sums + [math.fsum(values[:e]) for e in ends[k:]]
+            high += chunk.astype(np.int64)
+            mant -= half
+            mant *= 2.0 ** 26
+            low += np.bincount(exp, mant, nbuckets).astype(np.int64)
+        sums.append(_bucket_sum(high, low))
+    return sums
+
+
+def _bucket_sum(high: np.ndarray, low: np.ndarray) -> float:
+    """sum_i (high[i] * 2^26 + low[i]) * 2^(i - _EXP_OFFSET - 53), rounded once."""
+    nz = np.flatnonzero(high | low)[::-1]
+    if not nz.size:
+        return 0.0
+    acc, prev = 0, int(nz[0])
+    for i, h, lo in zip(nz.tolist(), high[nz].tolist(), low[nz].tolist()):
+        acc = (acc << (prev - i)) + (h << 26) + lo
+        prev = i
+    shift = prev - _EXP_OFFSET - 53
+    return float(acc << shift) if shift >= 0 else acc / (1 << -shift)
 
 
 _TOKEN = re.compile(r"^\s*(?P<rat>-?\d+(?:/\d+)?|-?\d*\.\d+)?\s*"

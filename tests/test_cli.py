@@ -4,15 +4,18 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from horomu import cli, criterion
+from horomu import cli, criterion, decomp
+from horomu.arith import sieve_mobius
 from horomu.cli import (EXIT_CAPACITY, EXIT_IO, EXIT_OK, EXIT_PRECISION,
                         EXIT_VALIDATION, emit_series, main, parse_config,
                         parse_descriptor, parse_observable, parse_point,
                         parse_sequence)
+from horomu.dynamics import OrbitEvaluator
 from horomu.errors import DescriptorError
 
 
@@ -177,6 +180,20 @@ class TestSubcommands:
         assert float(res["tau_effective"]) >= 1 / math.log(20) - 1e-12
         assert isinstance(res["leftover_count"], int)
 
+    def test_criterion_builds_params_once(self, tmp_path, monkeypatch):
+        built = []
+        post_init = decomp.DecompositionParams.__post_init__
+        monkeypatch.setattr(decomp.DecompositionParams, "__post_init__",
+                            lambda self: built.append(post_init(self)))
+        code, report = run(["criterion", "--nu", "mobius", "--seq",
+                            "exp:theta=sqrt2", "--n", "4000", "--alpha", "3/10",
+                            "--j0", "5", "--j1", "10", "--cutoff", "20"], tmp_path)
+        assert code == EXIT_OK and len(built) == 1
+        F = parse_sequence("exp:theta=sqrt2", 5200)
+        rep = criterion.criterion_ledger(sieve_mobius(4000), F, 4000, Fraction(3, 10),
+                                         5, 10, cutoff=20.0)
+        assert report["result"] == json.loads(json.dumps(rep.as_dict()))
+
     def test_criterion_thread_count_invariance(self, tmp_path):
         base = ["criterion", "--nu", "mobius", "--seq", "exp:theta=sqrt2",
                 "--n", "4000", "--alpha", "0.3", "--j0", "5", "--j1", "10",
@@ -219,6 +236,15 @@ class TestSubcommands:
                             "--n", "5"], tmp_path)
         assert code == EXIT_OK
         assert report["result"]["point"] == "ModularPoint([sqrt2, 0; 0, 1/2*sqrt2])"
+
+    def test_orbit_mean_f_is_fsum(self, tmp_path):
+        code, report = run(["orbit", "--point", "point:lower:t=inv_e", "--obs",
+                            "obs:windy:y0=2,width=0.5", "--n", "3000"], tmp_path)
+        assert code == EXIT_OK
+        ev = OrbitEvaluator(parse_point("point:lower:t=inv_e"), 3000)
+        xs, ys, ts = ev.run(range(1, 3001), need_theta=True)
+        fs = parse_observable("obs:windy:y0=2,width=0.5").eval(xs, ys, ts)
+        assert report["result"]["mean_f"] == repr(math.fsum(fs) / 3000)
 
     def test_orbit_series_schema(self, tmp_path):
         series = tmp_path / "orbit.csv"

@@ -465,6 +465,55 @@ class TestDisjointness:
                                     100, mobius_1k, ladder=[5000])
 
 
+class TestExactlyRoundedAverages:
+    """Each orbit average is the fsum formula it replaced, bit for bit."""
+
+    XI = ModularPoint.lower("inv_e")
+    N = 3000
+
+    def _values(self, f, indices):
+        xs, ys, ts = OrbitEvaluator(self.XI, indices[-1]).run(indices, f.kind == "frame")
+        return np.asarray(f.eval(xs, ys, ts), dtype=float)
+
+    def test_birkhoff_average(self):
+        f = windy_observable()
+        want = math.fsum(self._values(f, range(1, self.N + 1))) / self.N
+        assert birkhoff_average(f, self.XI, self.N).hex() == want.hex()
+
+    def test_pair_correlation(self):
+        f, _ = split_observable(windy_observable(), SMALL_QUAD)
+        vp = self._values(f, range(2, 2 * self.N + 1, 2))
+        vq = self._values(f, range(3, 3 * self.N + 1, 3))
+        want = math.fsum(vp * vq) / self.N
+        est = pair_correlation(f, self.XI, 2, 3, self.N, quad=SMALL_QUAD)
+        assert est.value.hex() == want.hex()
+
+    @pytest.mark.parametrize("ladder, rows", [
+        (None, [100, 1000, 3000]),
+        ([5, 5, 77, 1000, 1000, 2999], [5, 77, 1000, 2999, 3000])])
+    def test_disjointness_rows(self, ladder, rows):
+        f = bump_observable(2.0, 0.5)
+        mu = sieve_mobius(self.N)
+        rep = mobius_disjointness_sum(self.XI, f, self.N, mu, ladder=ladder)
+        vals = self._values(f, range(1, self.N + 1))
+        nu = mu.values[1:self.N + 1].astype(float)
+        assert [r.n for r in rep.rows] == rows
+        for r in rep.rows:
+            total = math.fsum(nu[:r.n] * vals[:r.n]) / r.n
+            nu_mean = math.fsum(nu[:r.n]) / r.n
+            assert (r.average.hex(), r.nu_mean.hex()) == (total.hex(), nu_mean.hex())
+            assert r.centered_average == total - rep.haar_constant * nu_mean
+
+    @pytest.mark.parametrize("indices", [range(1, 5000), range(3, 3 * 2000, 3),
+                                         range(7, 7 * 1500, 7)])
+    def test_evaluator_range_and_list_agree(self, indices):
+        for theta in (False, True):
+            from_range = OrbitEvaluator(self.XI, indices[-1]).run(indices, theta)
+            from_list = OrbitEvaluator(self.XI, indices[-1]).run(list(indices), theta)
+            for a, b in zip(from_range, from_list):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestOrbitSequence:
     def test_bridges_to_bounded_sequence(self):
         f = bump_observable(2, 0.5)

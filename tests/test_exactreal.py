@@ -1,14 +1,18 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
 
 from horomu import exactreal
 from horomu.errors import DescriptorError
 from horomu.exactreal import (FRAC_SHIFT, MAX_FRAC_INDEX, SymbolicReal, as_symbolic,
-                              fixed_point_image, frac_parts, ratio_as_rational,
-                              symbol_spec)
+                              exact_prefix_sums, fixed_point_image, frac_parts,
+                              ratio_as_rational, symbol_spec)
 
 from conftest import TEST_SEED
 
@@ -168,3 +172,103 @@ class TestFracParts:
     def test_index_cap(self):
         with pytest.raises(DescriptorError):
             frac_parts("sqrt2", np.array([1 << 40]))
+
+
+def fsum_prefixes(values, ends):
+    return [math.fsum(values[:e]).hex() for e in ends]
+
+
+def hexes(sums):
+    return [v.hex() for v in sums]
+
+
+def unsplit_prefix_sum(values):
+    """The kernel without the mantissa split: one bincount of the 53-bit
+    integer mantissas per exponent, whose float64 sums round once they
+    pass 2^53."""
+    mant, exp = np.frexp(np.asarray(values, dtype=np.float64))
+    sums = np.bincount(exp + 1074, mant * 2.0 ** 53)
+    return math.fsum(float(v) * 2.0 ** (k - 1074 - 53) for k, v in enumerate(sums))
+
+
+def seeded_arrays(rng):
+    """Wide exponents, subnormals, cancellation and shared exponents."""
+    n = 100
+    wide = rng.standard_normal(n) * np.exp2(rng.integers(-1074, 300, n))
+    yield wide
+    yield np.ldexp(rng.standard_normal(n), rng.integers(-1100, -1000, n))
+    big = rng.standard_normal(n) * 1e16
+    yield np.concatenate([big, -big[::-1] + rng.standard_normal(n) * 1e-10])
+    yield 1.0 + rng.random(n) * 1e-3
+    yield rng.choice([1e300, -1e300, 1.0, 5e-324, -5e-324, 0.0, -0.0, 1e-300], n)
+
+
+class TestExactPrefixSums:
+    @given(st.data())
+    def test_every_prefix_equals_fsum(self, data):
+        values = data.draw(st.lists(st.floats(-1e300, 1e300, allow_nan=False,
+                                              allow_subnormal=True), max_size=60))
+        ends = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=6)))
+        assert hexes(exact_prefix_sums(values, ends)) == fsum_prefixes(values, ends)
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_seeded_arrays_across_chunk_boundaries(self, chunk, monkeypatch):
+        if chunk is not None:  # chunks split inside and at the ends
+            monkeypatch.setattr(exactreal, "_SUM_CHUNK", chunk)
+        rng = np.random.default_rng(TEST_SEED)
+        for values in seeded_arrays(rng):
+            n = values.size
+            ends = sorted({0, 1, 6, 7, 8, 14, 15, n // 2, n - 1, n}
+                          | set(rng.integers(0, n + 1, 8).tolist()))
+            ends = ends[:3] + ends[2:] + [n]  # repeated ends
+            assert hexes(exact_prefix_sums(values, ends)) == fsum_prefixes(values, ends)
+
+    def test_shared_exponent_needs_the_split(self):
+        # 5000 mantissas near 2^52..2^53 share the exponent of 1.0: their sum
+        # passes 2^53 and a single float64 bincount rounds it
+        rng = np.random.default_rng(TEST_SEED)
+        values = 1.0 + rng.integers(1, 1 << 52, 5000) * 2.0 ** -52
+        assert len(set(np.frexp(values)[1].tolist())) == 1
+        assert unsplit_prefix_sum(values).hex() != math.fsum(values).hex()
+        assert hexes(exact_prefix_sums(values, [5000])) == fsum_prefixes(values, [5000])
+
+    def test_empty(self):
+        assert exact_prefix_sums([], []) == []
+        assert hexes(exact_prefix_sums(np.array([]), [0, 0])) == ["0x0.0p+0"] * 2
+        assert hexes(exact_prefix_sums([1.5, -0.0], [0])) == ["0x0.0p+0"]
+
+    @pytest.mark.parametrize("values", [
+        [1.0, math.nan, 2.0], [0.5, math.inf, 1.0], [0.5, -math.inf]])
+    def test_special_values_as_fsum(self, values):
+        ends = [1, len(values)]
+        assert exact_prefix_sums(values, ends[:1]) == [math.fsum(values[:1])]
+        got = exact_prefix_sums(values, ends)
+        assert [repr(v) for v in got] == [repr(math.fsum(values[:e])) for e in ends]
+
+    @pytest.mark.parametrize("values, error", [
+        ([1.0, math.inf, 2.0, -math.inf], ValueError),
+        ([1e308, 1e308, -1e308, 1e308], OverflowError),
+        ([1e308, 1e308], OverflowError)])
+    def test_errors_as_fsum(self, values, error):
+        with pytest.raises(error) as want:
+            math.fsum(values)
+        with pytest.raises(error) as got:
+            exact_prefix_sums(values, [2, len(values)])
+        assert str(got.value) == str(want.value)
+
+    def test_bad_ends(self):
+        for ends in ([3, 2], [-1], [4]):
+            with pytest.raises(ValueError):
+                exact_prefix_sums([1.0, 2.0, 3.0], ends)
+
+    def test_peak_memory_is_per_chunk(self):
+        rng = np.random.default_rng(TEST_SEED)
+        values = rng.standard_normal(10 ** 6) * np.exp2(rng.integers(-900, 0, 10 ** 6))
+        tracemalloc.start()
+        try:
+            sums = exact_prefix_sums(values, [10, 10 ** 5, 10 ** 6])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * exactreal._SUM_CHUNK  # the values take 8 MB
+        assert sums[-1].hex() == math.fsum(values).hex()
