@@ -30,7 +30,7 @@ from .dynamics import (ModularPoint, OBSERVABLE_FACTORIES, Observable,
                        split_observable)
 from .errors import (CapacityError, DescriptorError, HoromuError, PrecisionError,
                      ReportIOError, ValidationError)
-from .exactreal import exact_prefix_sums
+from .exactreal import ExactSum
 
 SCHEMA = "horomu/run-report/v1"
 
@@ -358,19 +358,30 @@ def _run_orbit(args, timings) -> dict:
     xi = parse_point(args.point)
     f = parse_observable(args.obs)
     ev = OrbitEvaluator(xi, max(args.n, 2), args.precision_bits)
-    xs, ys, ts = ev.run(range(1, args.n + 1), need_theta=True)
-    fs = f.eval(xs, ys, ts)
-    timings["orbit"] = time.perf_counter() - t0
+    names = ["n", "x", "y", "theta", "f"]
+    total, final = ExactSum(args.n), {}
+
+    def rows():  # the orbit one chunk at a time; CSV rows only for --series
+        for lo, (xs, ys, ts) in ev.chunks(range(1, args.n + 1), need_theta=True):
+            fs = f.eval(xs, ys, ts)
+            total.add(fs)
+            final.update(x=repr(float(xs[-1])), y=repr(float(ys[-1])),
+                         theta=repr(float(ts[-1])))
+            if args.series:
+                for row in zip(range(lo + 1, lo + 1 + xs.size), xs.tolist(),
+                               ys.tolist(), ts.tolist(), fs.tolist()):
+                    yield dict(zip(names, row))
+
     if args.series:
-        names = ["n", "x", "y", "theta", "f"]
-        rows = zip(range(1, args.n + 1), xs.tolist(), ys.tolist(), ts.tolist(), fs.tolist())
-        emit_series((dict(zip(names, row)) for row in rows), args.series, names)
+        emit_series(rows(), args.series, names)
+    else:
+        for _ in rows():
+            pass
+    timings["orbit"] = time.perf_counter() - t0
     g = genericity(xi)
     return {"point": repr(xi), "observable": f.label, "n": args.n,
-            "genericity": g.label,
-            "mean_f": repr(exact_prefix_sums(fs, [args.n])[0] / args.n),
-            "final": {"x": repr(float(xs[-1])), "y": repr(float(ys[-1])),
-                      "theta": repr(float(ts[-1]))}}
+            "genericity": g.label, "mean_f": repr(total.value() / args.n),
+            "final": final}
 
 
 def _run_correlate(args, timings) -> dict:

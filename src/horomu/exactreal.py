@@ -8,7 +8,7 @@ Three needs drive this module:
 * long exponential sums need ``frac(n*theta)`` to full double precision
   for n up to ~1e9, which a plain float64 product cannot deliver;
 * orbit averages are rounded once from the exact sum of their float64
-  terms (``exact_prefix_sums``, at array speed).
+  terms (``ExactSum``, a running sum at array speed in O(chunk) memory).
 
 The fractional parts are computed through a 96-bit fixed-point integer
 image of the constant, so both the sequence builder and any closed-form
@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 from mpmath import mp, mpf
 
-from .errors import DescriptorError
+from .errors import DescriptorError, DomainError
 
 FRAC_SHIFT = 96
 _LIMB = 24
@@ -37,6 +37,7 @@ MAX_FRAC_INDEX = 1 << 38  # keeps limb products inside int64
 _FRAC_CHUNK = 1 << 14  # indices per pass of the limb loop
 _SUM_CHUNK = 1 << 13  # below 2^26, so a chunk's sums of 27-bit halves stay exact
 _EXP_OFFSET = 1074  # np.frexp exponents of finite floats are >= -1073
+_FOLD_AFTER = 1 << 35  # values between folds: each adds at most 2^27 to an int64 bucket
 
 
 @dataclass(frozen=True)
@@ -139,60 +140,118 @@ def _image_frac_parts(image: int, ns) -> np.ndarray:
     return out
 
 
-def exact_prefix_sums(values, ends) -> list[float]:
-    """The correctly rounded sum of values[:e] for each of the nondecreasing
-    ends e, equal bit for bit to math.fsum(values[:e]).
+class ExactSum:
+    """A running sum of float64 values: ``value()`` is, at any point, the
+    correctly rounded sum of everything added so far, equal bit for bit to
+    math.fsum of the values in the order added, with fsum's rules for nan
+    and the infinities (a nan makes the sum nan, an infinity makes it that
+    infinity, and +inf with -inf makes ``value()`` raise fsum's ValueError).
+
+    ``count`` bounds how many values will be added. fsum's partial sums
+    stay finite while count * max|x| <= 2^1021, so ``add`` raises
+    DomainError for a finite |x| >= 2^(1021 - count.bit_length()), where
+    fsum might overflow; a bounded observable never comes near it.
 
     np.frexp writes each finite value as M * 2^(k - 53) with an integer
     |M| < 2^53, split into a 27-bit high and a 26-bit low half. Per chunk
     of at most _SUM_CHUNK values, one np.bincount per half adds the halves
     of each exponent k; every chunk sum stays below 2^53, so float64 adds
-    them exactly, and they go into int64 buckets per exponent. At each end
-    the buckets become one Python int by Horner over the exponents, and one
-    int / int true division rounds it once, correctly. Temporaries stay
-    O(_SUM_CHUNK). A non-finite value, or one so large that fsum's partial
-    sums could overflow, sends every end that reaches it to math.fsum, so
-    the result is the same value or the same error.
+    them exactly, and they go into int64 buckets per exponent (folded into
+    a Python int before 2^35 values could overflow them). ``value()`` turns
+    the buckets into one Python int, and one int / int true division
+    rounds it once, correctly. Memory stays O(_SUM_CHUNK) at any count.
     """
+
+    def __init__(self, count: int):
+        self._count = self._room = count
+        nbuckets = 1021 - count.bit_length() + _EXP_OFFSET + 1
+        self._high = np.zeros(nbuckets, dtype=np.int64)
+        self._low = np.zeros(nbuckets, dtype=np.int64)
+        self._pending = 0  # values in the int64 buckets since the last fold
+        self._carry = 0  # folded buckets, in units of 2^-(_EXP_OFFSET + 53)
+        self._special = self._inf = 0.0  # fsum's sums of nans and infinities
+
+    def add(self, values) -> None:
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if values.size > self._room:
+            raise ValueError(f"ExactSum has room for {self._room} more values, "
+                             f"got {values.size}")
+        self._room -= values.size
+        for lo in range(0, values.size, _SUM_CHUNK):
+            self._add_chunk(values[lo:lo + _SUM_CHUNK])
+
+    def _add_chunk(self, chunk: np.ndarray) -> None:
+        nbuckets = self._high.size
+        if self._pending + chunk.size > _FOLD_AFTER:
+            self._carry += _bucket_int(self._high, self._low)
+            self._high[:] = 0
+            self._low[:] = 0
+            self._pending = 0
+        mant, exp = np.frexp(chunk)
+        exp += _EXP_OFFSET
+        mant *= 2.0 ** 27
+        half = np.floor(mant)
+        high = np.bincount(exp, half, nbuckets)
+        if not np.isfinite(high).all():  # a nan or an infinity
+            finite = np.isfinite(chunk)
+            special = chunk[~finite]
+            with np.errstate(invalid="ignore"):  # inf + -inf is nan, as in fsum
+                self._special += float(special.sum())
+                self._inf += float(special[np.isinf(special)].sum())
+            self._add_chunk(chunk[finite])
+            return
+        if high.size > nbuckets:
+            raise DomainError(
+                f"an exactly rounded sum of {self._count} values takes finite "
+                f"values below 2^{nbuckets - _EXP_OFFSET - 1} in magnitude, got "
+                f"{float(np.abs(chunk).max())!r}")
+        self._high += high.astype(np.int64)
+        mant -= half
+        mant *= 2.0 ** 26
+        self._low += np.bincount(exp, mant, nbuckets).astype(np.int64)
+        self._pending += chunk.size
+
+    def value(self) -> float:
+        if self._special:
+            if math.isnan(self._inf):
+                raise ValueError("-inf + inf in fsum")
+            return self._special
+        return ((self._carry + _bucket_int(self._high, self._low))
+                / (1 << (_EXP_OFFSET + 53)))
+
+
+def exact_prefix_sums(values, ends) -> list[float]:
+    """The correctly rounded sum of values[:e] for each of the nondecreasing
+    ends e, equal bit for bit to math.fsum(values[:e]): one ExactSum read
+    at each end. A value beyond its overflow guard sends every end that
+    reaches it to math.fsum, so the result is the same value or the same
+    error."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     ends = [int(e) for e in ends]
     if ends and (ends[0] < 0 or ends[-1] > values.size
                  or any(b < a for a, b in zip(ends, ends[1:]))):
         raise ValueError(f"ends must be nondecreasing in [0, {values.size}]")
-    # fsum's partials stay finite while n * max|x| <= 2^1021
-    nbuckets = 1021 - values.size.bit_length() + _EXP_OFFSET + 1
-    high = np.zeros(nbuckets, dtype=np.int64)
-    low = np.zeros(nbuckets, dtype=np.int64)
-    sums, pos = [], 0
+    total, sums, pos = ExactSum(values.size), [], 0
     for k, end in enumerate(ends):
-        while pos < end:
-            mant, exp = np.frexp(values[pos:min(end, pos + _SUM_CHUNK)])
-            pos += mant.size
-            exp += _EXP_OFFSET
-            mant *= 2.0 ** 27
-            half = np.floor(mant)
-            chunk = np.bincount(exp, half, nbuckets)
-            if chunk.size > nbuckets or not math.isfinite(chunk.sum()):
-                return sums + [math.fsum(values[:e]) for e in ends[k:]]
-            high += chunk.astype(np.int64)
-            mant -= half
-            mant *= 2.0 ** 26
-            low += np.bincount(exp, mant, nbuckets).astype(np.int64)
-        sums.append(_bucket_sum(high, low))
+        try:
+            total.add(values[pos:end])
+        except DomainError:
+            return sums + [math.fsum(values[:e]) for e in ends[k:]]
+        pos = end
+        sums.append(total.value())
     return sums
 
 
-def _bucket_sum(high: np.ndarray, low: np.ndarray) -> float:
-    """sum_i (high[i] * 2^26 + low[i]) * 2^(i - _EXP_OFFSET - 53), rounded once."""
+def _bucket_int(high: np.ndarray, low: np.ndarray) -> int:
+    """sum_i (high[i] * 2^26 + low[i]) * 2^i, by Horner from the top bucket."""
     nz = np.flatnonzero(high | low)[::-1]
     if not nz.size:
-        return 0.0
+        return 0
     acc, prev = 0, int(nz[0])
     for i, h, lo in zip(nz.tolist(), high[nz].tolist(), low[nz].tolist()):
         acc = (acc << (prev - i)) + (h << 26) + lo
         prev = i
-    shift = prev - _EXP_OFFSET - 53
-    return float(acc << shift) if shift >= 0 else acc / (1 << -shift)
+    return acc << prev
 
 
 _TOKEN = re.compile(r"^\s*(?P<rat>-?\d+(?:/\d+)?|-?\d*\.\d+)?\s*"

@@ -246,6 +246,27 @@ class TestSubcommands:
         fs = parse_observable("obs:windy:y0=2,width=0.5").eval(xs, ys, ts)
         assert report["result"]["mean_f"] == repr(math.fsum(fs) / 3000)
 
+    @pytest.mark.parametrize("n", [25, 4096, 2 * 4096 + 1])
+    def test_orbit_streams_the_full_array_report(self, tmp_path, n):
+        # mean_f, final and the CSV bytes as the whole orbit in arrays gives them
+        series = tmp_path / "orbit.csv"
+        code, report = run(["orbit", "--point", "point:lower:t=inv_e", "--obs",
+                            "obs:windy:y0=2,width=0.5", "--n", str(n),
+                            "--series", str(series)], tmp_path)
+        assert code == EXIT_OK
+        ev = OrbitEvaluator(parse_point("point:lower:t=inv_e"), n)
+        xs, ys, ts = ev.run(range(1, n + 1), need_theta=True)
+        fs = parse_observable("obs:windy:y0=2,width=0.5").eval(xs, ys, ts)
+        assert report["result"]["mean_f"] == repr(math.fsum(fs) / n)
+        assert report["result"]["final"] == {
+            "x": repr(float(xs[-1])), "y": repr(float(ys[-1])), "theta": repr(float(ts[-1]))}
+        names = ["n", "x", "y", "theta", "f"]
+        want = tmp_path / "want.csv"
+        emit_series((dict(zip(names, row)) for row in zip(
+            range(1, n + 1), xs.tolist(), ys.tolist(), ts.tolist(), fs.tolist())),
+            want, names)
+        assert series.read_bytes() == want.read_bytes()
+
     def test_orbit_series_schema(self, tmp_path):
         series = tmp_path / "orbit.csv"
         code, report = run(["orbit", "--point", "point:lower:t=exp1",

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,13 @@ def _exact_run(self, indices, need_theta=False):
             np.array([c.theta if need_theta else 0.0 for c in cs]))
 
 
+def _exact_chunks(self, indices, need_theta=False):
+    """``OrbitEvaluator.chunks`` from exact ``coords`` calls."""
+    arrays = _exact_run(self, indices, need_theta)
+    for lo in range(0, len(arrays[0]), _CHUNK):
+        yield lo, tuple(a[lo:lo + _CHUNK] for a in arrays)
+
+
 def _assert_matches_exact(xi, indices, tol=1e-9):
     idx = list(indices)
     n_max = max(idx, default=2)
@@ -266,6 +274,34 @@ class TestBlockedEvaluator:
         with pytest.raises(ValidationError):
             ev.coords(48)
 
+    def test_decrease_across_chunks_rejected(self):
+        # a drop at position _CHUNK, the first index of the second chunk
+        idx = list(range(1, _CHUNK + 1)) + [_CHUNK - 1, _CHUNK + 1]
+        with pytest.raises(ValidationError):
+            OrbitEvaluator(self.XI, 2 * _CHUNK).run(idx)
+        with pytest.raises(ValidationError):
+            list(OrbitEvaluator(self.XI, 2 * _CHUNK).chunks(idx))
+        # and at the first index of a second call
+        ev = OrbitEvaluator(self.XI, 2 * _CHUNK)
+        assert [lo for lo, _ in ev.chunks(range(1, _CHUNK + 2))] == [0, _CHUNK]
+        ev.run([_CHUNK + 1])  # an equal index is allowed
+        with pytest.raises(ValidationError):
+            next(ev.chunks(range(_CHUNK, 2 * _CHUNK)))
+        with pytest.raises(ValidationError):
+            ev.run([_CHUNK])
+
+    @pytest.mark.parametrize("indices", [range(1, 1), range(1, 100),
+                                         range(5, 5 + 3 * (2 * _CHUNK + 1), 3)])
+    def test_chunks_are_run_in_pieces(self, indices):
+        whole = OrbitEvaluator(self.XI, 10 ** 5).run(indices, True)
+        offsets = []
+        for lo, part in OrbitEvaluator(self.XI, 10 ** 5).chunks(iter(indices), True):
+            offsets.append(lo)
+            assert len(part[0]) == min(_CHUNK, len(indices) - lo)
+            for a, b in zip(whole, part):
+                assert a[lo:lo + _CHUNK].tobytes() == b.tobytes()
+        assert offsets == list(range(0, len(indices), _CHUNK))
+
     def test_low_precision_raises(self):
         with pytest.raises(PrecisionError, match="off the closed form"):
             OrbitEvaluator(self.XI, 20000, 48).run(range(1, 20001))
@@ -282,7 +318,7 @@ class TestBlockedEvaluator:
                     *(r.average for r in mobius_disjointness_sum(self.XI, f, n, mu).rows)]
 
         fast = values()
-        monkeypatch.setattr(OrbitEvaluator, "run", _exact_run)
+        monkeypatch.setattr(OrbitEvaluator, "chunks", _exact_chunks)
         exact = values()
         assert np.max(np.abs(np.array(fast) - np.array(exact))) <= 1e-10
 
@@ -512,6 +548,54 @@ class TestExactlyRoundedAverages:
             from_list = OrbitEvaluator(self.XI, indices[-1]).run(list(indices), theta)
             for a, b in zip(from_range, from_list):
                 assert a.tobytes() == b.tobytes()
+
+
+    @pytest.mark.parametrize("n", [2 * _CHUNK, 2 * _CHUNK + 1])
+    def test_streamed_sums_at_chunk_edges(self, n):
+        """Every streamed average equals its full-array formula when N is a
+        multiple of the chunk and one past it, with ladder rungs inside a
+        chunk and on its edges."""
+        windy, bump = windy_observable(), bump_observable(2.0, 0.5)
+        f, _ = split_observable(windy, SMALL_QUAD)
+        want = math.fsum(self._values(windy, range(1, n + 1))) / n
+        assert birkhoff_average(windy, self.XI, n).hex() == want.hex()
+        vp = self._values(f, range(2, 2 * n + 1, 2))
+        vq = self._values(f, range(3, 3 * n + 1, 3))
+        est = pair_correlation(f, self.XI, 2, 3, n, quad=SMALL_QUAD)
+        assert est.value.hex() == (math.fsum(vp * vq) / n).hex()
+        mu = sieve_mobius(n)
+        ladder = [1, 77, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 500, 2 * _CHUNK]
+        rep = mobius_disjointness_sum(self.XI, bump, n, mu, ladder=ladder)
+        vals = self._values(bump, range(1, n + 1))
+        nu = mu.values[1:n + 1].astype(float)
+        assert [r.n for r in rep.rows] == sorted(set(ladder) | {n})
+        for r in rep.rows:
+            total = math.fsum(nu[:r.n] * vals[:r.n]) / r.n
+            nu_mean = math.fsum(nu[:r.n]) / r.n
+            assert (r.average.hex(), r.nu_mean.hex()) == (total.hex(), nu_mean.hex())
+        seq = orbit_sequence(self.XI, bump, n).values
+        assert seq.tobytes() == np.concatenate([[0.0], vals]).astype(complex).tobytes()
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        """The orbit is never held whole: the same bound holds at 3e5 and at
+        1e6 points, where the full arrays would take 12 MB and 40 MB. The
+        identity orbit keeps the traced run short (about 1.7 MB is traced
+        for inv_e too, at both sizes)."""
+        bound = 1024 * _CHUNK  # 4 MiB
+        xi = ModularPoint.identity()
+        windy, bump = windy_observable(), bump_observable(2.0, 0.5)
+        mu = sieve_mobius(10 ** 6)
+        for n in (3 * 10 ** 5, 10 ** 6):
+            for run in (lambda: birkhoff_average(windy, xi, n),
+                        lambda: mobius_disjointness_sum(xi, bump, n, mu)):
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    run()
+                    peak = tracemalloc.get_traced_memory()[1] - start
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound, (n, peak)
 
 
 class TestOrbitSequence:

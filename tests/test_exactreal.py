@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from horomu import exactreal
-from horomu.errors import DescriptorError
-from horomu.exactreal import (FRAC_SHIFT, MAX_FRAC_INDEX, SymbolicReal, as_symbolic,
-                              exact_prefix_sums, fixed_point_image, frac_parts,
+from horomu.errors import DescriptorError, DomainError
+from horomu.exactreal import (FRAC_SHIFT, MAX_FRAC_INDEX, ExactSum, SymbolicReal,
+                              as_symbolic, exact_prefix_sums, fixed_point_image, frac_parts,
                               ratio_as_rational, symbol_spec)
 
 from conftest import TEST_SEED
@@ -272,3 +272,76 @@ class TestExactPrefixSums:
             tracemalloc.stop()
         assert peak < 64 * exactreal._SUM_CHUNK  # the values take 8 MB
         assert sums[-1].hex() == math.fsum(values).hex()
+
+
+SPECIALS = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def fsum_or_error(values):
+    try:
+        return math.fsum(values).hex()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestExactSum:
+    """The running sum read after any split equals math.fsum of the values
+    added so far, nan, the infinities and their errors included."""
+
+    @given(st.data())
+    def test_random_splits_equal_fsum(self, data):
+        finite = st.floats(-1e300, 1e300, allow_subnormal=True)
+        values = data.draw(st.lists(finite | SPECIALS if data.draw(st.booleans())
+                                    else finite, max_size=60))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=6)))
+        total, pos = ExactSum(len(values)), 0
+        for end in cuts + [len(values)]:
+            total.add(values[pos:end])
+            pos = end
+            try:
+                got = total.value().hex()
+            except ValueError as exc:
+                got = f"ValueError: {exc}"
+            assert got == fsum_or_error(values[:end])
+
+    @pytest.mark.parametrize("values, want", [
+        ([1.0, math.nan, 2.0], "nan"), ([0.5, math.inf, 1.0, math.inf], "inf"),
+        ([-math.inf, 3.0], "-inf"), ([math.nan, math.inf], "nan")])
+    def test_special_values(self, values, want):
+        total = ExactSum(len(values))
+        for v in values:
+            total.add([v])
+        assert repr(total.value()) == want == repr(math.fsum(values))
+
+    @pytest.mark.parametrize("values", [[1.0, math.inf, 2.0, -math.inf],
+                                        [math.nan, -math.inf, math.inf]])
+    def test_opposite_infinities_raise_as_fsum(self, values):
+        total = ExactSum(len(values))
+        total.add(values[:2])
+        total.value()
+        total.add(values[2:])
+        with pytest.raises(ValueError) as got:
+            total.value()
+        with pytest.raises(ValueError) as want:
+            math.fsum(values)
+        assert str(got.value) == str(want.value)
+
+    def test_buckets_fold_into_an_int(self, monkeypatch):
+        monkeypatch.setattr(exactreal, "_FOLD_AFTER", 7)
+        monkeypatch.setattr(exactreal, "_SUM_CHUNK", 5)
+        rng = np.random.default_rng(TEST_SEED)
+        for values in seeded_arrays(rng):
+            total = ExactSum(values.size)
+            for lo in range(0, values.size, 13):
+                total.add(values[lo:lo + 13])
+                assert total.value().hex() == math.fsum(values[:lo + 13]).hex()
+
+    def test_guard_and_room(self):
+        # four values of magnitude below 2^1018 keep fsum's partials finite
+        total = ExactSum(4)
+        total.add([2.0 ** 1017, math.inf])
+        with pytest.raises(DomainError, match="below 2\\^1018"):
+            total.add([-2.0 ** 1018])
+        with pytest.raises(ValueError, match="room for 2 more"):
+            ExactSum(2).add([1.0, 2.0, 3.0])
+        assert ExactSum(0).value() == 0.0
