@@ -17,6 +17,8 @@ lines with a hold/fail flag, never as errors.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -108,20 +110,57 @@ class BoundedSequence:
         channel so closed-form cross-checks see identical angles. The
         values are written TRIG_CHUNK indices at a time: cos and sin of
         x = frac * 2 pi go straight into the real and imaginary parts. The
-        work is elementwise, so the values equal the one-shot formula
-        exp(2j pi frac) bit for bit.
+        chunks are filled on every core the process may run on, in one
+        contiguous run per core (numpy releases the GIL inside cos and
+        sin). The work is elementwise, so the values are the same bytes at
+        any core count and equal the one-shot formula exp(2j pi frac) bit
+        for bit.
         """
         _check_budget(horizon)
         vals = np.empty(horizon + 1, dtype=np.complex128)
         image = fixed_point_image(theta, FRAC_SHIFT)  # one mpmath evaluation
-        for lo in range(0, horizon + 1, TRIG_CHUNK):
-            out = vals[lo:lo + TRIG_CHUNK]
-            angle = _image_frac_parts(image, np.arange(lo, lo + out.size, dtype=np.int64))
-            angle *= 2 * np.pi
-            np.cos(angle, out=out.real)
-            np.sin(angle, out=out.imag)
+
+        def fill(first: int, stop: int) -> None:
+            for lo in range(first * TRIG_CHUNK, min(stop * TRIG_CHUNK, vals.size), TRIG_CHUNK):
+                out = vals[lo:lo + TRIG_CHUNK]
+                angle = _image_frac_parts(image, np.arange(lo, lo + out.size, dtype=np.int64))
+                angle *= 2 * np.pi
+                np.cos(angle, out=out.real)
+                np.sin(angle, out=out.imag)
+
+        _fill_on_every_core(fill, -(-vals.size // TRIG_CHUNK))
         name = theta if isinstance(theta, str) else repr(theta)
         return cls._owned(vals, label or f"exp:{name}")
+
+
+def _fill_on_every_core(fill, chunks: int) -> None:
+    """Call fill(first, stop) over contiguous runs of chunk numbers that
+    cover range(chunks): one run per core the process may run on, and no
+    more runs than chunks. The caller fills the first run, and every other
+    run's thread is joined before this returns; the first exception of a
+    worker is then raised here."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    runs = min(cores or 1, chunks)
+    ends = [chunks * k // runs for k in range(runs + 1)]
+    errors = []
+
+    def work(first: int, stop: int) -> None:
+        try:
+            fill(first, stop)
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    started = []
+    try:
+        for first, stop in zip(ends[1:-1], ends[2:]):
+            started.append(threading.Thread(target=work, args=(first, stop)))
+            started[-1].start()
+        fill(ends[0], ends[1])
+    finally:
+        for t in started:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def _check_budget(horizon: int) -> None:

@@ -29,7 +29,8 @@ _CHUNK points in blocks (``run`` joins them):
   within it of the domain's boundary, is recomputed on the exact path:
   these are the cusp excursions, about t / 2e5 of the points;
 * precision guard: each exact point (anchors and fallbacks) is compared
-  with the closed form at 64 more bits, and a first-order bound on its
+  with the closed form at 64 more bits, through one exact integer product
+  per point (``_state_error``), and a first-order bound on its
   coordinates above 1e-9 raises ``PrecisionError``.
 
 Orbit averages (Birkhoff, pair correlations, the disjointness ladder) are
@@ -291,22 +292,27 @@ def _split(v: int, one: int) -> tuple[float, float]:
     return hi / one, (v - hi) / one
 
 
-def _state_error(state, ref_state, ref_one: int) -> tuple[float, float]:
+def _check_delta(xi: ModularPoint, bits: int) -> tuple[int, int, int, int]:
+    """Delta = (xi_b << _CHECK_BITS) - xi_(b + _CHECK_BITS), entrywise, with
+    xi_k the entries of xi rounded to k fixed-point bits (b = ``bits``)."""
+    return tuple((v << _CHECK_BITS) - u for v, u in
+                 zip(xi.entries_fixed(bits), xi.entries_fixed(bits + _CHECK_BITS)))
+
+
+def _state_error(state, delta, ref_one: int) -> tuple[float, float]:
     """Max entry error (in units of 1) of the top and of the bottom row of the
-    exact reduced matrix w in ``state`` against ``ref_state``, the same point
-    at _CHECK_BITS more bits with unit ``ref_one``, taken in w's
-    representative when the two straddle the domain's boundary."""
-    _, w, g = state
-    _, w_ref, g_ref = ref_state
-    if g != g_ref:
-        p, q, r, s = g
-        a, b, c, d = g_ref  # g * g_ref^-1 maps w_ref onto w's representative
-        e = (p * d - q * c, q * a - p * b, r * d - s * c, s * a - r * b)
-        wa, wb, wc, wd = w_ref
-        w_ref = (e[0] * wa + e[1] * wc, e[0] * wb + e[1] * wd,
-                 e[2] * wa + e[3] * wc, e[2] * wb + e[3] * wd)
-    da, db, dc, dd = (abs((v << _CHECK_BITS) - u) for v, u in zip(w, w_ref))
-    return max(da, db) / ref_one, max(dc, dd) / ref_one
+    exact reduced matrix w in ``state`` against the same point at
+    _CHECK_BITS more bits, whose unit is ``ref_one``.
+
+    w = g * xi_b * u^m holds exactly in integers, so mapped into w's
+    representative the point at more bits is g * xi_(b+64) * u^m, and the
+    error is the product g * delta * u^m with ``delta`` from _check_delta."""
+    m, _, (p, q, r, s) = state
+    da, db, dc, dd = delta
+    db, dd = db + m * da, dd + m * dc
+    top = max(abs(p * da + q * dc), abs(p * db + q * dd))
+    bottom = max(abs(r * da + s * dc), abs(r * db + s * dd))
+    return top / ref_one, bottom / ref_one
 
 
 def _coordinate_bound(y, top, bottom):
@@ -396,14 +402,14 @@ class OrbitEvaluator:
         exactly evaluated point may be more than _TOLERANCE off the closed
         form at _CHECK_BITS more bits.
         """
-        check = OrbitEvaluator(self.xi, 2, self.bits + _CHECK_BITS)
+        delta = _check_delta(self.xi, self.bits)
         buffers = np.empty(_CHUNK), np.empty(_CHUNK), np.zeros(_CHUNK)
         offset = 0
         for idx in _index_chunks(indices):
             if idx[0] < self._m or np.any(idx[1:] < idx[:-1]):
                 raise ValidationError("OrbitEvaluator requires nondecreasing indices")
             xs, ys, ts = (b[:idx.size] for b in buffers)
-            self._run_chunk(idx, xs, ys, ts, need_theta, check)
+            self._run_chunk(idx, xs, ys, ts, need_theta, delta)
             self._m = int(idx[-1])
             yield offset, (xs, ys, ts)
             offset += idx.size
@@ -419,28 +425,29 @@ class OrbitEvaluator:
                 a[lo:lo + b.size] = b
         return out
 
-    def _run_chunk(self, idx, xs, ys, ts, need_theta, check):
+    def _run_chunk(self, idx, xs, ys, ts, need_theta, delta):
         """Fill xs, ys, ts for one chunk: exact anchors every _ANCHOR_EVERY
         indices, float64 blocks w * u^t reduced row-wise, exact fallback;
-        ``check`` is the same closed form at _CHECK_BITS more bits."""
+        ``delta`` (_check_delta) gives each exact point's error against the
+        closed form at _CHECK_BITS more bits."""
         heads = idx[::_ANCHOR_EVERY]
-        anchors = []  # (exact state, check state) per block
+        anchors = []  # exact state per block
         for m in heads.tolist():
             self._state = self._step(self._state, m)
-            check._state = check._step(check._state, m)
-            anchors.append((self._state, check._state))
+            anchors.append(self._state)
         # values of each anchor, (anchors,) or (4, anchors), computed once and
         # then repeated over the points of its block
         def spread(a):
             return np.repeat(a, _ANCHOR_EVERY, axis=-1)[..., :len(idx)]
 
-        hi, lo = np.array([[_split(v, self.one) for v in s[1]] for s, _ in anchors]).T
+        hi, lo = np.array([[_split(v, self.one) for v in s[1]] for s in anchors]).T
         # an integral anchor makes every float operation below exact
         rounded = ((lo != 0) | (hi != np.round(hi))).any(axis=0)
         w = hi + lo
         scale = 1.0 + np.abs(w[0]) + np.abs(w[2])
-        g0 = np.array([[float(s[2][k]) for s, _ in anchors] for k in range(4)])
-        dt0, db0 = np.array([_state_error(s, ref, check.one) for s, ref in anchors]).T
+        ref_one = self.one << _CHECK_BITS
+        g0 = np.array([[float(s[2][k]) for s in anchors] for k in range(4)])
+        dt0, db0 = np.array([_state_error(s, delta, ref_one) for s in anchors]).T
         t = (idx - spread(heads)).astype(float)
         t1 = 1.0 + t
         hi, lo, w = spread(hi), spread(lo), spread(w)  # (4, n): A, B, C, D
@@ -489,12 +496,10 @@ class OrbitEvaluator:
                           heads.tolist()))
         for k in np.flatnonzero(~ok).tolist():  # ascending within each block
             blk, m = k // _ANCHOR_EVERY, int(idx[k])
-            state, ref_state = anchors[blk]
-            state, ref_state = self._step(state, m), check._step(ref_state, m)
-            anchors[blk] = (state, ref_state)
+            anchors[blk] = state = self._step(anchors[blk], m)
             pt = self._point(state, need_theta)
             bounds.append((float(_coordinate_bound(
-                pt.y, *_state_error(state, ref_state, check.one))), m))
+                pt.y, *_state_error(state, delta, ref_one))), m))
             xs[k], ys[k] = pt.x, pt.y
             if need_theta:
                 ts[k] = pt.theta
@@ -572,8 +577,15 @@ def _check_params(name: str, positive: bool, **params):
             raise ValidationError(f"{name} needs {need} {key}, got {v}")
 
 
+# |c| allowed for a constant observable: c^2, a pair correlation's term, then
+# stays far below the overflow guard of ExactSum at any N
+_CONST_MAX = 1e100
+
+
 def const_observable(c: float = 1.0) -> Observable:
     _check_params("const", False, c=c)
+    if abs(c) > _CONST_MAX:
+        raise ValidationError(f"const needs |c| <= {_CONST_MAX:g}, got {c}")
     return Observable(f"const:{c}", "k_invariant",
                       lambda x, y: np.full_like(np.asarray(y, float), c),
                       cusp_limit=c, exact_mean=c)

@@ -417,6 +417,10 @@ class TestExitCodes:
             code = main(["orbit", "--point", "point:identity", "--n", "3",
                          "--obs", obs, "--out", str(tmp_path / "x.json")])
             assert code == EXIT_VALIDATION, obs
+        # finite, but its square would overflow the correlation sums
+        code = main(["correlate", "--point", "point:lower:t=inv_e", "--n", "10",
+                     "--obs", "obs:const:c=1e200", "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_VALIDATION
         criterion = ["criterion", "--seq", "exp:theta=sqrt2", "--n", "400",
                      "--alpha", "0.3", "--j0", "5", "--j1", "10", "--cutoff", "20"]
         for args in (criterion + ["--exclude", "2"],

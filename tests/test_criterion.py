@@ -1,5 +1,7 @@
 import cmath
 import math
+import os
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -8,8 +10,9 @@ import pytest
 
 from horomu import criterion
 from horomu.arith import SEGMENT, MultiplicativeTable, sieve_mobius, sieve_primes
-from horomu.criterion import (BoundedSequence, bilinear_sum, criterion_ledger,
-                              tau_estimate, vinogradov_bound, weighted_sum)
+from horomu.criterion import (TRIG_CHUNK, BoundedSequence, bilinear_sum,
+                              criterion_ledger, tau_estimate, vinogradov_bound,
+                              weighted_sum)
 from horomu.decomp import DecompositionParams, build_decomposition
 from horomu.dynamics import (ModularPoint, bump_observable, orbit_sequence,
                              pair_correlation, split_observable)
@@ -58,6 +61,43 @@ class TestBoundedSequence:
         expect = np.exp(2j * np.pi * frac_parts("inv_e", ns))
         expect[0] = 0
         assert F.values.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("horizon", [3 * TRIG_CHUNK + 17, TRIG_CHUNK - 5])
+    def test_exponential_same_bytes_at_any_core_count(self, monkeypatch, horizon):
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        chunks = -(-(horizon + 1) // TRIG_CHUNK)
+        values = set()
+        for cores in (1, 2, 5):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: set(range(c)))
+            started.clear()
+            values.add(BoundedSequence.exponential("inv_e", horizon).values.tobytes())
+            # one run per core, never more runs than chunks; the caller fills one
+            assert len(started) == min(cores, chunks) - 1
+        assert len(values) == 1
+
+    @pytest.mark.parametrize("bad_chunk", [0, 2, 3])
+    def test_exponential_chunk_failure_raises_and_joins(self, monkeypatch, bad_chunk):
+        # chunk 0 is filled by the caller, chunks 2 and 3 by worker threads
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        frac_parts_of = criterion._image_frac_parts
+
+        def failing(image, ns):
+            if ns[0] == bad_chunk * TRIG_CHUNK:
+                raise ArithmeticError("injected")
+            return frac_parts_of(image, ns)
+
+        monkeypatch.setattr(criterion, "_image_frac_parts", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="injected"):
+            BoundedSequence.exponential("inv_e", 3 * TRIG_CHUNK + 17)
+        assert threading.active_count() == before
 
     def test_caller_array_is_copied(self):
         vals = np.full(5, 0.5 + 0j)

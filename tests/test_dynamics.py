@@ -16,7 +16,7 @@ from horomu.dynamics import (FundamentalDomainCoords, ModularPoint,
                              mobius_disjointness_sum, orbit_sequence,
                              pair_correlation, reduce, split_observable,
                              step_observable, windy_observable, _ANCHOR_EVERY,
-                             _CHUNK)
+                             _CHECK_BITS, _CHUNK, _check_delta, _state_error)
 from horomu.errors import (ConvergenceError, DescriptorError, PrecisionError,
                            ValidationError)
 from horomu.exactreal import SymbolicReal
@@ -209,6 +209,23 @@ def _exact_chunks(self, indices, need_theta=False):
         yield lo, tuple(a[lo:lo + _CHUNK] for a in arrays)
 
 
+def _stepped_state_error(state, ref_state, ref_one):
+    """Row errors of the exact state against ``ref_state``, the same point
+    stepped by its own evaluator at _CHECK_BITS more bits, mapped into the
+    state's representative when the reducing matrices differ."""
+    _, w, g = state
+    _, w_ref, g_ref = ref_state
+    if g != g_ref:
+        p, q, r, s = g
+        a, b, c, d = g_ref  # g * g_ref^-1 maps w_ref onto w's representative
+        e = (p * d - q * c, q * a - p * b, r * d - s * c, s * a - r * b)
+        wa, wb, wc, wd = w_ref
+        w_ref = (e[0] * wa + e[1] * wc, e[0] * wb + e[1] * wd,
+                 e[2] * wa + e[3] * wc, e[2] * wb + e[3] * wd)
+    da, db, dc, dd = (abs((v << _CHECK_BITS) - u) for v, u in zip(w, w_ref))
+    return max(da, db) / ref_one, max(dc, dd) / ref_one
+
+
 def _assert_matches_exact(xi, indices, tol=1e-9):
     idx = list(indices)
     n_max = max(idx, default=2)
@@ -305,6 +322,27 @@ class TestBlockedEvaluator:
     def test_low_precision_raises(self):
         with pytest.raises(PrecisionError, match="off the closed form"):
             OrbitEvaluator(self.XI, 20000, 48).run(range(1, 20001))
+
+    def test_check_product_matches_stepped_check(self):
+        # the error from one product g * delta * u^m equals the error against
+        # an independently stepped evaluator at _CHECK_BITS more bits, also
+        # where that evaluator reached the point by another reducing matrix
+        rng = random.Random(TEST_SEED)
+        differing = 0
+        for xi in (self.XI, ModularPoint.upper("sqrt2"), ModularPoint.lower(Fraction(1, 2)),
+                   ModularPoint.lower(Fraction(3, 7))):
+            for bits in (None, 48):
+                idx = sorted(rng.randrange(10 ** rng.randint(1, 6)) for _ in range(300))
+                ev = OrbitEvaluator(xi, max(idx[-1], 2), bits)
+                check = OrbitEvaluator(xi, 2, ev.bits + _CHECK_BITS)
+                delta = _check_delta(xi, ev.bits)
+                state, ref_state = ev._state, check._state
+                for m in idx:
+                    state, ref_state = ev._step(state, m), check._step(ref_state, m)
+                    differing += state[2] != ref_state[2]
+                    assert (_state_error(state, delta, check.one)
+                            == _stepped_state_error(state, ref_state, check.one))
+        assert differing > 0
 
     def test_averages_match_exact_path(self, monkeypatch):
         n = 10 ** 5
