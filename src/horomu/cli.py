@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 validation, 3 capacity, 4 precision, 5 I/O,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import inspect
 import json
@@ -216,26 +217,18 @@ def parse_excluded(spec: str) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def emit_report(report: dict, path, fmt: str = "json") -> None:
+    """Write the report as JSON or key,value CSV to ``path``, or to stdout
+    for None or "-"."""
     try:
-        if fmt == "csv":
-            rows = sorted(_flatten(report).items())
-            if path in (None, "-"):
-                w = csv.writer(sys.stdout)
-                w.writerow(["key", "value"])
-                w.writerows(rows)
-                return
-            with open(path, "w", newline="") as fh:
+        with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
+              else open(path, "w", newline="")) as fh:
+            if fmt == "csv":
                 w = csv.writer(fh)
                 w.writerow(["key", "value"])
-                w.writerows(rows)
-            return
-        if path in (None, "-"):
-            json.dump(report, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
-            return
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+                w.writerows(sorted(_flatten(report).items()))
+            else:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
     except OSError as exc:
         raise ReportIOError(f"cannot write report to {path}: {exc}")
 
@@ -345,7 +338,7 @@ def _run_criterion(args, timings) -> dict:
     timings["inputs"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     rep = _ledger(nu, F, params, parse_excluded(args.exclude),
-                  cutoff=args.cutoff, M=args.m, threads=args.threads)
+                  cutoff=args.cutoff, M=args.m)
     timings["ledger"] = time.perf_counter() - t0
     return rep.as_dict()
 
@@ -453,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"horomu {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, series=False, precision=False, threads=False):
+    def common(p, *, series=False, precision=False):
         p.add_argument("--out", default=None, help="JSON report path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--config", default=None, help="KEY=VALUE config file")
@@ -462,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         if precision:
             p.add_argument("--precision-bits", dest="precision_bits", type=int,
                            default=None)
-        if threads:
-            p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("sieve", help="prime / multiplicative-function tables")
     p.add_argument("--kind", choices=("primes", "mobius", "liouville"),
@@ -489,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", default="",
                    help="prime pairs p1:p2,p3:p4,... with p1 != p2 <= cutoff")
     p.add_argument("--m", type=int, default=None, help="uniform pair length")
-    common(p, precision=True, threads=True)
+    common(p, precision=True)
 
     p = sub.add_parser("orbit", help="reduced orbit time series")
     p.add_argument("--point", default=None)

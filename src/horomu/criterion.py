@@ -325,7 +325,7 @@ class TauEstimate:
 
 def tau_estimate(F: BoundedSequence, prime_cutoff: float,
                  M: Optional[int] = None, excluded: Sequence = (),
-                 threads: int = 1, window: Optional[int] = None) -> TauEstimate:
+                 window: Optional[int] = None) -> TauEstimate:
     """Largest normalized pair correlation over distinct primes <= cutoff.
 
     With M=None each pair uses M = floor(window / max(p1, p2)), window
@@ -339,8 +339,7 @@ def tau_estimate(F: BoundedSequence, prime_cutoff: float,
     ``bilinear_sum`` up to float64 rounding. tau_hat is the largest
     |total| / m, the first of equals in row-major order. Pair totals and
     tau_hat are float64 sums: they agree to rounding, not bit for bit,
-    across BLAS thread counts. ``threads`` is accepted for existing
-    callers; it changes neither the result nor the work split.
+    across BLAS thread counts.
     """
     ps, limits, skip, policy = _pair_plan(F.horizon, prime_cutoff, M, excluded, window)
     gram = np.zeros((ps.size, ps.size), dtype=np.complex128)
@@ -486,15 +485,16 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
     The bound is formed only for tau_eff < 1/e, where it is monotone;
     otherwise ``bound_rhs`` is the trivial bound sum |nu(n) F(n)|. The
     verdict is ``holds`` only when the bound is below the trivial bound; a
-    bound no smaller says nothing and is ``inconclusive``.
+    bound no smaller says nothing and is ``inconclusive``. ``threads`` is
+    ignored; it is kept only for callers that still pass it.
     """
     return _ledger(nu, F, DecompositionParams(N, Fraction(alpha), j0, j1), excluded,
-                   cutoff=cutoff, M=M, threads=threads)
+                   cutoff=cutoff, M=M)
 
 
 def _ledger(nu: MultiplicativeTable, F: BoundedSequence, params: DecompositionParams,
-            excluded: Sequence = (), *, cutoff: float, M: Optional[int] = None,
-            threads: int = 1) -> CriterionReport:
+            excluded: Sequence = (), *, cutoff: float,
+            M: Optional[int] = None) -> CriterionReport:
     """criterion_ledger over the window and blocks of the built ``params``,
     so a caller that has already checked them builds their bounds once."""
     N = params.n
@@ -516,7 +516,7 @@ def _ledger(nu: MultiplicativeTable, F: BoundedSequence, params: DecompositionPa
     blocks = [_block_ledger(dec, j, pair_sum, nu.values, F)
               for j, pair_sum in zip(params.block_range, pair_sums)]
     del dec  # free the decomposition before the tau tiles
-    tau = tau_estimate(F, cutoff, M=M, excluded=excluded, threads=threads, window=N)
+    tau = tau_estimate(F, cutoff, M=M, excluded=excluded, window=N)
     tau_eff = max(tau.tau_hat, 1 / math.log(cutoff))
     chain, diagnostics = _assemble_chain(params, blocks, total, leftover_sum, tau_eff)
 

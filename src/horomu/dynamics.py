@@ -389,6 +389,8 @@ class OrbitEvaluator:
         den = wc * wc + wd * wd
         x, y = (wa * wc + wb * wd) / den, (wa * wd - wb * wc) / den
         gp, gq, gr, gs = gamma
+        if x == 0.5:  # keep x in [-1/2, 1/2): T^-1 leaves the bottom row as is
+            x, gp, gq = -0.5, gp - gr, gq - gs
         return FundamentalDomainCoords(x, y, theta, ((gp, gq), (gr, gs)))
 
     def chunks(self, indices: Iterable[int], need_theta: bool = False):

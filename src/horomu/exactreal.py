@@ -34,7 +34,6 @@ _LIMB = 24
 _LIMB_MASK = (1 << _LIMB) - 1
 _NLIMB = FRAC_SHIFT // _LIMB
 MAX_FRAC_INDEX = 1 << 38  # keeps limb products inside int64
-_FRAC_CHUNK = 1 << 14  # indices per pass of the limb loop
 _SUM_CHUNK = 1 << 13  # below 2^26, so a chunk's sums of 27-bit halves stay exact
 _EXP_OFFSET = 1074  # np.frexp exponents of finite floats are >= -1073
 _FOLD_AFTER = 1 << 35  # values between folds: each adds at most 2^27 to an int64 bucket
@@ -103,9 +102,9 @@ def frac_parts(value, ns) -> np.ndarray:
     fixed-point floor P, and (n*P) mod 2^96 is evaluated limb-wise in
     int64, so the only float rounding is the final division by 2^96. Each
     limb adds (c & mask) * 2^(24k - 96), exact in float64, to the result in
-    limb order. The indices run in chunks of _FRAC_CHUNK through three
-    preallocated buffers that stay in cache; the work is elementwise, so
-    the result does not depend on the chunk size.
+    limb order. The limb loop runs over the whole of ``ns`` through three
+    work buffers of its size, so a caller that wants them in cache passes
+    few indices a call, as BoundedSequence.exponential does.
     """
     return _image_frac_parts(fixed_point_image(value, FRAC_SHIFT), ns)
 
@@ -119,24 +118,17 @@ def _image_frac_parts(image: int, ns) -> np.ndarray:
     if ns.size and int(ns.min()) < 0:
         raise DescriptorError("frac_parts indices must be nonnegative")
     P = image % (1 << FRAC_SHIFT)
-    limbs = [((P >> (_LIMB * k)) & _LIMB_MASK, 2.0 ** (_LIMB * k - FRAC_SHIFT))
-             for k in range(_NLIMB)]
     out = np.zeros(ns.shape, dtype=np.float64)
-    flat_ns, flat_out = ns.reshape(-1), out.reshape(-1)
-    size = min(ns.size, _FRAC_CHUNK)
-    c_buf, carry_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    part_buf = np.empty(size, dtype=np.float64)
-    for lo in range(0, ns.size, _FRAC_CHUNK):
-        n_chunk, out_chunk = flat_ns[lo:lo + _FRAC_CHUNK], flat_out[lo:lo + _FRAC_CHUNK]
-        c, carry, part = (buf[:n_chunk.size] for buf in (c_buf, carry_buf, part_buf))
-        carry.fill(0)
-        for limb, scale in limbs:
-            np.multiply(n_chunk, limb, out=c)
-            c += carry
-            np.bitwise_and(c, _LIMB_MASK, out=carry)  # carry doubles as the work buffer
-            np.multiply(carry, scale, out=part)
-            out_chunk += part
-            np.right_shift(c, _LIMB, out=carry)
+    c, carry = np.empty(ns.shape, dtype=np.int64), np.empty(ns.shape, dtype=np.int64)
+    part = np.empty(ns.shape, dtype=np.float64)
+    carry.fill(0)
+    for k in range(_NLIMB):
+        np.multiply(ns, (P >> (_LIMB * k)) & _LIMB_MASK, out=c)
+        c += carry
+        np.bitwise_and(c, _LIMB_MASK, out=carry)  # carry doubles as the work buffer
+        np.multiply(carry, 2.0 ** (_LIMB * k - FRAC_SHIFT), out=part)
+        out += part
+        np.right_shift(c, _LIMB, out=carry)
     return out
 
 
@@ -218,28 +210,6 @@ class ExactSum:
             return self._special
         return ((self._carry + _bucket_int(self._high, self._low))
                 / (1 << (_EXP_OFFSET + 53)))
-
-
-def exact_prefix_sums(values, ends) -> list[float]:
-    """The correctly rounded sum of values[:e] for each of the nondecreasing
-    ends e, equal bit for bit to math.fsum(values[:e]): one ExactSum read
-    at each end. A value beyond its overflow guard sends every end that
-    reaches it to math.fsum, so the result is the same value or the same
-    error."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    ends = [int(e) for e in ends]
-    if ends and (ends[0] < 0 or ends[-1] > values.size
-                 or any(b < a for a, b in zip(ends, ends[1:]))):
-        raise ValueError(f"ends must be nondecreasing in [0, {values.size}]")
-    total, sums, pos = ExactSum(values.size), [], 0
-    for k, end in enumerate(ends):
-        try:
-            total.add(values[pos:end])
-        except DomainError:
-            return sums + [math.fsum(values[:e]) for e in ends[k:]]
-        pos = end
-        sums.append(total.value())
-    return sums
 
 
 def _bucket_int(high: np.ndarray, low: np.ndarray) -> int:

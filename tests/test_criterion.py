@@ -182,13 +182,6 @@ class TestTauEstimate:
             expect = closed_form_magnitude("sqrt2", pc.p2 - pc.p1, pc.m) / pc.m
             assert abs(pc.normalized - expect) <= 1e-9 * expect, (pc.p1, pc.p2)
 
-    def test_threaded_matches_serial(self, exp_sqrt2_40k):
-        serial = tau_estimate(exp_sqrt2_40k, 20)
-        threaded = tau_estimate(exp_sqrt2_40k, 20, threads=4)
-        assert serial.tau_hat == threaded.tau_hat
-        assert [p.as_dict() for p in serial.pairs] == \
-               [p.as_dict() for p in threaded.pairs]
-
     def test_window_caps_pair_length(self, exp_sqrt2_40k):
         est = tau_estimate(exp_sqrt2_40k, 10, window=10_000)
         for pc in est.pairs:

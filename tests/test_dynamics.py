@@ -145,6 +145,24 @@ class TestHorocyclePoint:
             assert abs(got.x - float(ox)) < 1e-12
             assert abs(got.y - float(oy)) < 1e-12
 
+    @pytest.mark.parametrize("t", ["1/2", "1/3", "1/5", "2/5", "3/7", "2/9"])
+    def test_x_stays_below_one_half(self, t):
+        # these orbits meet x = 1/2 exactly, where x in [-1/2, 1/2) keeps -1/2
+        xi, n = ModularPoint.lower(t), 400
+        points = [horocycle_point(xi, m) for m in range(1, n + 1)]
+        xs = np.array([c.x for c in points])
+        run = OrbitEvaluator(xi, n).run(range(1, n + 1))[0]
+        assert xs.max() < 0.5 and run.max() < 0.5
+        if t == "1/2":
+            assert np.array_equal(xs, run)
+        tf = Fraction(t)
+        edge = [m for m, c in enumerate(points, start=1) if c.x == -0.5]
+        assert edge
+        for m in edge:
+            den = (tf * m + 1) ** 2 + tf * tf
+            ox, oy, og = reduce_oracle(((tf * m + 1) * m + tf) / den, 1 / den)
+            assert (ox, points[m - 1].gamma) == (-Fraction(1, 2), og), m
+
     def test_symbolic_point_against_mpmath(self):
         xi = ModularPoint.lower("inv_e")
         mp.prec = 256
