@@ -112,18 +112,6 @@ class MultiplicativeTable:
         v = self.values[n]
         return int(v) if self.values.dtype == np.int8 else complex(v)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "value"])
-            for n in range(1, self.n_max + 1):
-                v = self.values[n]
-                if self.values.dtype == np.int8:
-                    w.writerow([n, int(v)])
-                else:
-                    c = complex(v)
-                    w.writerow([n, repr(c.real) if c.imag == 0 else repr(c)])
-
     @classmethod
     def from_csv(cls, path, label: str = "table") -> "MultiplicativeTable":
         """Read a header ``n,value`` and then one row per integer n >= 1.

@@ -18,10 +18,11 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import __version__
-from .arith import sieve_liouville, sieve_mobius, sieve_primes, MultiplicativeTable
+from .arith import (SEGMENT, MultiplicativeTable, sieve_liouville, sieve_mobius,
+                    sieve_primes)
 from .criterion import BoundedSequence, _ledger
 from .correlator import PointDescriptor, classify_correlator
 from .decomp import DecompositionParams, build_decomposition, coverage_report
@@ -31,7 +32,7 @@ from .dynamics import (ModularPoint, OBSERVABLE_FACTORIES, Observable,
                        split_observable)
 from .errors import (CapacityError, DescriptorError, HoromuError, PrecisionError,
                      ReportIOError, ValidationError)
-from .exactreal import ExactSum
+from .exactreal import ExactSum, SymbolicReal, symbol_spec
 
 SCHEMA = "horomu/run-report/v1"
 
@@ -127,7 +128,7 @@ def parse_observable(spec: str) -> Observable:
 
 
 def parse_sequence(spec: str, horizon: int, precision_bits=None) -> BoundedSequence:
-    """const:<c> | exp:theta=<sym or real> | horocycle:<point>:<obs> | table:<csv>"""
+    """const:<c> | exp:theta=<entry> | horocycle:<point>:<obs> | table:<csv>"""
     kind, _, rest = spec.partition(":")
     if kind == "const":
         try:
@@ -138,12 +139,7 @@ def parse_sequence(spec: str, horizon: int, precision_bits=None) -> BoundedSeque
     if kind == "exp":
         if not rest.startswith("theta="):
             raise DescriptorError(f"exp sequence needs theta=..., got {spec!r}")
-        theta = rest[len("theta="):]
-        try:
-            theta_val = Fraction(theta)
-            return BoundedSequence.exponential(theta_val, horizon, label=spec)
-        except (ValueError, ZeroDivisionError):
-            return BoundedSequence.exponential(theta, horizon, label=spec)
+        return BoundedSequence.exponential(rest[len("theta="):], horizon, label=spec)
     if kind == "horocycle":
         point_spec, _, obs_spec = rest.rpartition(":obs:")
         if not point_spec:
@@ -186,23 +182,28 @@ def _ints(text: str, what: str, count=None, sep: str = ",") -> list[int]:
 
 
 def parse_descriptor(spec: str) -> PointDescriptor:
+    """inf | surd:a,b,c | a rational or a constant name in the entry grammar
+    of ``SymbolicReal.parse``: a constant with a square relation
+    sigma^2 = A + B*sigma is the surd root of z^2 - B z - A."""
     if spec in ("inf", "infinity", "oo"):
         return PointDescriptor.infinity()
-    if spec.startswith("sqrt:"):
-        (d,) = _ints(spec[len("sqrt:"):], "sqrt:d", 1)
-        return PointDescriptor.quadratic_surd(1, 0, -d)
     if spec.startswith("surd:"):
         return PointDescriptor.quadratic_surd(*_ints(spec[len("surd:"):], "surd:a,b,c", 3))
-    if spec == "golden":
-        return PointDescriptor.quadratic_surd(1, -1, -1)
-    if spec in ("e", "pi", "inv_e", "inv_pi"):
-        return PointDescriptor.irrational(spec)
     try:
-        return PointDescriptor.from_rational(Fraction(spec))
-    except (ValueError, ZeroDivisionError):
+        z = SymbolicReal.parse(spec)
+    except DescriptorError:
+        z = None
+    if z is None or not (z.is_rational or (z.rational == 0 and z.coeff == 1)):
         raise DescriptorError(
-            f"cannot parse boundary point {spec!r} "
-            "(use p/q, inf, sqrt:d, surd:a,b,c, golden, e, pi)")
+            f"cannot parse boundary point {spec!r} (use p/q, inf, surd:a,b,c or a "
+            "constant: sqrtD, sqrt:D, golden, e, pi, inv_e, inv_pi, exp1)")
+    if z.is_rational:
+        return PointDescriptor.from_rational(z.rational)
+    square = symbol_spec(z.symbol).square
+    if square is None:
+        return PointDescriptor.irrational(z.symbol)
+    a, b = square
+    return PointDescriptor.quadratic_surd(1, -b, -a)
 
 
 def parse_excluded(spec: str) -> list[tuple[int, int]]:
@@ -246,14 +247,15 @@ def _flatten(obj, prefix="") -> dict:
     return out
 
 
-def emit_series(rows: Iterable[dict], path, columns: list[str]) -> None:
-    """CSV with a fixed header and column order; period decimal separator."""
+def emit_series(rows: Iterable[Sequence], path, columns: list[str]) -> None:
+    """CSV with a fixed header, then each row's values in column order;
+    floats as repr, so the decimal separator is a period."""
     try:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(columns)
             for row in rows:
-                w.writerow([_csv_cell(row[c]) for c in columns])
+                w.writerow([_csv_cell(v) for v in row])
     except OSError as exc:
         raise ReportIOError(f"cannot write series to {path}: {exc}")
 
@@ -289,19 +291,15 @@ def _run_sieve(args, timings) -> dict:
         table = sieve_primes(args.n)
         payload = {"kind": "primes", "n": args.n, "count": len(table),
                    "largest": int(table.primes[-1])}
-        if args.series:
-            emit_series([{"n": i + 1, "value": int(p)}
-                         for i, p in enumerate(table.primes)],
-                        args.series, ["n", "value"])
+        values = table.primes
     else:
         table = {"mobius": sieve_mobius, "liouville": sieve_liouville}[args.kind](args.n)
-        payload = {"kind": args.kind, "n": args.n,
-                   "partial_sum": int(table.values[1:].sum())}
-        if args.series:
-            try:
-                table.to_csv(args.series)
-            except OSError as exc:
-                raise ReportIOError(f"cannot write series to {args.series}: {exc}")
+        values = table.values[1:]
+        payload = {"kind": args.kind, "n": args.n, "partial_sum": int(values.sum())}
+    if args.series:  # rows (n, value[n - 1]), one SEGMENT of the table at a time
+        emit_series((row for lo in range(0, values.size, SEGMENT)
+                     for row in enumerate(values[lo:lo + SEGMENT].tolist(), lo + 1)),
+                    args.series, ["n", "value"])
     timings["sieve"] = time.perf_counter() - t0
     return payload
 
@@ -361,9 +359,8 @@ def _run_orbit(args, timings) -> dict:
             final.update(x=repr(float(xs[-1])), y=repr(float(ys[-1])),
                          theta=repr(float(ts[-1])))
             if args.series:
-                for row in zip(range(lo + 1, lo + 1 + xs.size), xs.tolist(),
-                               ys.tolist(), ts.tolist(), fs.tolist()):
-                    yield dict(zip(names, row))
+                yield from zip(range(lo + 1, lo + 1 + xs.size), xs.tolist(),
+                               ys.tolist(), ts.tolist(), fs.tolist())
 
     if args.series:
         emit_series(rows(), args.series, names)
@@ -405,8 +402,8 @@ def _run_disjointness(args, timings) -> dict:
                                   precision_bits=args.precision_bits)
     timings["disjointness"] = time.perf_counter() - t0
     if args.series:
-        emit_series([r.as_dict() | {"n": r.n} for r in rep.rows], args.series,
-                    ["n", "average", "centered_average", "nu_mean"])
+        emit_series(((r.n, r.average, r.centered_average, r.nu_mean) for r in rep.rows),
+                    args.series, ["n", "average", "centered_average", "nu_mean"])
     out = rep.as_dict()
     out["genericity"] = genericity(xi).label
     return out

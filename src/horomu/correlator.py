@@ -49,16 +49,6 @@ class ParabolicElement:
         if self.alpha * self.delta != 1:
             raise ShapeError(f"alpha*delta = {self.alpha * self.delta} is not 1")
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "ParabolicElement":
-        rows = [list(row) for row in matrix]
-        if len(rows) != 2 or any(len(row) != 2 for row in rows):
-            raise ShapeError(f"expected a 2x2 matrix, got {rows}")
-        (a, b), (c, d) = rows
-        if as_symbolic(c) != 0:
-            raise ShapeError(f"lower-left entry must be exactly 0, got {c}")
-        return cls(a, b, d)
-
     def inverse(self) -> "ParabolicElement":
         return ParabolicElement(self.delta, -self.beta, self.alpha)
 

@@ -98,15 +98,12 @@ class BoundedSequence:
         return cls._owned(vals, f"const:{c}")
 
     @classmethod
-    def from_multiplicative(cls, table: MultiplicativeTable) -> "BoundedSequence":
-        return cls(table.values, table.label)
-
-    @classmethod
     def exponential(cls, theta, horizon: int, label: Optional[str] = None) -> "BoundedSequence":
         """F(n) = exp(2 pi i n theta) with the angle reduced mod 1 exactly.
 
-        theta may be a symbolic-constant name ('sqrt2', 'e', ...), an exact
-        rational, or a float; reduction goes through the shared fixed-point
+        theta is anything ``exactreal.as_symbolic`` reads: a string in the
+        entry grammar ('sqrt2', '3/7', '1e-3', '1+2*sqrt2'), a SymbolicReal,
+        a rational or a float; reduction goes through the shared fixed-point
         channel so closed-form cross-checks see identical angles. The
         values are written TRIG_CHUNK indices at a time: cos and sin of
         x = frac * 2 pi go straight into the real and imaginary parts. The

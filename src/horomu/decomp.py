@@ -236,7 +236,8 @@ class Decomposition:
     Per n: ``tags`` (int8), ``block_of`` (int16, the least block, -1 outside
     S), ``unique_prime`` (int32, the one block prime of a unique n, else 0;
     N <= DECOMP_BUDGET = 3e7 < 2^31, so every block prime fits) and
-    ``in_pq`` (bool). ``q_sets[j]`` holds Q_j as ascending int64.
+    ``in_pq`` (bool). ``q_sets[j]`` holds Q_j as ascending int64. Every
+    count reads ``tally``.
     """
 
     def __init__(self, params, blocks, tags, block_of, unique_prime, in_pq, q_sets):
@@ -265,39 +266,44 @@ class Decomposition:
     def block(self, j: int) -> PrimeBlock:
         return self.blocks[j - self.params.j0]
 
-    def product_members(self, j: int) -> np.ndarray:
-        """All n in P_j Q_j, ascending."""
-        return np.nonzero(self.in_pq & (self.block_of == j))[0]
-
     # -- exact counts -----------------------------------------------------
+    @cached_property
+    def tally(self) -> np.ndarray:
+        """How many n in [0, N) fall in each (row, state), as a read-only
+        (j1 + 1, 4) int64 array: row block_of + 1 (0 outside S, j + 1 for
+        block j), state 0 outside S, 1 unique outside P_j Q_j, 2 multiple,
+        3 in P_j Q_j (unique by construction). n = 0 counts in (0, 0). One
+        bincount per SEGMENT, so the temporaries stay O(SEGMENT) at any N."""
+        rows = self.params.j1 + 1
+        tally = np.zeros(4 * rows, dtype=np.int64)
+        for lo in range(0, self.params.n, SEGMENT):
+            seg = slice(lo, lo + SEGMENT)
+            state = self.tags[seg] + 2 * self.in_pq[seg].view(np.int8)
+            tally += np.bincount(4 * (self.block_of[seg].astype(np.intp) + 1) + state,
+                                 minlength=tally.size)
+        tally = tally.reshape(rows, 4)
+        tally.setflags(write=False)
+        return tally
+
     @property
     def window_size(self) -> int:
         return self.params.n - 1
 
     @property
     def count_not_in_s(self) -> int:
-        return int(np.count_nonzero(self.tags[1:] == TAG_NOT_IN_S))
+        return int(self.tally[0, 0]) - 1  # n = 0 is not in the window
 
     @property
     def count_s(self) -> int:
         return self.window_size - self.count_not_in_s
 
-    def count_s_j(self, j: int) -> int:
-        return int(np.count_nonzero((self.tags == TAG_UNIQUE) & (self.block_of == j)))
-
-    def count_multiple_j(self, j: int) -> int:
-        return int(np.count_nonzero((self.tags == TAG_MULTIPLE) & (self.block_of == j)))
-
-    def count_pq_j(self, j: int) -> int:
-        return int(np.count_nonzero(self.in_pq & (self.block_of == j)))
-
     @property
     def count_multiple(self) -> int:
-        return int(np.count_nonzero(self.tags == TAG_MULTIPLE))
+        return int(self.tally[:, 2].sum())
 
     @property
     def count_pq(self) -> int:
-        return int(np.count_nonzero(self.in_pq))
+        return int(self.tally[:, 3].sum())
 
     @property
     def leftover_count(self) -> int:
@@ -447,16 +453,7 @@ def coverage_report(d: Decomposition, primes: PrimeTable) -> CoverageReport:
     params = d.params
     n = params.n
     a = float(params.alpha)
-    # per-block counts from one bincount per segment (the temporaries stay
-    # O(SEGMENT) at any N): key 4*(block_of+1) + state, state 0 outside S,
-    # 1 unique outside P_j Q_j, 2 multiple, 3 in P_j Q_j (unique by construction)
-    tally = np.zeros(4 * (params.j1 + 1), dtype=np.int64)
-    for lo in range(0, n, SEGMENT):
-        seg = slice(lo, lo + SEGMENT)
-        state = d.tags[seg] + 2 * d.in_pq[seg].view(np.int8)
-        tally += np.bincount(4 * (d.block_of[seg].astype(np.intp) + 1) + state,
-                             minlength=tally.size)
-    per_block = tally.reshape(-1, 4)[params.j0 + 1:].tolist()
+    per_block = d.tally[params.j0 + 1:].tolist()
     unfactored = sum(row[1] for row in per_block)
     lines = [
         CoverageLine("complement_of_s", d.count_not_in_s, a * n),

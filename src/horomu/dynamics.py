@@ -46,7 +46,6 @@ the whole orbit was held. ``orbit_sequence`` still returns all N values.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,10 +87,6 @@ class FundamentalDomainCoords:
     @property
     def point(self) -> complex:
         return complex(self.x, self.y)
-
-    def gamma_det(self) -> int:
-        (a, b), (c, d) = self.gamma
-        return a * d - b * c
 
 
 def _normalize_gamma(p, q, r, s):
@@ -209,20 +204,6 @@ class ModularPoint:
         """(1, t; 0, 1): cusp direction infinity."""
         return cls(1, t, 0, 1)
 
-    @classmethod
-    def from_rationals(cls, a, b, c, d) -> "ModularPoint":
-        return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-
-    # -- algebra ----------------------------------------------------------
-    def times_u(self, m: int) -> "ModularPoint":
-        """Right translation by the unipotent step, m times: columns shear."""
-        a, b, c, d = self.entries
-        return ModularPoint(a, b + m * a, c, d + m * c)
-
-    def is_integral(self) -> bool:
-        return all(e.is_rational and e.rational.denominator == 1
-                   for e in self.entries)
-
     # -- cusp direction ---------------------------------------------------
     def cusp_direction(self):
         """xi(inf) = a/c as 'infinity', an exact Fraction, or a symbolic string."""
@@ -328,8 +309,9 @@ class OrbitEvaluator:
 
     ``coords`` is the exact path: it maintains w = gamma * xi * u^m in fixed
     point, and gamma absorbs each reduction so successive points need only
-    a couple of reduction steps. ``run`` evaluates arrays in float64 blocks
-    from exact anchors, with an exact fallback (module docstring).
+    a couple of reduction steps. ``chunks`` evaluates arrays of indices in
+    float64 blocks from exact anchors, with an exact fallback (module
+    docstring); ``run`` joins its chunks.
     """
 
     def __init__(self, xi: ModularPoint, n_max: int,
@@ -393,9 +375,10 @@ class OrbitEvaluator:
             x, gp, gq = -0.5, gp - gr, gq - gs
         return FundamentalDomainCoords(x, y, theta, ((gp, gq), (gr, gs)))
 
-    def chunks(self, indices: Iterable[int], need_theta: bool = False):
+    def chunks(self, indices: range | np.ndarray, need_theta: bool = False):
         """Yield (offset, (xs, ys, thetas)) for each run of at most _CHUNK
-        consecutive nondecreasing indices, offset the position of its first.
+        consecutive indices, offset the position of its first, over a range
+        or an int64 array of nondecreasing indices.
 
         The arrays are buffers reused from chunk to chunk: each yield is
         valid until the next. thetas is zero unless ``need_theta``. Raises
@@ -406,19 +389,21 @@ class OrbitEvaluator:
         """
         delta = _check_delta(self.xi, self.bits)
         buffers = np.empty(_CHUNK), np.empty(_CHUNK), np.zeros(_CHUNK)
-        offset = 0
-        for idx in _index_chunks(indices):
+        for offset in range(0, len(indices), _CHUNK):
+            idx = indices[offset:offset + _CHUNK]
+            idx = (np.arange(idx.start, idx.stop, idx.step, dtype=np.int64)
+                   if isinstance(idx, range) else np.asarray(idx, dtype=np.int64))
             if idx[0] < self._m or np.any(idx[1:] < idx[:-1]):
                 raise ValidationError("OrbitEvaluator requires nondecreasing indices")
             xs, ys, ts = (b[:idx.size] for b in buffers)
             self._run_chunk(idx, xs, ys, ts, need_theta, delta)
             self._m = int(idx[-1])
             yield offset, (xs, ys, ts)
-            offset += idx.size
 
     def run(self, indices: Iterable[int], need_theta: bool = False):
-        """Coordinate arrays (xs, ys, thetas) over nondecreasing indices: the
-        chunks of ``chunks`` in one array each."""
+        """Coordinate arrays (xs, ys, thetas) over nondecreasing indices, a
+        range or any iterable of ints: the chunks of ``chunks`` in one array
+        each."""
         if not isinstance(indices, range):
             indices = np.fromiter(indices, dtype=np.int64)
         out = np.empty(len(indices)), np.empty(len(indices)), np.zeros(len(indices))
@@ -512,19 +497,6 @@ class OrbitEvaluator:
                 f"orbit point at n={m} may be {bound:.2g} off the closed form at "
                 f"{self.bits + _CHECK_BITS} bits: it needs about {need} working "
                 f"bits, not {self.bits}")
-
-
-def _index_chunks(indices: Iterable[int]):
-    """int64 arrays of at most _CHUNK consecutive indices: a range becomes
-    an np.arange one chunk at a time, any other iterable is read in order."""
-    if isinstance(indices, range):
-        for lo in range(0, len(indices), _CHUNK):
-            part = indices[lo:lo + _CHUNK]
-            yield np.arange(part.start, part.stop, part.step, dtype=np.int64)
-        return
-    it = iter(indices)
-    while (idx := np.fromiter(itertools.islice(it, _CHUNK), dtype=np.int64)).size:
-        yield idx
 
 
 def horocycle_point(xi: ModularPoint, n: int,

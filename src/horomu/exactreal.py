@@ -80,17 +80,12 @@ def symbol_spec(name: str) -> SymbolSpec:
 
 
 def fixed_point_image(value, bits: int) -> int:
-    """floor(value * 2^bits) computed at sufficient mpmath precision."""
+    """floor(value * 2^bits) for anything ``as_symbolic`` reads, from the
+    value at bits + 64 bits of mpmath precision."""
     old = mp.prec
     try:
         mp.prec = bits + 64
-        if isinstance(value, str):
-            v = symbol_spec(value).evaluate()
-        elif isinstance(value, Fraction):
-            v = mpf(value.numerator) / value.denominator
-        else:
-            v = mpf(value)
-        return int(mp.floor(v * (mpf(2) ** bits)))
+        return int(mp.floor(as_symbolic(value).mpf_value(bits + 64) * (mpf(2) ** bits)))
     finally:
         mp.prec = old
 
@@ -224,10 +219,12 @@ def _bucket_int(high: np.ndarray, low: np.ndarray) -> int:
     return acc << prev
 
 
-_TOKEN = re.compile(r"^\s*(?P<rat>-?\d+(?:/\d+)?|-?\d*\.\d+)?\s*"
-                    r"(?P<op>[+-])?\s*"
+# q0 +|- [q1 *] constant, or [+|-] [q1 *] constant: q0 comes only with the
+# sign after it, so the digits of 10*sqrt2 cannot split into q0 = 1 and 0*
+_TOKEN = re.compile(r"(?:(?P<rat>-?\d+(?:/\d+)?|-?\d*\.\d+)\s*(?P<op>[+-])"
+                    r"|(?P<sign>[+-])?)\s*"
                     r"(?:(?P<coef>\d+(?:/\d+)?|\d*\.\d+)\s*\*\s*)?"
-                    r"(?P<sym>[A-Za-z_][A-Za-z_0-9:]*)?\s*$")
+                    r"(?P<sym>[A-Za-z_][A-Za-z_0-9:]*)")
 
 
 class SymbolicReal:
@@ -257,28 +254,29 @@ class SymbolicReal:
 
     @classmethod
     def parse(cls, text: str) -> "SymbolicReal":
-        """Parse '3/4', 'sqrt2', 'e', '1+2*sqrt2', '-1/2*pi', 'exp1'."""
+        """The one grammar for exact reals: any numeral ``Fraction`` reads
+        ('3/4', '-0.5', '1e-3'), a constant ('sqrt2', 'sqrt:2', 'e', 'exp1'
+        for inv_e) or q0 + q1*constant ('1+2*sqrt2', '-1/2*pi')."""
         text = text.strip()
+        try:
+            value = Fraction(text)
+            str(value)  # reports print it: past Python's digit limit this raises
+            return cls(value)
+        except (ValueError, ZeroDivisionError):
+            pass
         if text == "exp1":  # CLI alias: the entry value 1/e
             return cls.const("inv_e")
-        m = _TOKEN.match(text)
-        if not m or (m.group("rat") is None and m.group("sym") is None):
+        m = _TOKEN.fullmatch(text)
+        if not m:
             raise DescriptorError(f"cannot parse symbolic real {text!r}")
         try:
             rat = Fraction(m.group("rat") or 0)
             coeff = Fraction(m.group("coef") or 1)
-        except ZeroDivisionError:
-            raise DescriptorError(f"zero denominator in symbolic real {text!r}") from None
-        sym = m.group("sym")
-        if sym is None:
-            if m.group("op") or m.group("coef"):
-                raise DescriptorError(f"cannot parse symbolic real {text!r}")
-            return cls(rat)
-        if m.group("op") == "-":
+        except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, too many digits
+            raise DescriptorError(f"cannot read symbolic real {text!r}: {exc}") from None
+        if "-" in (m.group("op"), m.group("sign")):
             coeff = -coeff
-        elif m.group("op") is None and m.group("rat") is not None:
-            raise DescriptorError(f"cannot parse symbolic real {text!r}")
-        return cls(rat, coeff, sym)
+        return cls(rat, coeff, m.group("sym"))
 
     # -- structure ------------------------------------------------------
     @property
@@ -404,14 +402,9 @@ class SymbolicReal:
             mp.prec = old
 
     def fixed(self, bits: int) -> int:
-        """Round-to-nearest fixed-point image at 2^bits scale."""
-        old = mp.prec
-        try:
-            mp.prec = bits + 64
-            v = self.mpf_value(bits + 64)
-            return int(mp.floor(v * (mpf(2) ** bits) + mpf(1) / 2))
-        finally:
-            mp.prec = old
+        """Round-to-nearest fixed-point image at 2^bits scale: floor(x + 1/2)
+        from the floor image at one more bit."""
+        return (fixed_point_image(self, bits + 1) + 1) >> 1
 
     def __float__(self):
         return float(self.mpf_value(80))

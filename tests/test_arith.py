@@ -8,6 +8,7 @@ import pytest
 from horomu import arith
 from horomu.arith import (MultiplicativeTable, sieve_liouville, sieve_mobius,
                           sieve_primes)
+from horomu.cli import main
 from horomu.decomp import DecompositionParams, prime_blocks
 from horomu.errors import CapacityError, RangeCoverageError, ValidationError
 
@@ -126,8 +127,10 @@ class TestMultiplicativeTable:
             MultiplicativeTable(2, vals, "bad")
 
     def test_csv_round_trip(self, tmp_path, mobius_1k):
+        # the table `sieve --series` writes reads back as the same table
         path = tmp_path / "mobius.csv"
-        mobius_1k.to_csv(path)
+        assert main(["sieve", "--kind", "mobius", "--n", str(mobius_1k.n_max),
+                     "--series", str(path), "--out", str(tmp_path / "r.json")]) == 0
         back = MultiplicativeTable.from_csv(path, "mobius")
         assert back.n_max == mobius_1k.n_max
         assert np.array_equal(back.values, mobius_1k.values)

@@ -17,6 +17,7 @@ from horomu.cli import (EXIT_CAPACITY, EXIT_IO, EXIT_OK, EXIT_PRECISION,
                         parse_sequence)
 from horomu.dynamics import OrbitEvaluator
 from horomu.errors import DescriptorError
+from horomu.exactreal import as_symbolic
 
 
 def run(args, tmp_path, name="out.json"):
@@ -69,7 +70,7 @@ class TestConfigRoundTrip:
 
 class TestSpecParsers:
     def test_point_specs(self):
-        assert parse_point("point:identity").is_integral()
+        assert parse_point("point:identity").entries == (1, 0, 0, 1)
         xi = parse_point("point:lower:t=exp1")
         from horomu.dynamics import genericity
         assert genericity(xi).generic
@@ -100,6 +101,56 @@ class TestSpecParsers:
         assert parse_descriptor("sqrt:2").surd == (1, 0, -2)
         assert parse_descriptor("golden").surd == (1, -1, -1)
         assert parse_descriptor("e").kind == "irrational"
+
+
+# The README's spellings of an exact real: point entries, exp: angles and
+# classify's boundary points all read them through SymbolicReal.parse.
+README_ENTRIES = ["3/7", "-1/2", "0.3", "1e-3", "sqrt2", "sqrt:2", "golden", "inv_e",
+                  "exp1", "1+2*sqrt2", "-1/2*pi"]
+# classify's spelling of the same point before the grammars were one; None
+# where the value is no bare constant, which classify refuses
+CLASSIFY_AS = {"3/7": "3/7", "-1/2": "-1/2", "0.3": "3/10", "1e-3": "1/1000",
+               "sqrt2": "sqrt:2", "sqrt:2": "sqrt:2", "golden": "surd:1,-1,-1",
+               "inv_e": "inv_e", "exp1": "inv_e", "1+2*sqrt2": None, "-1/2*pi": None}
+
+
+class TestOneGrammar:
+    @pytest.mark.parametrize("entry", README_ENTRIES)
+    def test_point_entry(self, entry):
+        xi = parse_point(f"point:lower:t={entry}")
+        assert xi.entries[2] == as_symbolic(entry)
+
+    @pytest.mark.parametrize("entry", README_ENTRIES)
+    def test_exp_angle(self, entry):
+        F = parse_sequence(f"exp:theta={entry}", 3000)
+        want = criterion.BoundedSequence.exponential(as_symbolic(entry), 3000)
+        assert F.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("entry", README_ENTRIES)
+    def test_classify(self, tmp_path, entry):
+        code, report = run(["classify", f"--z={entry}"], tmp_path)
+        if CLASSIFY_AS[entry] is None:
+            assert code == EXIT_VALIDATION
+            return
+        code0, report0 = run(["classify", f"--z={CLASSIFY_AS[entry]}"], tmp_path,
+                             "0.json")
+        assert code == code0 == EXIT_OK
+        assert report["result"] == report0["result"]
+
+    # 1e-5000 is a numeral, but with more digits than Python prints
+    @pytest.mark.parametrize("entry", ["sqrt4", "foo", "1/0", "inf", "1e-5000"])
+    def test_refused(self, tmp_path, entry):
+        code, _ = run(["orbit", "--point", f"point:lower:t={entry}", "--n", "5"], tmp_path)
+        assert code == EXIT_VALIDATION
+        with pytest.raises(DescriptorError):
+            parse_sequence(f"exp:theta={entry}", 10)
+        if entry != "inf":  # the point at infinity, for classify
+            code, _ = run(["classify", f"--z={entry}"], tmp_path)
+            assert code == EXIT_VALIDATION
+
+    def test_descriptor_error_lists_the_grammar(self):
+        with pytest.raises(DescriptorError, match="inv_e, inv_pi"):
+            parse_descriptor("foo")
 
 
 def assert_close_reports(a, b, path="result"):
@@ -250,9 +301,8 @@ class TestSubcommands:
             "x": repr(float(xs[-1])), "y": repr(float(ys[-1])), "theta": repr(float(ts[-1]))}
         names = ["n", "x", "y", "theta", "f"]
         want = tmp_path / "want.csv"
-        emit_series((dict(zip(names, row)) for row in zip(
-            range(1, n + 1), xs.tolist(), ys.tolist(), ts.tolist(), fs.tolist())),
-            want, names)
+        emit_series(zip(range(1, n + 1), xs.tolist(), ys.tolist(), ts.tolist(),
+                        fs.tolist()), want, names)
         assert series.read_bytes() == want.read_bytes()
 
     def test_orbit_series_schema(self, tmp_path):

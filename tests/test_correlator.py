@@ -66,15 +66,10 @@ class TestChi:
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            ParabolicElement.from_matrix([[1, 2], [Fraction(1, 2), 1]])
-        with pytest.raises(ShapeError):
-            ParabolicElement.from_matrix([[1, 2, 3], [0, 1, 1]])
-        with pytest.raises(ShapeError):
             ParabolicElement(2, 0, 2)  # alpha*delta != 1
         with pytest.raises(ShapeError):
             ParabolicElement(3.0, 7.0, 1 / 3)  # the float 1/3 is not exactly 1/3
-        assert ParabolicElement.from_matrix([[2, 1], [0, 0.5]]) == \
-            ParabolicElement(2, 1, Fraction(1, 2))
+        assert ParabolicElement(2, 1, 0.5) == ParabolicElement(2, 1, Fraction(1, 2))
 
     def test_surd_entries(self):
         root2 = SymbolicReal.const("sqrt2")

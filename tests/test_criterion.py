@@ -131,7 +131,7 @@ class TestBilinearSum:
 
     def test_mobius_double_loop(self, mobius_1k):
         mu = sieve_mobius(3000)
-        F = BoundedSequence.from_multiplicative(mu)
+        F = BoundedSequence(mu.values, mu.label)
         pc = bilinear_sum(F, 2, 3, 1000)
         brute = sum(mobius_oracle(2 * m) * mobius_oracle(3 * m)
                     for m in range(1, 1001))
@@ -241,7 +241,8 @@ class TestPairGram:
         assert_matches_oracle(exp_sqrt2_40k, est)
 
     def test_mobius_sequence(self):
-        F = BoundedSequence.from_multiplicative(sieve_mobius(20_000))
+        mu = sieve_mobius(20_000)
+        F = BoundedSequence(mu.values, mu.label)
         est = tau_estimate(F, 40)
         assert_matches_oracle(F, est)
 
@@ -362,7 +363,8 @@ class TestWeightedSum:
         assert weighted_sum(mobius_1k, F, 100) == 1 + 0j
 
     def test_squarefree_count(self, mobius_1k):
-        F = BoundedSequence.from_multiplicative(sieve_mobius(100))
+        mu = sieve_mobius(100)
+        F = BoundedSequence(mu.values, mu.label)
         assert weighted_sum(mobius_1k, F, 100) == 61 + 0j
 
     def test_zero_sequence(self, mobius_1k):
@@ -655,14 +657,15 @@ def _ledger_gap_bound(d: int, magnitude: float) -> float:
 
 
 def _window_reference(dec, nu_values, F):
-    """The window pass written out set by set from ``product_members(j)``
-    and ``~in_pq``: per block [lo, hi) of WINDOW_BLOCK, ``np.sum`` of the
+    """The window pass written out set by set from P_j Q_j = ``in_pq`` on
+    block j and ``~in_pq``: per block [lo, hi) of WINDOW_BLOCK, ``np.sum`` of the
     products for the total, ``np.sum`` of their moduli for the trivial
     bound and a left-to-right float loop over each set's members in the
     block; the block shares are added in index order."""
     n, step = dec.params.n, criterion.WINDOW_BLOCK
     left = np.flatnonzero(~dec.in_pq)
-    sets = [left[left >= 1]] + [dec.product_members(j) for j in dec.params.block_range]
+    sets = [left[left >= 1]] + [np.flatnonzero(dec.in_pq & (dec.block_of == j))
+                                for j in dec.params.block_range]
     total, trivial, sums = 0j, 0.0, [0j] * len(sets)
     for start in range(0, n, step):
         lo, hi = max(start, 1), min(start + step, n)
@@ -738,7 +741,8 @@ class TestWindowPass:
     def test_blocks_without_members(self):
         dec, nu, F = _window_inputs(20_000, "1/10", 10, 60)
         pair_sums = criterion._window_pass(dec, nu, F)[3]
-        counts = [dec.count_pq_j(j) for j in dec.params.block_range]
+        counts = [int(np.count_nonzero(dec.in_pq & (dec.block_of == j)))
+                  for j in dec.params.block_range]
         assert 0 in counts and max(counts) > 0
         assert all(s == 0j for s, c in zip(pair_sums, counts) if c == 0)
 

@@ -227,9 +227,10 @@ class TestBuild:
         assert not dec_pow2.unique_prime[nonunique].any()
         assert not dec_pow2.in_pq[nonunique].any()
 
-    def test_counting_identity(self, dec_pow2, params_pow2):
+    def test_counting_identity(self, dec_pow2, primes_10k):
+        per_block = coverage_report(dec_pow2, primes_10k).counts["per_block"]
         total = dec_pow2.count_not_in_s + dec_pow2.count_multiple
-        total += sum(dec_pow2.count_s_j(j) for j in params_pow2.block_range)
+        total += sum(row["s_j"] for row in per_block.values())
         assert total == dec_pow2.window_size
 
     def test_tags_partition(self, dec_pow2):
@@ -257,8 +258,7 @@ class TestBuild:
         for j in params.block_range:
             block_primes = set(int(v) for v in dec.block(j).primes)
             qs = set(int(v) for v in dec.q_set(j))
-            for n in dec.product_members(j):
-                n = int(n)
+            for n in np.flatnonzero(dec.in_pq & (dec.block_of == j)).tolist():
                 assert n not in seen
                 seen.add(n)
                 divisors = [p for p in block_primes if n % p == 0]
@@ -349,6 +349,47 @@ class TestBuildProperties:
         assert peak <= outputs + (1 << 20), (peak, outputs)
 
 
+class TestCountsAgainstOracle:
+    """Every count of the decomposition and of its coverage report against
+    the independent per-n ``classify`` and ``q_membership`` oracles."""
+
+    @pytest.mark.parametrize("alpha, j0, j1", [
+        (Fraction(3, 10), 9, 30),
+        (Fraction(1), 1, 11),  # D0 = 2 is an integer prime, D1 = 2048
+    ])
+    def test_every_count(self, primes_10k, alpha, j0, j1):
+        params = DecompositionParams(3000, alpha, j0, j1)
+        blocks = {j: {"primes": len(b), "q": 0, "s_j": 0, "pq_j": 0, "multiple_j": 0}
+                  for j, b in zip(params.block_range, prime_blocks(params, primes_10k))}
+        not_in_s = 0
+        for n in range(1, params.n):
+            c = classify(n, params, primes_10k)
+            if c.tag == TAG_NOT_IN_S:
+                not_in_s += 1
+            elif c.tag == TAG_UNIQUE:
+                blocks[c.j]["s_j"] += 1
+                blocks[c.j]["pq_j"] += n // c.prime <= params.q_max(c.j)
+            else:
+                blocks[c.j]["multiple_j"] += 1
+        for j, row in blocks.items():
+            row["q"] = sum(q_membership(m, j, params, primes_10k)
+                           for m in range(1, params.q_max(j) + 1))
+        multiple = sum(row["multiple_j"] for row in blocks.values())
+        pq = sum(row["pq_j"] for row in blocks.values())
+
+        dec = build_decomposition(params, primes_10k)
+        assert (dec.window_size, dec.count_not_in_s, dec.count_s, dec.count_multiple,
+                dec.count_pq, dec.leftover_count) == (
+                    params.n - 1, not_in_s, params.n - 1 - not_in_s, multiple, pq,
+                    params.n - 1 - pq)
+        counts = coverage_report(dec, primes_10k).counts
+        assert counts["per_block"] == {str(j): row for j, row in blocks.items()}
+        assert {k: v for k, v in counts.items() if k != "per_block"} == {
+            "window": params.n - 1, "not_in_s": not_in_s,
+            "in_s": params.n - 1 - not_in_s, "multiple": multiple,
+            "product_sets": pq, "leftover": params.n - 1 - pq}
+
+
 class TestCoverage:
     def test_fractions_in_unit_interval(self, dec_pow2, primes_10k):
         rep = coverage_report(dec_pow2, primes_10k)
@@ -358,23 +399,23 @@ class TestCoverage:
             assert line.measured >= 0
 
     def test_exact_line_arithmetic(self, dec_pow2, primes_10k, params_pow2):
+        # the per-block counts themselves are checked against the per-n
+        # oracle in TestCountsAgainstOracle
         rep = coverage_report(dec_pow2, primes_10k)
         assert rep.line("complement_of_s").measured == dec_pow2.count_not_in_s
+        assert rep.line("multi_divisor_excess").measured == dec_pow2.count_multiple
         assert rep.line("uncovered_total").measured == dec_pow2.leftover_count
-        unf = sum(dec_pow2.count_s_j(j) - dec_pow2.count_pq_j(j)
-                  for j in params_pow2.block_range)
+        per_block = rep.counts["per_block"]
+        assert list(per_block) == [str(j) for j in params_pow2.block_range]
+        unf = sum(row["s_j"] - row["pq_j"] for row in per_block.values())
         assert rep.line("unfactored_tail").measured == unf
-        for j in params_pow2.block_range:
-            assert rep.counts["per_block"][str(j)] == {
-                "primes": len(dec_pow2.block(j)), "q": len(dec_pow2.q_set(j)),
-                "s_j": dec_pow2.count_s_j(j), "pq_j": dec_pow2.count_pq_j(j),
-                "multiple_j": dec_pow2.count_multiple_j(j)}
 
     def test_segment_boundaries_do_not_change_counts(self, primes_10k, monkeypatch):
         params = DecompositionParams(5000, Fraction(3, 10), 5, 12)
         dec = build_decomposition(params, primes_10k)
         whole = coverage_report(dec, primes_10k).as_dict()
         monkeypatch.setattr(decomp, "SEGMENT", 97)
+        dec = build_decomposition(params, primes_10k)  # the tally is built once
         assert coverage_report(dec, primes_10k).as_dict() == whole
 
     def test_boundary_primes_reported_for_integer_alpha(self, dec_pow2, primes_10k):

@@ -39,6 +39,10 @@ class TestParsing:
         ("1+2*sqrt2", 1 + 2 * 2 ** 0.5),
         ("2-3*golden", 2 - 3 * (1 + 5 ** 0.5) / 2),
         ("exp1", float(np.exp(-1.0))),
+        # a coefficient of several digits with no q0 before it
+        ("10*sqrt2", 10 * 2 ** 0.5),
+        ("-12/5*pi", -12 / 5 * np.pi),
+        ("0.25*e", 0.25 * np.e),
     ])
     def test_values(self, text, value):
         assert float(SymbolicReal.parse(text)) == pytest.approx(value, rel=1e-12)
