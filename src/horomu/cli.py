@@ -32,7 +32,7 @@ from .dynamics import (ModularPoint, OBSERVABLE_FACTORIES, Observable,
                        split_observable)
 from .errors import (CapacityError, DescriptorError, HoromuError, PrecisionError,
                      ReportIOError, ValidationError)
-from .exactreal import ExactSum, SymbolicReal, symbol_spec
+from .exactreal import ExactSum, SymbolicReal, read_numeral, symbol_spec
 
 SCHEMA = "horomu/run-report/v1"
 
@@ -272,7 +272,7 @@ def _csv_cell(v):
 
 def _alpha_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return read_numeral(text)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"cannot parse alpha {text!r} as an exact ratio")
 

@@ -25,11 +25,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import SEGMENT, MultiplicativeTable, check_unit_bound, sieve_primes
+from .arith import MultiplicativeTable, check_unit_bound, sieve_primes
 from .decomp import Decomposition, DecompositionParams, build_decomposition, prime_blocks
 from .errors import (CapacityError, DomainError, EmptyPairSetError, HorizonError,
                      ValidationError)
-from .exactreal import FRAC_SHIFT, _image_frac_parts, fixed_point_image
+from .exactreal import FRAC_SHIFT, fixed_point_image, residues, shifted_frac_parts
 
 SEQUENCE_BUDGET = 50_000_000
 PAIR_PRIME_BUDGET = 4096  # primes in the tau Gram or one block's: 268 MB
@@ -37,16 +37,26 @@ PAIR_PRIME_BUDGET = 4096  # primes in the tau Gram or one block's: 268 MB
 # small at any N, and each sum adds at most this many terms before the
 # per-block partials are added in index order
 WINDOW_BLOCK = 1 << 12
-# entries of F(p y) per block-ledger tile: 1 MB of complex values, which
-# stays in a 2 MB L2 cache; the ledger holds a few such tiles at any N
-LEDGER_TILE = 1 << 16
-# indices per chunk of BoundedSequence.exponential: its temporaries take
-# 384 KB and stay in cache; 2^12 or 2^13 pay the fixed cost of each
-# frac_parts call too often, 2^18 leaves the cache
+# whole window blocks per set of numpy calls, which pay their fixed cost
+# once for all of them: the pass then peaks at 1.6 MB (16 blocks: 3.2 MB)
+WINDOW_ROWS = 8
+# entries of F(p m) per _row_tiles tile, for the tau Gram and every block
+# ledger: 1 MB of complex values, which stays in a 2 MB L2 cache; either
+# holds a few such tiles at any N
+ROW_TILE = 1 << 16
+# indices per chunk of BoundedSequence.exponential: its residue table
+# takes 256 KB and a chunk's temporaries 384 KB, and both stay in cache;
+# 2^12 or 2^13 pay the fixed cost of each chunk's calls too often, 2^18
+# leaves the cache
 TRIG_CHUNK = 1 << 14
 # entries of the k x k product added into a Gram per band of rows: the
 # band's temporary is 4 MB however many primes the Gram has
 GRAM_BAND = 1 << 18
+# m per tile at least, however many rows are active: a tile's product
+# reads and writes rows^2 Gram entries, and below ~128 multiply-adds per
+# entry that traffic sets the time (2467 rows at cutoff 22027 would give
+# 26 m per ROW_TILE tile)
+TILE_MIN_WIDTH = 128
 
 
 class BoundedSequence:
@@ -105,7 +115,10 @@ class BoundedSequence:
         entry grammar ('sqrt2', '3/7', '1e-3', '1+2*sqrt2'), a SymbolicReal,
         a rational or a float; reduction goes through the shared fixed-point
         channel so closed-form cross-checks see identical angles. The
-        values are written TRIG_CHUNK indices at a time: cos and sin of
+        values are written TRIG_CHUNK indices at a time. The residues
+        t*P mod 2^96 of t < TRIG_CHUNK are formed once, and the chunk at lo
+        adds lo*P mod 2^96 to them (``exactreal.shifted_frac_parts``), which
+        gives the angles of ``frac_parts`` bit for bit; cos and sin of
         x = frac * 2 pi go straight into the real and imaginary parts. The
         chunks are filled on every core the process may run on, in one
         contiguous run per core (numpy releases the GIL inside cos and
@@ -116,11 +129,12 @@ class BoundedSequence:
         _check_budget(horizon)
         vals = np.empty(horizon + 1, dtype=np.complex128)
         image = fixed_point_image(theta, FRAC_SHIFT)  # one mpmath evaluation
+        table = residues(image, np.arange(TRIG_CHUNK, dtype=np.int64))
 
         def fill(first: int, stop: int) -> None:
             for lo in range(first * TRIG_CHUNK, min(stop * TRIG_CHUNK, vals.size), TRIG_CHUNK):
                 out = vals[lo:lo + TRIG_CHUNK]
-                angle = _image_frac_parts(image, np.arange(lo, lo + out.size, dtype=np.int64))
+                angle = shifted_frac_parts(table, lo * image % (1 << FRAC_SHIFT), out.size)
                 angle *= 2 * np.pi
                 np.cos(angle, out=out.real)
                 np.sin(angle, out=out.imag)
@@ -265,20 +279,24 @@ def _row_tiles(values: np.ndarray, primes: np.ndarray, limits: np.ndarray,
 
     ``tile[i, t] = values[p_i (m0 + t)]`` for the rows still active at m0,
     and 0 past row i's own limit. Limits never increase, so the active rows
-    are a prefix; a tile is as wide as ``entries`` allows for them, and at
-    least one m wide. Each row is one strided slice copy into a buffer
-    allocated once per call, so a tile is valid only until the next one.
+    are a prefix; a tile is as wide as ``entries`` allows for them, but at
+    least TILE_MIN_WIDTH m wide (or up to the last m). Each row is one
+    strided slice copy into a buffer allocated once per call, so a tile is
+    valid only until the next one. The tau Gram and the block ledgers pass
+    ROW_TILE entries, so up to ROW_TILE / TILE_MIN_WIDTH = 512 rows a tile
+    and its conjugate copy take 2 MB and the BLAS product reads them from
+    cache.
     Before a tile is yielded, its product is added into ``gram`` in bands
     of rows of at most GRAM_BAND entries, so at the end gram[i, k] =
     sum_{m <= min(limits[i], limits[k])} F(p_i m) conj(F(p_k m)).
     """
     k, top = primes.size, int(limits[0])
-    buf = np.empty(min(max(entries, k), k * top), dtype=values.dtype)
+    buf = np.empty(min(max(entries, k * TILE_MIN_WIDTH), k * top), dtype=values.dtype)
     ps, lims = primes.tolist(), limits.tolist()
     m0 = 1
     while m0 <= top:
         rows = int(np.count_nonzero(limits >= m0))
-        width = min(max(1, entries // rows), top + 1 - m0)
+        width = min(max(TILE_MIN_WIDTH, entries // rows), top + 1 - m0)
         tile = buf[:rows * width].reshape(rows, width)
         end = m0 + width - 1
         for row, p, lim in zip(tile, ps, lims):
@@ -332,15 +350,16 @@ def tau_estimate(F: BoundedSequence, prime_cutoff: float,
     silently dropped. Over PAIR_PRIME_BUDGET primes raise CapacityError.
 
     All pair sums come from one Hermitian Gram matrix of the rows
-    F(p m), accumulated over tiles of m in BLAS; each pair total equals
-    ``bilinear_sum`` up to float64 rounding. tau_hat is the largest
+    F(p m), accumulated in BLAS over ``_row_tiles`` of ROW_TILE entries,
+    the tiles of the block ledgers, which stay in cache; each pair total
+    equals ``bilinear_sum`` up to float64 rounding. tau_hat is the largest
     |total| / m, the first of equals in row-major order. Pair totals and
     tau_hat are float64 sums: they agree to rounding, not bit for bit,
     across BLAS thread counts.
     """
     ps, limits, skip, policy = _pair_plan(F.horizon, prime_cutoff, M, excluded, window)
     gram = np.zeros((ps.size, ps.size), dtype=np.complex128)
-    for _ in _row_tiles(F.values, ps, limits, SEGMENT, gram):
+    for _ in _row_tiles(F.values, ps, limits, ROW_TILE, gram):
         pass
     norm = np.hypot(gram.real, gram.imag)  # rounds as abs() of a complex
     norm /= limits
@@ -550,28 +569,58 @@ def _window_pass(dec: Decomposition, nu_values: np.ndarray, F: BoundedSequence):
     in_pq * (j - j0 + 1) adds its entries left to right into the leftover
     (key 0) or the product set of block j. The shares are added in index
     order, so the sums depend on WINDOW_BLOCK and on nothing else, and no
-    temporary grows with N. The total is summed apart from the keyed sums,
-    so the triangle step compares two independent sums. The trivial bound
-    adds each block's ``np.sum`` of |nu(n) F(n)| in index order. Returns
-    (total, leftover_sum, leftover_count, pair_sums, trivial), with
-    pair_sums in ``block_range`` order.
+    temporary grows with N. Up to WINDOW_ROWS whole blocks go through one
+    set of numpy calls as the rows of a matrix: ``np.sum`` along a row is
+    that block's own sum, one ``np.bincount`` on key + keys * row keeps the
+    blocks' keyed sums apart, and ``np.cumsum`` down the rows adds the
+    shares in index order, so the sums do not depend on WINDOW_ROWS. The
+    first block and a partial last block go alone. The total is summed
+    apart from the keyed sums, so the triangle step compares two
+    independent sums. The trivial bound adds each block's ``np.sum`` of
+    |nu(n) F(n)| in index order. Returns (total, leftover_sum,
+    leftover_count, pair_sums, trivial), with pair_sums in ``block_range``
+    order.
     """
     params = dec.params
     n, keys = params.n, len(params.block_range) + 1
-    total, trivial, members = 0j, 0.0, 0
-    real, imag = np.zeros(keys), np.zeros(keys)
-    for lo in range(0, n, WINDOW_BLOCK):
-        window = slice(max(lo, 1), min(lo + WINDOW_BLOCK, n))
-        prod = nu_values[window] * F.values[window]
-        total += complex(np.sum(prod))
-        trivial += float(np.sum(np.abs(prod)))
-        key = dec.block_of[window] - (params.j0 - 1)
-        key *= dec.in_pq[window]
-        real += np.bincount(key, weights=prod.real, minlength=keys)
-        imag += np.bincount(key, weights=prod.imag, minlength=keys)
-        members += int(np.count_nonzero(key))
-    sums = [complex(r, i) for r, i in zip(real.tolist(), imag.tolist())]
+    # running sums: the total (real, imag), the trivial bound, then the
+    # keyed sums' real parts and their imaginary parts
+    acc = np.zeros(3 + 2 * keys)
+    members = 0
+    for lo, hi, rows in _window_steps(n):
+        prod = (nu_values[lo:hi] * F.values[lo:hi]).reshape(rows, -1)
+        part = np.empty((rows + 1, acc.size))
+        part[0] = acc
+        share = np.sum(prod, axis=1)
+        part[1:, 0], part[1:, 1] = share.real, share.imag
+        part[1:, 2] = np.sum(np.abs(prod), axis=1)
+        in_pq = dec.in_pq[lo:hi]
+        members += int(np.count_nonzero(in_pq))
+        key = dec.block_of[lo:hi].astype(np.intp)
+        key -= params.j0 - 1
+        key *= in_pq
+        key.reshape(rows, -1)[1:] += keys * np.arange(1, rows)[:, None]
+        for at, weights in ((3, prod.real), (3 + keys, prod.imag)):
+            part[1:, at:at + keys] = np.bincount(
+                key, weights=weights.reshape(-1), minlength=rows * keys).reshape(rows, keys)
+        acc = np.cumsum(part, axis=0)[-1]
+    total, trivial = complex(acc[0], acc[1]), float(acc[2])
+    sums = [complex(r, i) for r, i in zip(acc[3:3 + keys].tolist(), acc[3 + keys:].tolist())]
     return total, sums[0], n - 1 - members, sums[1:], trivial
+
+
+def _window_steps(n: int):
+    """(lo, hi, rows) of the window pass over [1, n): the first block
+    [1, WINDOW_BLOCK) alone, then runs of up to WINDOW_ROWS whole blocks,
+    then a partial last block alone."""
+    yield 1, min(WINDOW_BLOCK, n), 1
+    whole = n - n % WINDOW_BLOCK
+    step = WINDOW_BLOCK * WINDOW_ROWS
+    for lo in range(WINDOW_BLOCK, whole, step):
+        hi = min(lo + step, whole)
+        yield lo, hi, (hi - lo) // WINDOW_BLOCK
+    if WINDOW_BLOCK <= whole < n:
+        yield whole, n, 1
 
 
 def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,
@@ -593,7 +642,7 @@ def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,
     gram = np.zeros((ps.size, ps.size), dtype=np.complex128)
     factored, t_j, sumsq_q, sumsq_all = 0j, 0.0, 0.0, 0.0
     limits = np.full(ps.size, y_cap, dtype=np.int64)
-    for y0, tile in _row_tiles(F.values, ps, limits, LEDGER_TILE, gram):
+    for y0, tile in _row_tiles(F.values, ps, limits, ROW_TILE, gram):
         inner = nu_p @ tile
         lo, hi = np.searchsorted(qs, (y0, y0 + tile.shape[1]))
         if lo < hi:

@@ -12,7 +12,10 @@ Three needs drive this module:
 
 The fractional parts are computed through a 96-bit fixed-point integer
 image of the constant, so both the sequence builder and any closed-form
-oracle reduce angles through the identical channel.
+oracle reduce angles through the identical channel: the residues
+n*P mod 2^96 are integers, split into two 48-bit halves, and one float
+assembly rounds them, whether the residues come from the limb loop or
+from a table of t*P shifted by lo*P (``shifted_frac_parts``).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -33,6 +37,8 @@ FRAC_SHIFT = 96
 _LIMB = 24
 _LIMB_MASK = (1 << _LIMB) - 1
 _NLIMB = FRAC_SHIFT // _LIMB
+_HALF = 2 * _LIMB  # residues are held as two halves of this many bits
+_HALF_MASK = (1 << _HALF) - 1
 MAX_FRAC_INDEX = 1 << 38  # keeps limb products inside int64
 _SUM_CHUNK = 1 << 13  # below 2^26, so a chunk's sums of 27-bit halves stay exact
 _EXP_OFFSET = 1074  # np.frexp exponents of finite floats are >= -1073
@@ -81,13 +87,31 @@ def symbol_spec(name: str) -> SymbolSpec:
 
 def fixed_point_image(value, bits: int) -> int:
     """floor(value * 2^bits) for anything ``as_symbolic`` reads, from the
-    value at bits + 64 bits of mpmath precision."""
+    value at bits + 64 bits of mpmath precision below the units of its
+    larger term, so a large value keeps 64 guard bits below 2^-bits too."""
+    x = as_symbolic(value)
+    prec = bits + 64 + _term_bits(x)
     old = mp.prec
     try:
-        mp.prec = bits + 64
-        return int(mp.floor(as_symbolic(value).mpf_value(bits + 64) * (mpf(2) ** bits)))
+        mp.prec = prec
+        return int(mp.floor(x.mpf_value(prec) * (mpf(2) ** bits)))
     finally:
         mp.prec = old
+
+
+def _term_bits(x: SymbolicReal) -> int:
+    """A k >= 0 with |q0| < 2^k and |q1 sigma| <= 2^k for x = q0 + q1 sigma:
+    the bits of its larger term above the units."""
+    bits = _whole_bits(x.rational)
+    if x.symbol is not None:
+        sigma = symbol_spec(x.symbol).evaluate()
+        bits = max(bits, _whole_bits(x.coeff) + max(0, int(mp.mag(sigma))))
+    return bits
+
+
+def _whole_bits(q: Fraction) -> int:
+    """The bit length of floor(|q|), so |q| < 2^k."""
+    return (abs(q.numerator) // q.denominator).bit_length()
 
 
 def frac_parts(value, ns) -> np.ndarray:
@@ -95,35 +119,64 @@ def frac_parts(value, ns) -> np.ndarray:
 
     Exact to ~2^-53 absolute: the constant is replaced by its 96-bit
     fixed-point floor P, and (n*P) mod 2^96 is evaluated limb-wise in
-    int64, so the only float rounding is the final division by 2^96. Each
-    limb adds (c & mask) * 2^(24k - 96), exact in float64, to the result in
-    limb order. The limb loop runs over the whole of ``ns`` through three
-    work buffers of its size, so a caller that wants them in cache passes
-    few indices a call, as BoundedSequence.exponential does.
+    int64 (``residues``), so the only float rounding is in the assembly
+    of its two 48-bit halves (``_assemble``). The limb loop runs over the
+    whole of ``ns`` through work buffers of its size, so a caller that
+    wants them in cache passes few indices a call.
     """
-    return _image_frac_parts(fixed_point_image(value, FRAC_SHIFT), ns)
+    return _assemble(*residues(fixed_point_image(value, FRAC_SHIFT), ns))
 
 
-def _image_frac_parts(image: int, ns) -> np.ndarray:
-    """frac_parts of the constant whose image floor(value * 2^96) is given,
-    so a caller that reduces many index ranges evaluates the constant once."""
+def residues(image: int, ns) -> tuple[np.ndarray, np.ndarray]:
+    """(n*P) mod 2^96, P = image mod 2^96, as its low and high 48 bits in
+    two int64 arrays. Each 24-bit limb of P times n, plus the carry, stays
+    below 2^63 for n < MAX_FRAC_INDEX."""
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size and int(ns.max()) >= MAX_FRAC_INDEX:
         raise DescriptorError(f"frac_parts index exceeds {MAX_FRAC_INDEX}")
     if ns.size and int(ns.min()) < 0:
         raise DescriptorError("frac_parts indices must be nonnegative")
     P = image % (1 << FRAC_SHIFT)
-    out = np.zeros(ns.shape, dtype=np.float64)
-    c, carry = np.empty(ns.shape, dtype=np.int64), np.empty(ns.shape, dtype=np.int64)
-    part = np.empty(ns.shape, dtype=np.float64)
-    carry.fill(0)
+    digits, carry = [], 0
     for k in range(_NLIMB):
-        np.multiply(ns, (P >> (_LIMB * k)) & _LIMB_MASK, out=c)
+        c = ns * ((P >> (_LIMB * k)) & _LIMB_MASK)
         c += carry
-        np.bitwise_and(c, _LIMB_MASK, out=carry)  # carry doubles as the work buffer
-        np.multiply(carry, 2.0 ** (_LIMB * k - FRAC_SHIFT), out=part)
-        out += part
-        np.right_shift(c, _LIMB, out=carry)
+        carry = c >> _LIMB
+        c &= _LIMB_MASK
+        digits.append(c)
+    digits[1] <<= _LIMB
+    digits[1] |= digits[0]
+    digits[3] <<= _LIMB
+    digits[3] |= digits[2]
+    return digits[1], digits[3]
+
+
+def shifted_frac_parts(table: tuple[np.ndarray, np.ndarray], offset: int,
+                       count: int) -> np.ndarray:
+    """frac((t*P + offset) / 2^96) for t < count, from the ``residues`` of
+    t*P in ``table`` and one integer offset: with offset = lo*P mod 2^96 these
+    are the frac_parts of n = lo + t, bit for bit. The low halves and the
+    offset's add below 2^49, one carry moves into the high half, and each
+    half is reduced mod 2^48."""
+    lo = table[0][:count] + (offset & _HALF_MASK)
+    hi = table[1][:count] + ((offset >> _HALF) & _HALF_MASK)
+    hi += lo >> _HALF
+    lo &= _HALF_MASK
+    hi &= _HALF_MASK
+    return _assemble(lo, hi)
+
+
+def _assemble(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """fl(fl(lo 2^-96 + l2 2^-48) + l3 2^-24) for the 24-bit limbs l2, l3
+    of ``hi``: every term is exact in float64, and so is the first sum of
+    the limb order (lo has 48 bits), so only the last two adds round.
+    ``hi`` is overwritten."""
+    out = lo * 2.0 ** -FRAC_SHIFT
+    part = np.bitwise_and(hi, _LIMB_MASK) * 2.0 ** (2 * _LIMB - FRAC_SHIFT)
+    out += part
+    hi >>= _LIMB
+    np.multiply(hi, 2.0 ** (3 * _LIMB - FRAC_SHIFT), out=part)
+    out += part
     return out
 
 
@@ -259,7 +312,7 @@ class SymbolicReal:
         for inv_e) or q0 + q1*constant ('1+2*sqrt2', '-1/2*pi')."""
         text = text.strip()
         try:
-            value = Fraction(text)
+            value = read_numeral(text)
             str(value)  # reports print it: past Python's digit limit this raises
             return cls(value)
         except (ValueError, ZeroDivisionError):
@@ -427,6 +480,25 @@ class SymbolicReal:
         sign = "+" if self.coeff > 0 else "-"
         mag = term if self.coeff > 0 else f"{-self.coeff if self.coeff != -1 else ''}{'*' if self.coeff not in (1, -1) else ''}{self.symbol}"
         return f"{parts[0]}{sign}{mag}"
+
+
+# the exponent of a numeral Fraction reads, such as 1e-3 or 2.5E+7
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def read_numeral(text: str) -> Fraction:
+    """Fraction(text), except that an exponent beyond twice Python's int
+    digit limit raises ValueError at once: Fraction would first expand
+    10^exponent in full, which takes seconds past 10^6, and a value with a
+    nonzero mantissa of fewer digits than the limit then has more digits
+    than Python prints."""
+    exp = _EXPONENT.search(text)
+    if exp:
+        limit = 2 * (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits)
+        digits = exp.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise ValueError(f"numeral exponent beyond {limit} in {text!r}")
+    return Fraction(text)
 
 
 def as_symbolic(value) -> SymbolicReal:

@@ -148,6 +148,20 @@ class TestOneGrammar:
             code, _ = run(["classify", f"--z={entry}"], tmp_path)
             assert code == EXIT_VALIDATION
 
+    # Fraction would expand 10^10000000 for seconds before anything refused it
+    @pytest.mark.parametrize("args", [
+        ["classify", "--z=1e10000000"],
+        ["orbit", "--point", "point:lower:t=1e10000000", "--n", "5"],
+        ["criterion", "--nu", "mobius", "--seq", "exp:theta=1e10000000", "--n", "1000",
+         "--alpha", "0.3", "--j0", "4", "--j1", "10", "--cutoff", "20"],
+        ["decompose", "--n", "1000", "--alpha=1e10000000", "--j0", "4", "--j1", "10"]],
+        ids=["classify", "point", "exp", "alpha"])
+    def test_huge_exponent_exits_2_at_once(self, tmp_path, args):
+        start = time.perf_counter()
+        code, _ = run(args, tmp_path)
+        assert code == EXIT_VALIDATION
+        assert time.perf_counter() - start < 2.0
+
     def test_descriptor_error_lists_the_grammar(self):
         with pytest.raises(DescriptorError, match="inv_e, inv_pi"):
             parse_descriptor("foo")

@@ -18,7 +18,7 @@ from horomu.dynamics import (ModularPoint, bump_observable, orbit_sequence,
                              pair_correlation, split_observable)
 from horomu.errors import (CapacityError, DomainError, EmptyPairSetError,
                            HorizonError, ValidationError)
-from horomu.exactreal import frac_parts
+from horomu.exactreal import FRAC_SHIFT, fixed_point_image, frac_parts
 
 from conftest import mobius_oracle
 
@@ -53,12 +53,24 @@ class TestBoundedSequence:
 
 
     def test_exponential_matches_one_shot_formula(self):
-        # the values are written one SEGMENT at a time; they must equal the
-        # formula applied to the whole range at once, bit for bit
+        # the values are written one TRIG_CHUNK at a time; they must equal
+        # the formula applied to the whole range at once, bit for bit
         horizon = 3 * SEGMENT + 17
         F = BoundedSequence.exponential("inv_e", horizon)
         ns = np.arange(horizon + 1, dtype=np.int64)
         expect = np.exp(2j * np.pi * frac_parts("inv_e", ns))
+        expect[0] = 0
+        assert F.values.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("theta", ["-1/2*pi", "-sqrt2", "3/8",
+                                       "1000000000000000000000000*sqrt2"])
+    @pytest.mark.parametrize("horizon", [TRIG_CHUNK - 5, TRIG_CHUNK, 3 * TRIG_CHUNK + 17])
+    def test_exponential_residue_table_matches_limb_loop(self, theta, horizon):
+        # each chunk shifts the residues of t < TRIG_CHUNK by lo * P; the
+        # angles must be those of the limb loop over n itself, bit for bit
+        F = BoundedSequence.exponential(theta, horizon)
+        ns = np.arange(horizon + 1, dtype=np.int64)
+        expect = np.exp(2j * np.pi * frac_parts(theta, ns))
         expect[0] = 0
         assert F.values.tobytes() == expect.tobytes()
 
@@ -86,14 +98,16 @@ class TestBoundedSequence:
     def test_exponential_chunk_failure_raises_and_joins(self, monkeypatch, bad_chunk):
         # chunk 0 is filled by the caller, chunks 2 and 3 by worker threads
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        frac_parts_of = criterion._image_frac_parts
+        shifted = criterion.shifted_frac_parts
+        # the chunk at lo is reduced with the offset lo * P mod 2^96
+        bad = bad_chunk * TRIG_CHUNK * fixed_point_image("inv_e", FRAC_SHIFT) % 2 ** FRAC_SHIFT
 
-        def failing(image, ns):
-            if ns[0] == bad_chunk * TRIG_CHUNK:
+        def failing(table, offset, count):
+            if offset == bad:
                 raise ArithmeticError("injected")
-            return frac_parts_of(image, ns)
+            return shifted(table, offset, count)
 
-        monkeypatch.setattr(criterion, "_image_frac_parts", failing)
+        monkeypatch.setattr(criterion, "shifted_frac_parts", failing)
         before = threading.active_count()
         with pytest.raises(ArithmeticError, match="injected"):
             BoundedSequence.exponential("inv_e", 3 * TRIG_CHUNK + 17)
@@ -262,7 +276,8 @@ class TestPairGram:
         # tiles of at most 50 entries: rows end inside tiles and the
         # active prefix shrinks from tile to tile; each tile's product is
         # added in bands of one or two rows
-        monkeypatch.setattr(criterion, "SEGMENT", 50)
+        monkeypatch.setattr(criterion, "ROW_TILE", 50)
+        monkeypatch.setattr(criterion, "TILE_MIN_WIDTH", 1)
         monkeypatch.setattr(criterion, "GRAM_BAND", 16)
         sizes, row_tiles = [], criterion._row_tiles
 
@@ -278,12 +293,32 @@ class TestPairGram:
         assert_matches_oracle(exp_sqrt2_40k, est)
 
     def test_tiles_at_full_segment(self):
-        # more than SEGMENT entries over five rows: the first tile ends
-        # before rows 2 and 3 do, and row 3 ends inside the second tile
+        # many times ROW_TILE entries over five rows at the full tile
+        # size: rows end inside tiles, and the active prefix shrinks
         horizon = 900_000
-        assert sum(horizon // p for p in (2, 3, 5, 7, 11)) > SEGMENT
+        assert sum(horizon // p for p in (2, 3, 5, 7, 11)) > 10 * criterion.ROW_TILE
         F = BoundedSequence.exponential("inv_e", horizon)
         assert_matches_oracle(F, tau_estimate(F, 12))
+
+    def test_memory_stays_flat_in_n(self):
+        # the estimate holds one tile of ROW_TILE entries and its conjugate
+        # copy beside the Gram and its norms, whatever N is; tiles of 2^20
+        # entries peaked at 34 MB at N = 1e6
+        tile_bytes = criterion.ROW_TILE * 16
+        peaks = {}
+        for n in (1_000_000, 2_000_000):
+            F = BoundedSequence.exponential("inv_e", n)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                est = tau_estimate(F, 1000)
+                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        gram_bytes = est.gram.nbytes
+        assert est.primes.size == 168
+        assert peaks[2_000_000] < 3 * tile_bytes + 3 * gram_bytes, peaks
+        assert peaks[2_000_000] <= peaks[1_000_000] + 64 * 2 ** 10, peaks
 
     def test_horizon_errors(self, exp_sqrt2_40k):
         tau_estimate(exp_sqrt2_40k, 30, M=40_000 // 29)  # last index that fits
@@ -576,7 +611,8 @@ class TestBlockMembers:
         # tiles, so each field is a sum of tile partials and differs from
         # the one-shot gather only by rounding, within the derived bound;
         # with band 1 each tile's Gram product is added one row at a time
-        monkeypatch.setattr(criterion, "LEDGER_TILE", budget)
+        monkeypatch.setattr(criterion, "ROW_TILE", budget)
+        monkeypatch.setattr(criterion, "TILE_MIN_WIDTH", 1)
         monkeypatch.setattr(criterion, "GRAM_BAND", band)
         dec = _decomposition(5000, "3/10", 5, 12)
         mu = sieve_mobius(6500)
@@ -616,10 +652,10 @@ class TestBlockMembers:
                 <= _ledger_gap_bound(d, 2 * float(np.sum((mag @ mag.T))))
 
     def test_memory_stays_flat_in_n(self):
-        # a block ledger holds a few tiles of LEDGER_TILE entries, whatever
+        # a block ledger holds a few tiles of ROW_TILE entries, whatever
         # N is; gathering all of F(p y), y <= N / (1+alpha)^j, peaks at
         # 10.5 MB for j = 9 at N = 1e6 and grows in proportion to N
-        tile_bytes = criterion.LEDGER_TILE * 16
+        tile_bytes = criterion.ROW_TILE * 16
         peaks = {}
         for n in (1_000_000, 2_000_000):
             dec = _decomposition(n, "3/10", 9, 30)
@@ -737,6 +773,19 @@ class TestWindowPass:
         # the trivial bound sums the moduli of the same products
         moduli = np.abs(prod[1:])
         assert abs(trivial - math.fsum(moduli)) <= _fsum_gap_bound(moduli, n)
+
+    @pytest.mark.parametrize("args", [(70_000, "3/10", 9, 30), (1000, 1, 1, 4),
+                                      (4096 * 35, "3/10", 9, 30),
+                                      (4096 * 19 + 1, "1/10", 10, 60)])
+    def test_rows_per_pass_change_nothing(self, args, monkeypatch):
+        # whole blocks go WINDOW_ROWS at a time; every sum must be the
+        # one-block pass's, bit for bit, whatever the rows per pass
+        dec, nu, F = _window_inputs(*args)
+        results = set()
+        for rows in (1, 2, 16):
+            monkeypatch.setattr(criterion, "WINDOW_ROWS", rows)
+            results.add(repr(criterion._window_pass(dec, nu, F)))
+        assert len(results) == 1
 
     def test_blocks_without_members(self):
         dec, nu, F = _window_inputs(20_000, "1/10", 10, 60)

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -173,6 +174,68 @@ class TestFracParts:
     def test_index_cap(self):
         with pytest.raises(DescriptorError):
             frac_parts("sqrt2", np.array([1 << 40]))
+
+    def test_shifted_residues_equal_the_limb_loop(self):
+        # offsets whose low halves carry into the high half, and images of
+        # either sign: t*P shifted by lo*P is n*P for n = lo + t, bit for bit
+        rng = np.random.default_rng(TEST_SEED)
+        count = 3000
+        for image in [int(v) for v in rng.integers(-2 ** 62, 2 ** 62, 20)] + [
+                fixed_point_image("inv_e", FRAC_SHIFT), -1, 2 ** 96 - 1, 2 ** 120 + 3]:
+            table = exactreal.residues(image, np.arange(count))
+            for lo in (0, 1, 2 ** 20 + 7, MAX_FRAC_INDEX - count,
+                       *rng.integers(0, MAX_FRAC_INDEX - count, 5).tolist()):
+                got = exactreal.shifted_frac_parts(table, lo * image % 2 ** FRAC_SHIFT, count)
+                want = exactreal._assemble(*exactreal.residues(image, np.arange(lo, lo + count)))
+                assert got.tobytes() == want.tobytes(), (image, lo)
+
+
+class TestFixedPointImage:
+    @staticmethod
+    def floor_at(value: SymbolicReal, bits: int, prec: int = 600) -> int:
+        old = mp.prec
+        try:
+            mp.prec = prec
+            return int(mp.floor(value.mpf_value(prec) * mp.mpf(2) ** bits))
+        finally:
+            mp.prec = old
+
+    @pytest.mark.parametrize("text", [
+        "1000000000000000000000000*sqrt2", "-1000000000000000000000000*pi",
+        # two terms near 2^80 that cancel to about 0.72
+        "1414213562373095048801688-1000000000000000000000000*sqrt2",
+        "1000000000000000000000000000001/3", "inv_e"])
+    @pytest.mark.parametrize("bits", [10, 70, 96])
+    def test_floor_of_large_values(self, text, bits):
+        # the guard bits sit below the units of the larger term, so the
+        # image is the floor however large the value or its terms
+        value = SymbolicReal.parse(text)
+        assert fixed_point_image(value, bits) == self.floor_at(value, bits)
+
+    def test_entries_fixed_of_a_large_entry(self):
+        from horomu.dynamics import ModularPoint
+        big = SymbolicReal.const("sqrt2", 10 ** 24)
+        xi = ModularPoint(1, big, 0, 1)
+        want = [self.floor_at(as_symbolic(v) + Fraction(1, 2 ** 71), 70) for v in (1, big, 0, 1)]
+        assert list(xi.entries_fixed(70)) == want
+
+
+class TestNumerals:
+    @pytest.mark.parametrize("text", ["1e10000000", "-2.5E+10000000", "1e-10000000",
+                                      "1e1_000_000", "3e" + "9" * 5000])
+    def test_huge_exponents_are_refused_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            exactreal.read_numeral(text)
+        with pytest.raises(DescriptorError):
+            SymbolicReal.parse(text)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e-3", Fraction(1, 1000)), ("2.5E+7", Fraction(25_000_000)),
+        ("3/7", Fraction(3, 7)), ("1e1_0", Fraction(10 ** 10)), ("0e8600", Fraction(0))])
+    def test_numerals_read_as_fraction(self, text, value):
+        assert exactreal.read_numeral(text) == value == Fraction(text)
 
 
 def running_sums(values, ends) -> list[str]:
