@@ -78,6 +78,8 @@ def parse_point(spec: str) -> ModularPoint:
         raise DescriptorError(f"empty point spec {spec!r}")
     kind = parts[0]
     if kind == "identity":
+        if len(parts) > 1:
+            raise DescriptorError(f"identity point takes no parameters, got {spec!r}")
         return ModularPoint.identity()
     if kind in ("lower", "upper"):
         if len(parts) < 2 or not parts[1].startswith("t="):
@@ -103,6 +105,9 @@ def parse_observable(spec: str) -> Observable:
     if not parts:
         raise DescriptorError(f"empty observable spec {spec!r}")
     kind = parts[0]
+    if len(parts) > 2:
+        raise DescriptorError(
+            f"observable parameters are one ,-separated list, got {spec!r}")
     factory = OBSERVABLE_FACTORIES.get(kind)
     if factory is None:
         raise DescriptorError(

@@ -16,9 +16,8 @@ lines with a hold/fail flag, never as errors.
 
 from __future__ import annotations
 
+import cmath
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,7 +28,7 @@ from .arith import MultiplicativeTable, check_unit_bound, sieve_primes
 from .decomp import Decomposition, DecompositionParams, build_decomposition, prime_blocks
 from .errors import (CapacityError, DomainError, EmptyPairSetError, HorizonError,
                      ValidationError)
-from .exactreal import FRAC_SHIFT, fixed_point_image, residues, shifted_frac_parts
+from .exactreal import FRAC_SHIFT, fixed_point_image, frac_parts
 
 SEQUENCE_BUDGET = 50_000_000
 PAIR_PRIME_BUDGET = 4096  # primes in the tau Gram or one block's: 268 MB
@@ -44,10 +43,9 @@ WINDOW_ROWS = 8
 # ledger: 1 MB of complex values, which stays in a 2 MB L2 cache; either
 # holds a few such tiles at any N
 ROW_TILE = 1 << 16
-# indices per chunk of BoundedSequence.exponential: its residue table
-# takes 256 KB and a chunk's temporaries 384 KB, and both stay in cache;
-# 2^12 or 2^13 pay the fixed cost of each chunk's calls too often, 2^18
-# leaves the cache
+# indices per chunk of BoundedSequence.exponential: its table of e(t theta)
+# takes 256 KB and stays in cache while each chunk is one product with it;
+# smaller chunks pay a Python-int product and a cmath.exp more often
 TRIG_CHUNK = 1 << 14
 # entries of the k x k product added into a Gram per band of rows: the
 # band's temporary is 4 MB however many primes the Gram has
@@ -68,9 +66,6 @@ class BoundedSequence:
     """
 
     def __init__(self, values: np.ndarray, label: str):
-        values = np.asarray(values)
-        if values.ndim != 1 or values.size < 2:
-            raise ValidationError("sequence needs values for at least n=1")
         self._adopt(np.array(values, dtype=np.complex128), label)
 
     @classmethod
@@ -81,6 +76,8 @@ class BoundedSequence:
         return seq
 
     def _adopt(self, values: np.ndarray, label: str) -> None:
+        if values.ndim != 1 or values.size < 2:
+            raise ValidationError("sequence needs values for at least n=1")
         values[0] = 0
         check_unit_bound(values, label)
         values.setflags(write=False)
@@ -109,69 +106,47 @@ class BoundedSequence:
 
     @classmethod
     def exponential(cls, theta, horizon: int, label: Optional[str] = None) -> "BoundedSequence":
-        """F(n) = exp(2 pi i n theta) with the angle reduced mod 1 exactly.
+        """F(n) = e(n theta) = exp(2 pi i n theta), as e(t theta) e(lo theta).
 
         theta is anything ``exactreal.as_symbolic`` reads: a string in the
         entry grammar ('sqrt2', '3/7', '1e-3', '1+2*sqrt2'), a SymbolicReal,
-        a rational or a float; reduction goes through the shared fixed-point
-        channel so closed-form cross-checks see identical angles. The
-        values are written TRIG_CHUNK indices at a time. The residues
-        t*P mod 2^96 of t < TRIG_CHUNK are formed once, and the chunk at lo
-        adds lo*P mod 2^96 to them (``exactreal.shifted_frac_parts``), which
-        gives the angles of ``frac_parts`` bit for bit; cos and sin of
-        x = frac * 2 pi go straight into the real and imaginary parts. The
-        chunks are filled on every core the process may run on, in one
-        contiguous run per core (numpy releases the GIL inside cos and
-        sin). The work is elementwise, so the values are the same bytes at
-        any core count and equal the one-shot formula exp(2j pi frac) bit
-        for bit.
+        a rational or a float. Angles go through the shared fixed-point
+        channel: with P = floor(theta 2^96), n theta is read as n P / 2^96.
+        The table exp(2j pi frac_parts(theta, t)) of t < TRIG_CHUNK is
+        formed once. The chunk of n = lo + t takes one factor from the
+        exact residue r = lo P mod 2^96, cmath.exp(2j pi (r / 2^96)), and
+        one complex product with the table writes it. No factor comes from
+        a recurrence, so the error does not grow with n.
+
+        Error bound. With u = 2^-53, every value is within
+
+            B(n) = 2e + e^2 + sqrt(5) u (1 + e)^2 + 2 pi n 2^-95,
+            e = (8 + pi + sqrt(2)) u + 2 pi 2^-77,
+
+        of the exact e(n theta): 27.4 u = 3.0e-15 at any budgeted horizon.
+        The parts:
+          - table and factor angles x are within 2^-54 + 2^-77
+            (``frac_parts``) or 2^-54 (r / 2^96, rounded once) of the exact
+            residue over 2^96;
+          - y = fl(fl(2 pi) x) is within 2^-51 (fl(pi)) + 2^-51 (the product,
+            below 8) + 2 pi |x error| of 2 pi times that residue;
+          - libm's cos and sin are taken within 1 ulp, sqrt(2) u a value,
+            so e bounds the error of each table entry and factor;
+          - numpy's complex product rounds by at most sqrt(5) u times the
+            product of the moduli (Brent, Percival and Zimmermann, 2007);
+          - P, a floor found with 64 guard bits, is within 2 of theta 2^96.
         """
         _check_budget(horizon)
         vals = np.empty(horizon + 1, dtype=np.complex128)
-        image = fixed_point_image(theta, FRAC_SHIFT)  # one mpmath evaluation
-        table = residues(image, np.arange(TRIG_CHUNK, dtype=np.int64))
-
-        def fill(first: int, stop: int) -> None:
-            for lo in range(first * TRIG_CHUNK, min(stop * TRIG_CHUNK, vals.size), TRIG_CHUNK):
-                out = vals[lo:lo + TRIG_CHUNK]
-                angle = shifted_frac_parts(table, lo * image % (1 << FRAC_SHIFT), out.size)
-                angle *= 2 * np.pi
-                np.cos(angle, out=out.real)
-                np.sin(angle, out=out.imag)
-
-        _fill_on_every_core(fill, -(-vals.size // TRIG_CHUNK))
+        image = fixed_point_image(theta, FRAC_SHIFT)
+        table = np.exp(2j * np.pi * frac_parts(theta, np.arange(TRIG_CHUNK)))
+        for lo in range(0, vals.size, TRIG_CHUNK):
+            out = vals[lo:lo + TRIG_CHUNK]
+            residue = lo * image % (1 << FRAC_SHIFT)
+            factor = cmath.exp(2j * math.pi * (residue / (1 << FRAC_SHIFT)))
+            np.multiply(table[:out.size], factor, out=out)
         name = theta if isinstance(theta, str) else repr(theta)
         return cls._owned(vals, label or f"exp:{name}")
-
-
-def _fill_on_every_core(fill, chunks: int) -> None:
-    """Call fill(first, stop) over contiguous runs of chunk numbers that
-    cover range(chunks): one run per core the process may run on, and no
-    more runs than chunks. The caller fills the first run, and every other
-    run's thread is joined before this returns; the first exception of a
-    worker is then raised here."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    runs = min(cores or 1, chunks)
-    ends = [chunks * k // runs for k in range(runs + 1)]
-    errors = []
-
-    def work(first: int, stop: int) -> None:
-        try:
-            fill(first, stop)
-        except BaseException as exc:  # raised again in the caller
-            errors.append(exc)
-
-    started = []
-    try:
-        for first, stop in zip(ends[1:-1], ends[2:]):
-            started.append(threading.Thread(target=work, args=(first, stop)))
-            started[-1].start()
-        fill(ends[0], ends[1])
-    finally:
-        for t in started:
-            t.join()
-    if errors:
-        raise errors[0]
 
 
 def _check_budget(horizon: int) -> None:

@@ -817,4 +817,4 @@ def orbit_sequence(xi: ModularPoint, f: Observable, horizon: int,
     vals = np.zeros(horizon + 1, dtype=np.complex128)
     for lo, part in _orbit_chunks(f, xi, range(1, horizon + 1), precision_bits):
         vals.real[lo + 1:lo + 1 + part.size] = part
-    return BoundedSequence(vals, f"horocycle:{f.label}")
+    return BoundedSequence._owned(vals, f"horocycle:{f.label}")

@@ -11,11 +11,10 @@ Three needs drive this module:
   terms (``ExactSum``, a running sum at array speed in O(chunk) memory).
 
 The fractional parts are computed through a 96-bit fixed-point integer
-image of the constant, so both the sequence builder and any closed-form
+image P of the constant, so both the sequence builder and any closed-form
 oracle reduce angles through the identical channel: the residues
-n*P mod 2^96 are integers, split into two 48-bit halves, and one float
-assembly rounds them, whether the residues come from the limb loop or
-from a table of t*P shifted by lo*P (``shifted_frac_parts``).
+n*P mod 2^96 are integers, formed limb by limb, and one float assembly
+of the limbs rounds them (``frac_parts``).
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ FRAC_SHIFT = 96
 _LIMB = 24
 _LIMB_MASK = (1 << _LIMB) - 1
 _NLIMB = FRAC_SHIFT // _LIMB
-_HALF = 2 * _LIMB  # residues are held as two halves of this many bits
-_HALF_MASK = (1 << _HALF) - 1
 MAX_FRAC_INDEX = 1 << 38  # keeps limb products inside int64
 _SUM_CHUNK = 1 << 13  # below 2^26, so a chunk's sums of 27-bit halves stay exact
 _EXP_OFFSET = 1074  # np.frexp exponents of finite floats are >= -1073
@@ -115,28 +112,24 @@ def _whole_bits(q: Fraction) -> int:
 
 
 def frac_parts(value, ns) -> np.ndarray:
-    """frac(n * value) for an array of nonnegative integers n.
+    """frac(n * value) for an array of nonnegative integers n < MAX_FRAC_INDEX.
 
-    Exact to ~2^-53 absolute: the constant is replaced by its 96-bit
-    fixed-point floor P, and (n*P) mod 2^96 is evaluated limb-wise in
-    int64 (``residues``), so the only float rounding is in the assembly
-    of its two 48-bit halves (``_assemble``). The limb loop runs over the
-    whole of ``ns`` through work buffers of its size, so a caller that
-    wants them in cache passes few indices a call.
+    Within 2^-54 + 2^-77 of the exact frac(n*P / 2^96), where P is the
+    constant's 96-bit fixed-point floor: (n*P) mod 2^96 is evaluated in
+    int64 one 24-bit limb of P at a time (each limb product plus the carry
+    stays below 2^63) as the 24-bit limbs l0..l3, and assembled as
+    fl(fl(lo 2^-96 + l2 2^-48) + l3 2^-24) with lo = l1 2^24 + l0. Every
+    term is exact in float64, so only the two adds round: the first below
+    2^-24 (by at most 2^-77), the second below 1 (by at most 2^-54). The
+    limb loop runs over the whole of ``ns`` through work buffers of its
+    size, so a caller that wants them in cache passes few indices a call.
     """
-    return _assemble(*residues(fixed_point_image(value, FRAC_SHIFT), ns))
-
-
-def residues(image: int, ns) -> tuple[np.ndarray, np.ndarray]:
-    """(n*P) mod 2^96, P = image mod 2^96, as its low and high 48 bits in
-    two int64 arrays. Each 24-bit limb of P times n, plus the carry, stays
-    below 2^63 for n < MAX_FRAC_INDEX."""
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size and int(ns.max()) >= MAX_FRAC_INDEX:
         raise DescriptorError(f"frac_parts index exceeds {MAX_FRAC_INDEX}")
     if ns.size and int(ns.min()) < 0:
         raise DescriptorError("frac_parts indices must be nonnegative")
-    P = image % (1 << FRAC_SHIFT)
+    P = fixed_point_image(value, FRAC_SHIFT) % (1 << FRAC_SHIFT)
     digits, carry = [], 0
     for k in range(_NLIMB):
         c = ns * ((P >> (_LIMB * k)) & _LIMB_MASK)
@@ -144,39 +137,10 @@ def residues(image: int, ns) -> tuple[np.ndarray, np.ndarray]:
         carry = c >> _LIMB
         c &= _LIMB_MASK
         digits.append(c)
-    digits[1] <<= _LIMB
-    digits[1] |= digits[0]
-    digits[3] <<= _LIMB
-    digits[3] |= digits[2]
-    return digits[1], digits[3]
-
-
-def shifted_frac_parts(table: tuple[np.ndarray, np.ndarray], offset: int,
-                       count: int) -> np.ndarray:
-    """frac((t*P + offset) / 2^96) for t < count, from the ``residues`` of
-    t*P in ``table`` and one integer offset: with offset = lo*P mod 2^96 these
-    are the frac_parts of n = lo + t, bit for bit. The low halves and the
-    offset's add below 2^49, one carry moves into the high half, and each
-    half is reduced mod 2^48."""
-    lo = table[0][:count] + (offset & _HALF_MASK)
-    hi = table[1][:count] + ((offset >> _HALF) & _HALF_MASK)
-    hi += lo >> _HALF
-    lo &= _HALF_MASK
-    hi &= _HALF_MASK
-    return _assemble(lo, hi)
-
-
-def _assemble(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """fl(fl(lo 2^-96 + l2 2^-48) + l3 2^-24) for the 24-bit limbs l2, l3
-    of ``hi``: every term is exact in float64, and so is the first sum of
-    the limb order (lo has 48 bits), so only the last two adds round.
-    ``hi`` is overwritten."""
+    lo = (digits[1] << _LIMB) | digits[0]
     out = lo * 2.0 ** -FRAC_SHIFT
-    part = np.bitwise_and(hi, _LIMB_MASK) * 2.0 ** (2 * _LIMB - FRAC_SHIFT)
-    out += part
-    hi >>= _LIMB
-    np.multiply(hi, 2.0 ** (3 * _LIMB - FRAC_SHIFT), out=part)
-    out += part
+    out += digits[2] * 2.0 ** (2 * _LIMB - FRAC_SHIFT)
+    out += digits[3] * 2.0 ** (3 * _LIMB - FRAC_SHIFT)
     return out
 
 

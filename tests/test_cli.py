@@ -467,7 +467,8 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_VALIDATION
         for obs in ("obs:bump:foo=1", "obs:bump:y0=abc", "obs:windy:y0=-1",
-                    "obs:const:c=nan", "obs:const:c=inf"):
+                    "obs:const:c=nan", "obs:const:c=inf",
+                    "obs:bump:y0=3:width=0.1"):  # a segment past the list
             code = main(["orbit", "--point", "point:identity", "--n", "3",
                          "--obs", obs, "--out", str(tmp_path / "x.json")])
             assert code == EXIT_VALIDATION, obs
@@ -487,6 +488,7 @@ class TestExitCodes:
                      ["disjointness", "--point", "point:identity", "--n", "10",
                       "--ladder", "10,abc"],
                      ["orbit", "--point", "point:lower:t=1/0", "--n", "3"],
+                     ["correlate", "--point", "point:identity:junk", "--n", "10"],
                      ["orbit", "--point", "point:lower:t=e", "--n", "0"],
                      ["orbit", "--point", "point:lower:t=e", "--n", "-5"],
                      ["orbit", "--point", "point:lower:t=e", "--n", "10",

@@ -657,6 +657,19 @@ class TestExactlyRoundedAverages:
 
 
 class TestOrbitSequence:
+    def test_finished_array_is_not_copied(self):
+        """The sequence wraps the array the orbit was written into, so the
+        traced peak stays below two arrays' bytes (a copy makes it three)."""
+        n = 3 * 10 ** 5
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            F = orbit_sequence(ModularPoint.identity(), bump_observable(2, 0.5), n)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * F.values.nbytes, (peak, F.values.nbytes)
+
     def test_bridges_to_bounded_sequence(self):
         f = bump_observable(2, 0.5)
         xi = ModularPoint.lower("inv_e")

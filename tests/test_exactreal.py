@@ -175,20 +175,6 @@ class TestFracParts:
         with pytest.raises(DescriptorError):
             frac_parts("sqrt2", np.array([1 << 40]))
 
-    def test_shifted_residues_equal_the_limb_loop(self):
-        # offsets whose low halves carry into the high half, and images of
-        # either sign: t*P shifted by lo*P is n*P for n = lo + t, bit for bit
-        rng = np.random.default_rng(TEST_SEED)
-        count = 3000
-        for image in [int(v) for v in rng.integers(-2 ** 62, 2 ** 62, 20)] + [
-                fixed_point_image("inv_e", FRAC_SHIFT), -1, 2 ** 96 - 1, 2 ** 120 + 3]:
-            table = exactreal.residues(image, np.arange(count))
-            for lo in (0, 1, 2 ** 20 + 7, MAX_FRAC_INDEX - count,
-                       *rng.integers(0, MAX_FRAC_INDEX - count, 5).tolist()):
-                got = exactreal.shifted_frac_parts(table, lo * image % 2 ** FRAC_SHIFT, count)
-                want = exactreal._assemble(*exactreal.residues(image, np.arange(lo, lo + count)))
-                assert got.tobytes() == want.tobytes(), (image, lo)
-
 
 class TestFixedPointImage:
     @staticmethod
