@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 from . import __version__
 from .arith import (SEGMENT, MultiplicativeTable, sieve_liouville, sieve_mobius,
                     sieve_primes)
-from .criterion import BoundedSequence, _ledger
+from .criterion import BoundedSequence, _ledger, _pair_plan
 from .correlator import PointDescriptor, classify_correlator
 from .decomp import DecompositionParams, build_decomposition, coverage_report
 from .dynamics import (ModularPoint, OBSERVABLE_FACTORIES, Observable,
@@ -336,12 +336,13 @@ def _run_criterion(args, timings) -> dict:
         raise ValidationError("criterion at desk scale requires explicit --j0/--j1")
     params = DecompositionParams(args.n, alpha, args.j0, args.j1)
     horizon = int(-(-args.n * (1 + alpha) // 1))
+    excluded = parse_excluded(args.exclude)
+    _pair_plan(horizon, args.cutoff, args.m, excluded, args.n)  # before nu and F
     nu = parse_nu(args.nu, args.n)
     F = parse_sequence(args.seq, horizon, args.precision_bits)
     timings["inputs"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rep = _ledger(nu, F, params, parse_excluded(args.exclude),
-                  cutoff=args.cutoff, M=args.m)
+    rep = _ledger(nu, F, params, excluded, cutoff=args.cutoff, M=args.m)
     timings["ledger"] = time.perf_counter() - t0
     return rep.as_dict()
 

@@ -32,13 +32,10 @@ from .exactreal import FRAC_SHIFT, fixed_point_image, frac_parts
 
 SEQUENCE_BUDGET = 50_000_000
 PAIR_PRIME_BUDGET = 4096  # primes in the tau Gram or one block's: 268 MB
-# window indices per step of the window pass; its temporaries stay this
-# small at any N, and each sum adds at most this many terms before the
-# per-block partials are added in index order
-WINDOW_BLOCK = 1 << 12
-# whole window blocks per set of numpy calls, which pay their fixed cost
-# once for all of them: the pass then peaks at 1.6 MB (16 blocks: 3.2 MB)
-WINDOW_ROWS = 8
+# window indices per block of the window pass; its temporaries stay this
+# small at any N (0.75 MB at 2^14), and each sum adds at most this many
+# terms before the per-block partials are added in index order
+WINDOW_BLOCK = 1 << 14
 # entries of F(p m) per _row_tiles tile, for the tau Gram and every block
 # ledger: 1 MB of complex values, which stays in a 2 MB L2 cache; either
 # holds a few such tiles at any N
@@ -164,11 +161,6 @@ class PairCorrelation:
     total: complex
     normalized: float
 
-    def as_dict(self) -> dict:
-        return {"p1": self.p1, "p2": self.p2, "m": self.m,
-                "total": [repr(self.total.real), repr(self.total.imag)],
-                "normalized": repr(self.normalized)}
-
 
 def bilinear_sum(F: BoundedSequence, p1: int, p2: int, M: int) -> PairCorrelation:
     """sum_{m<=M} F(p1 m) conj(F(p2 m)) by np.sum: pairwise in float64, not exact."""
@@ -249,29 +241,28 @@ def _pair_plan(horizon: int, prime_cutoff: float, M: Optional[int],
 
 
 def _row_tiles(values: np.ndarray, primes: np.ndarray, limits: np.ndarray,
-               entries: int, gram: np.ndarray):
+               gram: np.ndarray):
     """Stream the rows values[p_i m], m = 1 .. limits[i], as (m0, tile) pairs.
 
     ``tile[i, t] = values[p_i (m0 + t)]`` for the rows still active at m0,
     and 0 past row i's own limit. Limits never increase, so the active rows
-    are a prefix; a tile is as wide as ``entries`` allows for them, but at
-    least TILE_MIN_WIDTH m wide (or up to the last m). Each row is one
+    are a prefix; a tile is as wide as ROW_TILE entries allow for them, but
+    at least TILE_MIN_WIDTH m wide (or up to the last m). Each row is one
     strided slice copy into a buffer allocated once per call, so a tile is
-    valid only until the next one. The tau Gram and the block ledgers pass
-    ROW_TILE entries, so up to ROW_TILE / TILE_MIN_WIDTH = 512 rows a tile
-    and its conjugate copy take 2 MB and the BLAS product reads them from
-    cache.
+    valid only until the next one. Up to ROW_TILE / TILE_MIN_WIDTH = 512
+    rows a tile and its conjugate copy take 2 MB, and the BLAS product
+    reads them from cache.
     Before a tile is yielded, its product is added into ``gram`` in bands
     of rows of at most GRAM_BAND entries, so at the end gram[i, k] =
     sum_{m <= min(limits[i], limits[k])} F(p_i m) conj(F(p_k m)).
     """
     k, top = primes.size, int(limits[0])
-    buf = np.empty(min(max(entries, k * TILE_MIN_WIDTH), k * top), dtype=values.dtype)
+    buf = np.empty(min(max(ROW_TILE, k * TILE_MIN_WIDTH), k * top), dtype=values.dtype)
     ps, lims = primes.tolist(), limits.tolist()
     m0 = 1
     while m0 <= top:
         rows = int(np.count_nonzero(limits >= m0))
-        width = min(max(TILE_MIN_WIDTH, entries // rows), top + 1 - m0)
+        width = min(max(TILE_MIN_WIDTH, ROW_TILE // rows), top + 1 - m0)
         tile = buf[:rows * width].reshape(rows, width)
         end = m0 + width - 1
         for row, p, lim in zip(tile, ps, lims):
@@ -334,7 +325,7 @@ def tau_estimate(F: BoundedSequence, prime_cutoff: float,
     """
     ps, limits, skip, policy = _pair_plan(F.horizon, prime_cutoff, M, excluded, window)
     gram = np.zeros((ps.size, ps.size), dtype=np.complex128)
-    for _ in _row_tiles(F.values, ps, limits, ROW_TILE, gram):
+    for _ in _row_tiles(F.values, ps, limits, gram):
         pass
     norm = np.hypot(gram.real, gram.imag)  # rounds as abs() of a complex
     norm /= limits
@@ -540,62 +531,34 @@ def _window_pass(dec: Decomposition, nu_values: np.ndarray, F: BoundedSequence):
 
     One pass over the window in blocks [lo, hi) aligned to multiples of
     WINDOW_BLOCK (the first starts at 1). Each block forms nu(n) F(n) once:
-    ``np.sum`` gives its share of the total, and ``np.bincount`` on the key
-    in_pq * (j - j0 + 1) adds its entries left to right into the leftover
-    (key 0) or the product set of block j. The shares are added in index
-    order, so the sums depend on WINDOW_BLOCK and on nothing else, and no
-    temporary grows with N. Up to WINDOW_ROWS whole blocks go through one
-    set of numpy calls as the rows of a matrix: ``np.sum`` along a row is
-    that block's own sum, one ``np.bincount`` on key + keys * row keeps the
-    blocks' keyed sums apart, and ``np.cumsum`` down the rows adds the
-    shares in index order, so the sums do not depend on WINDOW_ROWS. The
-    first block and a partial last block go alone. The total is summed
+    ``np.sum`` gives its share of the total and of the trivial bound, and
+    ``np.bincount`` on the key in_pq * (j - j0 + 1) adds its entries left to
+    right into the leftover (key 0) or the product set of block j. The
+    shares are added in index order, so the sums depend on WINDOW_BLOCK and
+    on nothing else, and no temporary grows with N. The total is summed
     apart from the keyed sums, so the triangle step compares two
-    independent sums. The trivial bound adds each block's ``np.sum`` of
-    |nu(n) F(n)| in index order. Returns (total, leftover_sum,
-    leftover_count, pair_sums, trivial), with pair_sums in ``block_range``
-    order.
+    independent sums. Returns (total, leftover_sum, leftover_count,
+    pair_sums, trivial), with pair_sums in ``block_range`` order.
     """
     params = dec.params
     n, keys = params.n, len(params.block_range) + 1
-    # running sums: the total (real, imag), the trivial bound, then the
-    # keyed sums' real parts and their imaginary parts
-    acc = np.zeros(3 + 2 * keys)
+    total, trivial = 0j, 0.0
+    re, im = np.zeros(keys), np.zeros(keys)
     members = 0
-    for lo, hi, rows in _window_steps(n):
-        prod = (nu_values[lo:hi] * F.values[lo:hi]).reshape(rows, -1)
-        part = np.empty((rows + 1, acc.size))
-        part[0] = acc
-        share = np.sum(prod, axis=1)
-        part[1:, 0], part[1:, 1] = share.real, share.imag
-        part[1:, 2] = np.sum(np.abs(prod), axis=1)
+    for start in range(0, n, WINDOW_BLOCK):
+        lo, hi = max(start, 1), min(start + WINDOW_BLOCK, n)
+        prod = nu_values[lo:hi] * F.values[lo:hi]
+        total += complex(np.sum(prod))
+        trivial += float(np.sum(np.abs(prod)))
         in_pq = dec.in_pq[lo:hi]
         members += int(np.count_nonzero(in_pq))
         key = dec.block_of[lo:hi].astype(np.intp)
         key -= params.j0 - 1
         key *= in_pq
-        key.reshape(rows, -1)[1:] += keys * np.arange(1, rows)[:, None]
-        for at, weights in ((3, prod.real), (3 + keys, prod.imag)):
-            part[1:, at:at + keys] = np.bincount(
-                key, weights=weights.reshape(-1), minlength=rows * keys).reshape(rows, keys)
-        acc = np.cumsum(part, axis=0)[-1]
-    total, trivial = complex(acc[0], acc[1]), float(acc[2])
-    sums = [complex(r, i) for r, i in zip(acc[3:3 + keys].tolist(), acc[3 + keys:].tolist())]
+        re += np.bincount(key, weights=prod.real, minlength=keys)
+        im += np.bincount(key, weights=prod.imag, minlength=keys)
+    sums = [complex(r, i) for r, i in zip(re.tolist(), im.tolist())]
     return total, sums[0], n - 1 - members, sums[1:], trivial
-
-
-def _window_steps(n: int):
-    """(lo, hi, rows) of the window pass over [1, n): the first block
-    [1, WINDOW_BLOCK) alone, then runs of up to WINDOW_ROWS whole blocks,
-    then a partial last block alone."""
-    yield 1, min(WINDOW_BLOCK, n), 1
-    whole = n - n % WINDOW_BLOCK
-    step = WINDOW_BLOCK * WINDOW_ROWS
-    for lo in range(WINDOW_BLOCK, whole, step):
-        hi = min(lo + step, whole)
-        yield lo, hi, (hi - lo) // WINDOW_BLOCK
-    if WINDOW_BLOCK <= whole < n:
-        yield whole, n, 1
 
 
 def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,
@@ -617,7 +580,7 @@ def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,
     gram = np.zeros((ps.size, ps.size), dtype=np.complex128)
     factored, t_j, sumsq_q, sumsq_all = 0j, 0.0, 0.0, 0.0
     limits = np.full(ps.size, y_cap, dtype=np.int64)
-    for y0, tile in _row_tiles(F.values, ps, limits, ROW_TILE, gram):
+    for y0, tile in _row_tiles(F.values, ps, limits, gram):
         inner = nu_p @ tile
         lo, hi = np.searchsorted(qs, (y0, y0 + tile.shape[1]))
         if lo < hi:

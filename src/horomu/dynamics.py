@@ -541,7 +541,8 @@ class Observable:
 
     def shifted(self, c: float) -> "Observable":
         fn = lambda *a, _f=self.fn, _c=c: _f(*a) - _c
-        return Observable(f"{self.label}-{c:.6g}", self.kind, fn, self.cusp_limit - c)
+        mean = None if self.exact_mean is None else self.exact_mean - c
+        return Observable(f"{self.label}-{c:.6g}", self.kind, fn, self.cusp_limit - c, mean)
 
 
 def _check_params(name: str, positive: bool, **params):

@@ -13,11 +13,6 @@ and exit statuses can be mapped deterministically:
 class HoromuError(Exception):
     code = "error"
 
-    def __init__(self, message, code=None):
-        super().__init__(message)
-        if code is not None:
-            self.code = code
-
 
 class ValidationError(HoromuError):
     """Parameter or configuration violates a documented precondition."""

@@ -404,6 +404,22 @@ class TestExitCodes:
         assert "error[capacity]: a block of 10749 primes" in err, err
         assert "Traceback" not in err, err
 
+    @pytest.mark.parametrize("plan", [["--cutoff", "inf"],
+                                      ["--cutoff", "100", "--exclude", "4:6"],
+                                      ["--cutoff", "100", "--m", "0"]])
+    def test_criterion_pair_plan_before_inputs(self, tmp_path, capsys, monkeypatch, plan):
+        # a pair plan the ledger would refuse is refused before nu and F
+        def costly(*args):
+            raise AssertionError("nu or F built before the pair plan was checked")
+        monkeypatch.setattr(cli, "parse_nu", costly)
+        monkeypatch.setattr(cli, "parse_sequence", costly)
+        code = main(["criterion", "--nu", "mobius", "--seq", "exp:theta=inv_e",
+                     "--n", "100000", "--alpha", "3/10", "--j0", "9", "--j1", "30",
+                     *plan, "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error[" in err and "Traceback" not in err, err
+
     def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
         def exhausted(args, timings):
             raise MemoryError("Unable to allocate 1.72 GiB")
@@ -521,8 +537,10 @@ class TestExitCodes:
         if body is not None:
             table.write_text(body)
         spec = f"table:{table}"
+        # a pair plan the ledger accepts (primes 2 and 3, m = 1), since a
+        # bad one is refused before the table is read
         window = ["--n", "3", "--alpha", "0.3", "--j0", "1", "--j1", "2",
-                  "--cutoff", "5"]
+                  "--cutoff", "3"]
         for args in (["disjointness", "--point", "point:identity", "--n", "3",
                       "--nu", spec],
                      ["criterion", "--nu", spec, "--seq", "const:1"] + window,

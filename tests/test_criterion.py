@@ -737,7 +737,12 @@ class TestWindowPass:
         ((5000, "3/10", 5, 12), None),      # N not a multiple of the block
         ((20_000, "1/10", 10, 60), None),   # blocks without members
         ((100, 1, 3, 3), None),             # j0 == j1: no blocks at all
-        ((5000, "3/10", 5, 12), 61)])       # many blocks, a short last one
+        ((5000, "3/10", 5, 12), 61),        # many blocks, a short last one
+        ((70_000, "3/10", 9, 30), None),    # several blocks, a short last one
+        ((4096 * 35, "3/10", 9, 30), None),
+        ((4096 * 19 + 1, "1/10", 10, 60), None),
+        ((3 * criterion.WINDOW_BLOCK, "3/10", 9, 30), None),      # whole blocks only
+        ((3 * criterion.WINDOW_BLOCK + 1, "3/10", 9, 30), None)])  # a last block of one
     def test_sums_equal_fixed_block_reference(self, args, block, monkeypatch):
         if block is not None:
             monkeypatch.setattr(criterion, "WINDOW_BLOCK", block)
@@ -763,19 +768,6 @@ class TestWindowPass:
         # the trivial bound sums the moduli of the same products
         moduli = np.abs(prod[1:])
         assert abs(trivial - math.fsum(moduli)) <= _fsum_gap_bound(moduli, n)
-
-    @pytest.mark.parametrize("args", [(70_000, "3/10", 9, 30), (1000, 1, 1, 4),
-                                      (4096 * 35, "3/10", 9, 30),
-                                      (4096 * 19 + 1, "1/10", 10, 60)])
-    def test_rows_per_pass_change_nothing(self, args, monkeypatch):
-        # whole blocks go WINDOW_ROWS at a time; every sum must be the
-        # one-block pass's, bit for bit, whatever the rows per pass
-        dec, nu, F = _window_inputs(*args)
-        results = set()
-        for rows in (1, 2, 16):
-            monkeypatch.setattr(criterion, "WINDOW_ROWS", rows)
-            results.add(repr(criterion._window_pass(dec, nu, F)))
-        assert len(results) == 1
 
     def test_blocks_without_members(self):
         dec, nu, F = _window_inputs(20_000, "1/10", 10, 60)

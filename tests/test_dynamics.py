@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from horomu import dynamics
 from horomu.arith import MultiplicativeTable, sieve_mobius
 from horomu.dynamics import (FundamentalDomainCoords, ModularPoint,
                              Observable, OrbitEvaluator, QuadratureSpec,
@@ -471,6 +472,26 @@ class TestHaar:
         f1, c = split_observable(const_observable(1.0))
         assert c == pytest.approx(1.0, abs=1e-10)
         assert abs(float(f1.eval(0.0, 2.0))) < 1e-10
+
+    @pytest.mark.parametrize("make", [windy_observable, const_observable])
+    def test_split_keeps_an_exact_mean(self, make, monkeypatch):
+        # the centred observable's mean m - c is known exactly, so
+        # pair_correlation runs no second quadrature and its target is
+        # exactly (m - c)^2: c^2 for windy, whose m is 0
+        calls = []
+
+        def counting(f, *args):
+            calls.append(f.label)
+            return haar_mean(f, *args)
+        monkeypatch.setattr(dynamics, "haar_mean", counting)
+        f1, c = split_observable(make(), SMALL_QUAD)
+        assert f1.exact_mean == make().exact_mean - c
+        est = pair_correlation(f1, ModularPoint.lower("inv_e"), 2, 3, 50,
+                               quad=SMALL_QUAD)
+        assert len(calls) == 1 and est.target == f1.exact_mean * f1.exact_mean
+
+    def test_split_of_an_unknown_mean(self):
+        assert split_observable(bump_observable(2, 0.5), SMALL_QUAD)[0].exact_mean is None
 
     def test_cusp_divergence_detected(self):
         # a declared-wrong cusp limit must raise, not silently integrate
