@@ -593,7 +593,9 @@ def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,
     cauchy = math.sqrt(len(qs)) * math.sqrt(sumsq_q)
     extended = math.sqrt(len(qs)) * math.sqrt(sumsq_all)
     diag = float(np.sum(gram.diagonal().real))
-    off = float(np.sum(np.abs(gram)) - np.sum(np.abs(gram.diagonal())))
+    moduli = np.abs(gram)
+    np.fill_diagonal(moduli, 0.0)  # summing all k^2 less the diagonal would cancel
+    off = float(np.sum(moduli))
     return BlockLedger(j, pair_sum, factored, t_j, cauchy, extended, diag, off,
                        y_cap, int(ps.size), int(qs.size))
 

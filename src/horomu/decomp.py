@@ -138,12 +138,9 @@ class DecompositionParams:
         """Block indices j0 .. j1-1: these tile [D0, D1)."""
         return range(self.j0, self.j1)
 
-    def q_limit(self, j: int) -> Fraction:
-        """Upper bound N/(1+alpha)^(j+1) for cofactors attached to block j."""
-        return Fraction(self.n) / self.base ** (j + 1)
-
     def q_max(self, j: int) -> int:
-        """Largest admissible integer cofactor: m < q_limit(j)."""
+        """Largest admissible integer cofactor of block j: the largest
+        integer m < N/(1+alpha)^(j+1)."""
         return self.caps[j - self.j0]
 
 

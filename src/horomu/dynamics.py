@@ -36,12 +36,13 @@ _CHUNK points in blocks (``run`` joins them):
 Orbit averages (Birkhoff, pair correlations, the disjointness ladder) are
 exactly rounded: each is the exact sum of its float64 terms, rounded once,
 the value ``math.fsum`` gives, then divided by N. They stream: each chunk
-of the evaluator goes through ``f.eval`` into an ``exactreal.ExactSum``,
-read at every ladder rung, so no array of length N is built and memory is
-O(_CHUNK) at any N. At N = 1e6 on ``point:lower:t=inv_e`` the tracemalloc
-peak is 1.7 MB for a windy Birkhoff average, 1.6 MB for the disjointness
-ladder and 1.9 MB for a pair correlation, against 40, 40 and 16 MB when
-the whole orbit was held. ``orbit_sequence`` still returns all N values.
+of the evaluator, new arrays of at most _CHUNK points, goes through
+``f.eval`` into an ``exactreal.ExactSum``, one exact integer read at every
+ladder rung, so no array of length N is built and memory is O(_CHUNK) at
+any N. At N = 1e6 on ``point:lower:t=inv_e`` the tracemalloc peak is
+1.7 MB for a windy Birkhoff average, 1.5 MB for the disjointness ladder
+and 1.8 MB for a pair correlation, against 40, 40 and 16 MB when the
+whole orbit was held. ``orbit_sequence`` still returns all N values.
 """
 
 from __future__ import annotations
@@ -380,25 +381,22 @@ class OrbitEvaluator:
         consecutive indices, offset the position of its first, over a range
         or an int64 array of nondecreasing indices.
 
-        The arrays are buffers reused from chunk to chunk: each yield is
-        valid until the next. thetas is zero unless ``need_theta``. Raises
-        ``ValidationError`` before a chunk whose indices decrease, within it
-        or against the last index evaluated, and ``PrecisionError`` when an
-        exactly evaluated point may be more than _TOLERANCE off the closed
-        form at _CHECK_BITS more bits.
+        Each chunk's arrays are new; thetas is zero unless ``need_theta``.
+        Raises ``ValidationError`` before a chunk whose indices decrease,
+        within it or against the last index evaluated, and
+        ``PrecisionError`` when an exactly evaluated point may be more than
+        _TOLERANCE off the closed form at _CHECK_BITS more bits.
         """
         delta = _check_delta(self.xi, self.bits)
-        buffers = np.empty(_CHUNK), np.empty(_CHUNK), np.zeros(_CHUNK)
         for offset in range(0, len(indices), _CHUNK):
             idx = indices[offset:offset + _CHUNK]
             idx = (np.arange(idx.start, idx.stop, idx.step, dtype=np.int64)
                    if isinstance(idx, range) else np.asarray(idx, dtype=np.int64))
             if idx[0] < self._m or np.any(idx[1:] < idx[:-1]):
                 raise ValidationError("OrbitEvaluator requires nondecreasing indices")
-            xs, ys, ts = (b[:idx.size] for b in buffers)
-            self._run_chunk(idx, xs, ys, ts, need_theta, delta)
+            part = self._run_chunk(idx, need_theta, delta)
             self._m = int(idx[-1])
-            yield offset, (xs, ys, ts)
+            yield offset, part
 
     def run(self, indices: Iterable[int], need_theta: bool = False):
         """Coordinate arrays (xs, ys, thetas) over nondecreasing indices, a
@@ -412,8 +410,8 @@ class OrbitEvaluator:
                 a[lo:lo + b.size] = b
         return out
 
-    def _run_chunk(self, idx, xs, ys, ts, need_theta, delta):
-        """Fill xs, ys, ts for one chunk: exact anchors every _ANCHOR_EVERY
+    def _run_chunk(self, idx, need_theta, delta):
+        """(xs, ys, thetas) of one chunk: exact anchors every _ANCHOR_EVERY
         indices, float64 blocks w * u^t reduced row-wise, exact fallback;
         ``delta`` (_check_delta) gives each exact point's error against the
         closed form at _CHECK_BITS more bits."""
@@ -458,8 +456,8 @@ class OrbitEvaluator:
         b = (p * hi[1] + q * hi[3]) + (p * lo[1] + q * lo[3]) + t * a
         d = (r * hi[1] + s * hi[3]) + (r * lo[1] + s * lo[3]) + t * c
         den = c * c + d * d
-        xs[:] = (a * c + b * d) / den
-        ys[:] = 1.0 / den
+        xs = (a * c + b * d) / den
+        ys = 1.0 / den
         # rounding, plus the anchor's own error carried by delta and u^t
         dt, db = spread(dt0) * t1, spread(db0) * t1
         ap, aq, ar, as_ = np.abs(p), np.abs(q), np.abs(r), np.abs(s)
@@ -478,7 +476,9 @@ class OrbitEvaluator:
             gs = r * g[1] + s * g[3]
             ok &= size * spread(np.abs(g0).max(axis=0)) < 2.0 ** 53
             sign = np.where((gr > 0) | ((gr == 0) & (gs > 0)), 1.0, -1.0)
-            ts[:] = np.arctan2(sign * c, sign * d) % (2 * math.pi)
+            ts = np.arctan2(sign * c, sign * d) % (2 * math.pi)
+        else:
+            ts = np.zeros(idx.size)
         bounds = list(zip(_coordinate_bound(ys[::_ANCHOR_EVERY], dt0, db0).tolist(),
                           heads.tolist()))
         for k in np.flatnonzero(~ok).tolist():  # ascending within each block
@@ -497,6 +497,7 @@ class OrbitEvaluator:
                 f"orbit point at n={m} may be {bound:.2g} off the closed form at "
                 f"{self.bits + _CHECK_BITS} bits: it needs about {need} working "
                 f"bits, not {self.bits}")
+        return xs, ys, ts
 
 
 def horocycle_point(xi: ModularPoint, n: int,
@@ -789,9 +790,7 @@ def mobius_disjointness_sum(xi: ModularPoint, f: Observable, N: int,
         ladder = sorted(set(int(v) for v in ladder) | {N})
         if any(v < 1 or v > N for v in ladder):
             raise ValidationError(f"ladder values must lie in [1, N]: {ladder}")
-    if np.iscomplexobj(nu.values) and any(
-            np.any(nu.values[lo:min(lo + _CHUNK, N + 1)].imag)
-            for lo in range(1, N + 1, _CHUNK)):
+    if np.iscomplexobj(nu.values) and np.any(nu.values[1:N + 1].imag):
         raise ValidationError(f"{nu.label}: disjointness needs a real nu on [1,{N}]")
     c = f.exact_mean if f.exact_mean is not None else haar_mean(f)
     totals, nu_sums = ExactSum(N), ExactSum(N)

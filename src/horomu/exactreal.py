@@ -8,7 +8,8 @@ Three needs drive this module:
 * long exponential sums need ``frac(n*theta)`` to full double precision
   for n up to ~1e9, which a plain float64 product cannot deliver;
 * orbit averages are rounded once from the exact sum of their float64
-  terms (``ExactSum``, a running sum at array speed in O(chunk) memory).
+  terms (``ExactSum``, a running sum in one Python int, fed at array
+  speed in O(chunk) memory).
 
 The fractional parts are computed through a 96-bit fixed-point integer
 image P of the constant, so both the sequence builder and any closed-form
@@ -39,7 +40,6 @@ _NLIMB = FRAC_SHIFT // _LIMB
 MAX_FRAC_INDEX = 1 << 38  # keeps limb products inside int64
 _SUM_CHUNK = 1 << 13  # below 2^26, so a chunk's sums of 27-bit halves stay exact
 _EXP_OFFSET = 1074  # np.frexp exponents of finite floats are >= -1073
-_FOLD_AFTER = 1 << 35  # values between folds: each adds at most 2^27 to an int64 bucket
 
 
 @dataclass(frozen=True)
@@ -160,19 +160,16 @@ class ExactSum:
     |M| < 2^53, split into a 27-bit high and a 26-bit low half. Per chunk
     of at most _SUM_CHUNK values, one np.bincount per half adds the halves
     of each exponent k; every chunk sum stays below 2^53, so float64 adds
-    them exactly, and they go into int64 buckets per exponent (folded into
-    a Python int before 2^35 values could overflow them). ``value()`` turns
-    the buckets into one Python int, and one int / int true division
-    rounds it once, correctly. Memory stays O(_SUM_CHUNK) at any count.
+    them exactly, and the chunk's buckets go at once into one Python int,
+    the exact sum in units of 2^-(_EXP_OFFSET + 53). ``value()`` rounds
+    it once, correctly, by one int / int true division. Memory stays
+    O(_SUM_CHUNK) at any count.
     """
 
     def __init__(self, count: int):
         self._count = self._room = count
-        nbuckets = 1021 - count.bit_length() + _EXP_OFFSET + 1
-        self._high = np.zeros(nbuckets, dtype=np.int64)
-        self._low = np.zeros(nbuckets, dtype=np.int64)
-        self._pending = 0  # values in the int64 buckets since the last fold
-        self._carry = 0  # folded buckets, in units of 2^-(_EXP_OFFSET + 53)
+        self._nbuckets = 1021 - count.bit_length() + _EXP_OFFSET + 1
+        self._total = 0  # in units of 2^-(_EXP_OFFSET + 53)
         self._special = self._inf = 0.0  # fsum's sums of nans and infinities
 
     def add(self, values) -> None:
@@ -185,12 +182,7 @@ class ExactSum:
             self._add_chunk(values[lo:lo + _SUM_CHUNK])
 
     def _add_chunk(self, chunk: np.ndarray) -> None:
-        nbuckets = self._high.size
-        if self._pending + chunk.size > _FOLD_AFTER:
-            self._carry += _bucket_int(self._high, self._low)
-            self._high[:] = 0
-            self._low[:] = 0
-            self._pending = 0
+        nbuckets = self._nbuckets
         mant, exp = np.frexp(chunk)
         exp += _EXP_OFFSET
         mant *= 2.0 ** 27
@@ -209,19 +201,17 @@ class ExactSum:
                 f"an exactly rounded sum of {self._count} values takes finite "
                 f"values below 2^{nbuckets - _EXP_OFFSET - 1} in magnitude, got "
                 f"{float(np.abs(chunk).max())!r}")
-        self._high += high.astype(np.int64)
         mant -= half
         mant *= 2.0 ** 26
-        self._low += np.bincount(exp, mant, nbuckets).astype(np.int64)
-        self._pending += chunk.size
+        low = np.bincount(exp, mant, nbuckets)
+        self._total += _bucket_int(high.astype(np.int64), low.astype(np.int64))
 
     def value(self) -> float:
         if self._special:
             if math.isnan(self._inf):
                 raise ValueError("-inf + inf in fsum")
             return self._special
-        return ((self._carry + _bucket_int(self._high, self._low))
-                / (1 << (_EXP_OFFSET + 53)))
+        return self._total / (1 << (_EXP_OFFSET + 53))
 
 
 def _bucket_int(high: np.ndarray, low: np.ndarray) -> int:

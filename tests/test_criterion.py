@@ -590,8 +590,7 @@ class TestBlockMembers:
             assert got.extended == (math.sqrt(len(qs))
                                     * math.sqrt(float(np.sum(np.abs(inner_all) ** 2))))
             assert got.diagonal == float(np.sum(gram.diagonal().real))
-            assert got.off_diagonal == float(np.sum(np.abs(gram))
-                                             - np.sum(np.abs(gram.diagonal())))
+            assert got.off_diagonal == float(np.sum(_off_diagonal_moduli(gram)))
 
     @pytest.mark.parametrize("budget, band", [(50, criterion.GRAM_BAND),
                                               (1, criterion.GRAM_BAND), (50, 1)],
@@ -637,9 +636,37 @@ class TestBlockMembers:
                                              + 6 * 2.0 ** -53 * max(field, want))
             assert abs(got.diagonal - float(np.sum(gram.diagonal().real))) \
                 <= _ledger_gap_bound(d, float(np.sum(mag ** 2)))
-            off = float(np.sum(np.abs(gram)) - np.sum(np.abs(gram.diagonal())))
+            off = float(np.sum(_off_diagonal_moduli(gram)))
             assert abs(got.off_diagonal - off) \
                 <= _ledger_gap_bound(d, 2 * float(np.sum((mag @ mag.T))))
+
+    def test_off_diagonal_is_a_direct_sum(self):
+        # O_j sums k^2 - k nonnegative moduli of block j's Gram, so it is
+        # within gamma_(k^2) O_j of their fsum (the sum's error plus fsum's
+        # rounding). At (1e5, sqrt3) block 13 has 2 primes and D_j / O_j
+        # is 5.8e5: all k^2 moduli less the diagonal's lose up to 19 bits
+        n = 100_000
+        dec = _decomposition(n, "3/10", 9, 30)
+        mu = sieve_mobius(n)
+        F = BoundedSequence.exponential("sqrt3", math.ceil(1.3 * n))
+        u = 2.0 ** -53
+        ratios = []
+        for j in dec.params.block_range:
+            got = criterion._block_ledger(dec, j, 0j, mu.values, F)
+            if got.p_count == 0 or got.q_count == 0:
+                continue
+            ps = dec.block(j).primes.astype(np.int64)
+            k = ps.size
+            gram = np.zeros((k, k), dtype=np.complex128)
+            for _ in criterion._row_tiles(F.values, ps, np.full(k, got.y_cap), gram):
+                pass
+            want = math.fsum(_off_diagonal_moduli(gram).ravel().tolist())
+            if k == 1:
+                assert got.off_diagonal == want == 0.0
+                continue
+            assert abs(got.off_diagonal - want) <= k * k * u / (1 - k * k * u) * want, j
+            ratios.append(got.diagonal / want)
+        assert max(ratios) >= 1e5, ratios
 
     def test_memory_stays_flat_in_n(self):
         # a block ledger holds a few tiles of ROW_TILE entries, whatever
@@ -662,6 +689,13 @@ class TestBlockMembers:
                     tracemalloc.stop()
         assert peaks[2_000_000] < 6 * tile_bytes, peaks
         assert peaks[2_000_000] <= peaks[1_000_000] + tile_bytes, peaks
+
+
+def _off_diagonal_moduli(gram: np.ndarray) -> np.ndarray:
+    """|gram| with its diagonal set to 0."""
+    moduli = np.abs(gram)
+    np.fill_diagonal(moduli, 0.0)
+    return moduli
 
 
 def _ledger_gap_bound(d: int, magnitude: float) -> float:
@@ -726,9 +760,15 @@ def _fsum_gap_bound(terms: np.ndarray, n: int) -> float:
     return (d * u / (1 - d * u) + u) * math.fsum(np.abs(terms))
 
 
-def _window_inputs(n, alpha, j0, j1):
-    return (_decomposition(n, alpha, j0, j1), sieve_mobius(n).values,
-            BoundedSequence.exponential("inv_e", n))
+def _window_inputs(n, alpha, j0, j1, weighted=False):
+    """The decomposition, Moebius and exp(2 pi i n inv_e) up to n; with
+    ``weighted`` F is scaled by (1 + n mod 251) / 251, so |nu F| spreads
+    over (0, 1] and a block's sum of moduli depends on its order."""
+    F = BoundedSequence.exponential("inv_e", n)
+    if weighted:
+        weight = (1 + np.arange(n + 1) % 251) / 251
+        F = BoundedSequence(F.values * weight, f"{F.label}*weight")
+    return _decomposition(n, alpha, j0, j1), sieve_mobius(n).values, F
 
 
 class TestWindowPass:
@@ -742,7 +782,11 @@ class TestWindowPass:
         ((4096 * 35, "3/10", 9, 30), None),
         ((4096 * 19 + 1, "1/10", 10, 60), None),
         ((3 * criterion.WINDOW_BLOCK, "3/10", 9, 30), None),      # whole blocks only
-        ((3 * criterion.WINDOW_BLOCK + 1, "3/10", 9, 30), None)])  # a last block of one
+        ((3 * criterion.WINDOW_BLOCK + 1, "3/10", 9, 30), None),   # a last block of one
+        # |F| spread over (0, 1]: the trivial bound is no exact integer,
+        # and moving any of the first, middle or last |nu F| of the block
+        # after the rest of its sum changes its last bit at 13439
+        ((13_439, "3/10", 5, 12, True), None)])
     def test_sums_equal_fixed_block_reference(self, args, block, monkeypatch):
         if block is not None:
             monkeypatch.setattr(criterion, "WINDOW_BLOCK", block)

@@ -84,7 +84,8 @@ class TestParams:
         assert params.bounds.tolist() == [math.ceil(base ** j)
                                           for j in range(params.j0, params.j1 + 1)]
         for j in params.block_range:
-            assert params.q_max(j) < params.q_limit(j) <= params.q_max(j) + 1, j
+            q_limit = Fraction(n) / base ** (j + 1)
+            assert params.q_max(j) < q_limit <= params.q_max(j) + 1, j
             assert params.y_caps[j - params.j0] == math.floor(Fraction(n) / base ** j), j
 
     def test_block_indices_fit_int16(self, primes_10k):
@@ -278,7 +279,8 @@ class TestBuild:
             sel = (dec.tags == TAG_UNIQUE) & (dec.block_of == j) & ~dec.in_pq
             for n in np.nonzero(sel)[0]:
                 q = int(n) // int(dec.unique_prime[n])
-                assert params.q_limit(j) <= q < Fraction(params.n) / base ** j
+                assert (Fraction(params.n) / base ** (j + 1) <= q
+                        < Fraction(params.n) / base ** j)
 
     def test_degenerate_equal_indices(self, primes_10k):
         params = DecompositionParams(100, Fraction(1), 3, 3)

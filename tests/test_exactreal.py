@@ -354,7 +354,7 @@ class TestExactSum:
         assert str(got.value) == str(want.value)
 
     def test_buckets_fold_into_an_int(self, monkeypatch):
-        monkeypatch.setattr(exactreal, "_FOLD_AFTER", 7)
+        # chunks of 5 values, each folded into the running int on its own
         monkeypatch.setattr(exactreal, "_SUM_CHUNK", 5)
         rng = np.random.default_rng(TEST_SEED)
         for values in seeded_arrays(rng):

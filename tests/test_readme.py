@@ -6,13 +6,16 @@ from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# `module.NAME = <int>`, a code span that may wrap across a line break
-CONSTANT = re.compile(r"`(\w+)\.([A-Z][A-Z0-9_]*)\s*=\s*(\d+)`")
+# `module.NAME = <int>` or `module._NAME = <int>`, a code span that may
+# wrap across a line break
+CONSTANT = re.compile(r"`(\w+)\.(_?[A-Z][A-Z0-9_]*)\s*=\s*(\d+)`")
 
 
 def test_readme_constants_match_the_code():
     stated = CONSTANT.findall(README.read_text(encoding="utf-8"))
-    assert ("criterion", "WINDOW_BLOCK") in {(m, n) for m, n, _ in stated}
+    names = {(m, n) for m, n, _ in stated}
+    assert ("criterion", "WINDOW_BLOCK") in names
+    assert any(n.startswith("_") for _, n in names), "no private constant found"
     for module, name, value in stated:
         mod = importlib.import_module(f"horomu.{module}")
         assert hasattr(mod, name), f"README names {module}.{name}, which does not exist"
