@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import MultiplicativeTable, check_unit_bound, sieve_primes
-from .decomp import Decomposition, DecompositionParams, build_decomposition, prime_blocks
+from .decomp import DecompositionParams, ProductSets, prime_blocks, product_sets
 from .errors import (CapacityError, DomainError, EmptyPairSetError, HorizonError,
                      ValidationError)
 from .exactreal import FRAC_SHIFT, fixed_point_image, frac_parts
@@ -464,6 +464,8 @@ def criterion_ledger(nu: MultiplicativeTable, F: BoundedSequence, N: int,
     range-extension step samples F up to ceil((1+alpha) * N), so the
     sequence horizon must reach that far. The cutoff, the excluded pairs
     and the pair lengths are checked before the decomposition is built.
+    Of the decomposition the ledger keeps only ``decomp.product_sets``:
+    the blocks, Q_j and a key of one byte per n.
     The bound is formed only for tau_eff < 1/e, where it is monotone;
     otherwise ``bound_rhs`` is the trivial bound sum |nu(n) F(n)|. The
     verdict is ``holds`` only when the bound is below the trivial bound; a
@@ -492,12 +494,12 @@ def _ledger(nu: MultiplicativeTable, F: BoundedSequence, params: DecompositionPa
     if widest > PAIR_PRIME_BUDGET:
         raise CapacityError(f"a block of {widest} primes exceeds the pair budget "
                             f"{PAIR_PRIME_BUDGET}")
-    dec = build_decomposition(params, primes)
+    sets = product_sets(params, primes)
     total, leftover_sum, leftover_count, pair_sums, trivial = _window_pass(
-        dec, nu.values, F)
-    blocks = [_block_ledger(dec, j, pair_sum, nu.values, F)
+        sets, nu.values, F)
+    blocks = [_block_ledger(sets, j, pair_sum, nu.values, F)
               for j, pair_sum in zip(params.block_range, pair_sums)]
-    del dec  # free the decomposition before the tau tiles
+    del sets  # free the key before the tau tiles
     tau = tau_estimate(F, cutoff, M=M, excluded=excluded, window=N)
     tau_eff = max(tau.tau_hat, 1 / math.log(cutoff))
     chain, diagnostics = _assemble_chain(params, blocks, total, leftover_sum, tau_eff)
@@ -525,22 +527,22 @@ def _ledger(nu: MultiplicativeTable, F: BoundedSequence, params: DecompositionPa
         params=params, diagnostics=diagnostics)
 
 
-def _window_pass(dec: Decomposition, nu_values: np.ndarray, F: BoundedSequence):
+def _window_pass(sets: ProductSets, nu_values: np.ndarray, F: BoundedSequence):
     """The total, the leftover sum and count, every P_j Q_j sum and the
     trivial bound sum |nu(n) F(n)| over [1, N).
 
     One pass over the window in blocks [lo, hi) aligned to multiples of
     WINDOW_BLOCK (the first starts at 1). Each block forms nu(n) F(n) once:
     ``np.sum`` gives its share of the total and of the trivial bound, and
-    ``np.bincount`` on the key in_pq * (j - j0 + 1) adds its entries left to
-    right into the leftover (key 0) or the product set of block j. The
+    ``np.bincount`` on ``sets.key`` adds its entries left to right into the
+    leftover (key 0) or the product set of block j (key j - j0 + 1). The
     shares are added in index order, so the sums depend on WINDOW_BLOCK and
     on nothing else, and no temporary grows with N. The total is summed
     apart from the keyed sums, so the triangle step compares two
     independent sums. Returns (total, leftover_sum, leftover_count,
     pair_sums, trivial), with pair_sums in ``block_range`` order.
     """
-    params = dec.params
+    params = sets.params
     n, keys = params.n, len(params.block_range) + 1
     total, trivial = 0j, 0.0
     re, im = np.zeros(keys), np.zeros(keys)
@@ -550,25 +552,22 @@ def _window_pass(dec: Decomposition, nu_values: np.ndarray, F: BoundedSequence):
         prod = nu_values[lo:hi] * F.values[lo:hi]
         total += complex(np.sum(prod))
         trivial += float(np.sum(np.abs(prod)))
-        in_pq = dec.in_pq[lo:hi]
-        members += int(np.count_nonzero(in_pq))
-        key = dec.block_of[lo:hi].astype(np.intp)
-        key -= params.j0 - 1
-        key *= in_pq
+        key = sets.key[lo:hi].astype(np.intp)
+        members += int(np.count_nonzero(key))
         re += np.bincount(key, weights=prod.real, minlength=keys)
         im += np.bincount(key, weights=prod.imag, minlength=keys)
     sums = [complex(r, i) for r, i in zip(re.tolist(), im.tolist())]
     return total, sums[0], n - 1 - members, sums[1:], trivial
 
 
-def _block_ledger(dec: Decomposition, j: int, pair_sum: complex,
+def _block_ledger(sets: ProductSets, j: int, pair_sum: complex,
                   nu_values: np.ndarray, F: BoundedSequence) -> BlockLedger:
     """Block j's lines from one pass over y <= y_cap in ``_row_tiles`` of
     F(p y), p in P_j, which also form its Gram; inner(y) = sum_{x in P_j}
     nu(x) F(x y) is one tile-wide row, read at the members of Q_j."""
-    params = dec.params
-    block = dec.block(j)
-    qs = dec.q_set(j)
+    params = sets.params
+    block = sets.block(j)
+    qs = sets.q_set(j)
     ps = block.primes.astype(np.int64)
     y_cap = params.y_caps[j - params.j0]  # range extension is y <= N/(1+alpha)^j
 

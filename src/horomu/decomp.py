@@ -18,9 +18,10 @@ alone forms these bounds and the cofactor caps, in one integer loop;
 lies strictly inside (D0, D1) exactly when p > floor(D0).
 
 The least block of n is the block of the least block prime dividing n,
-which one minimum sieve over the block primes finds. The cofactor sets are
-read from the same array, Q_j = {1 <= m <= q_max(j): least block of
-m > j}, where q_max(j) is the largest integer below N/(1+alpha)^(j+1). A
+which a minimum sieve over the block primes finds, one segment of [0, N)
+at a time. The cofactor sets are read from the least primes of
+m <= q_max(j0), Q_j = {1 <= m <= q_max(j): least block of m > j}, where
+q_max(j) is the largest integer below N/(1+alpha)^(j+1). A
 UNIQUE(j) element n = p*q lands in the product set P_j Q_j when its
 cofactor q <= q_max(j) (then q automatically has no block factor at all,
 so the factorization map P_j x Q_j -> P_j Q_j is one-to-one).
@@ -31,6 +32,7 @@ All bounds and counts are exact integers.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -38,13 +40,19 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import SEGMENT, PrimeTable
+from .arith import PrimeTable
 from .errors import CapacityError, DomainError, RangeCoverageError, ValidationError
 
 DECOMP_BUDGET = 30_000_000
-# indices per chunk of the builder's pass: its buffers take ~0.7 MB, and
+# indices per segment of the builder's sieve: 1 MB of int32 least primes,
+# which stays in a 2 MB L2 cache while every small block prime strikes it
+_SPAN = 1 << 18
+# indices per chunk of the classification: its buffers take ~0.6 MB, and
 # larger chunks are no faster
 _GATHER = 1 << 14
+# block primes from here on go by multiplier: any two multiply past the budget
+_LARGE = math.isqrt(DECOMP_BUDGET) + 1
+_SENTINEL = np.iinfo(np.int32).max  # above every prime: no block prime divides n
 
 TAG_NOT_IN_S = 0
 TAG_UNIQUE = 1
@@ -227,24 +235,51 @@ def q_membership(m: int, j: int, params: DecompositionParams,
     return not np.count_nonzero(m % block_primes == 0)
 
 
-class Decomposition:
+class _BlockSets:
+    """The blocks P_j of a window and its cofactor sets: ``q_sets[j]`` holds
+    Q_j as ascending int64."""
+
+    def __init__(self, params, blocks, q_sets):
+        self.params = params
+        self.blocks = blocks
+        self.q_sets = q_sets
+
+    def q_set(self, j: int) -> np.ndarray:
+        return self.q_sets[j]
+
+    def block(self, j: int) -> PrimeBlock:
+        return self.blocks[j - self.params.j0]
+
+
+class ProductSets(_BlockSets):
+    """What the bilinear ledger reads of a decomposition: the blocks, Q_j
+    and ``key``, per n in [0, N), j - j0 + 1 on P_j Q_j and 0 elsewhere
+    (int8, or int16 past 126 blocks), from ``product_sets``."""
+
+    def __init__(self, params, blocks, key, q_sets):
+        super().__init__(params, blocks, q_sets)
+        self.key = key
+        key.setflags(write=False)
+
+
+class Decomposition(_BlockSets):
     """Classification arrays and exact counts for the whole window [1, N).
 
     Per n: ``tags`` (int8), ``block_of`` (int16, the least block, -1 outside
     S), ``unique_prime`` (int32, the one block prime of a unique n, else 0;
     N <= DECOMP_BUDGET = 3e7 < 2^31, so every block prime fits) and
-    ``in_pq`` (bool). ``q_sets[j]`` holds Q_j as ascending int64. Every
-    count reads ``tally``.
+    ``in_pq`` (bool): 8 B/n and Q_j. Every count reads ``tally``. Where
+    the system has anonymous private mappings, the four per-n arrays are
+    views of one, which goes back to the system as soon as the last of
+    them is freed.
     """
 
     def __init__(self, params, blocks, tags, block_of, unique_prime, in_pq, q_sets):
-        self.params = params
-        self.blocks = blocks
+        super().__init__(params, blocks, q_sets)
         self.tags = tags
         self.block_of = block_of
         self.unique_prime = unique_prime
         self.in_pq = in_pq
-        self.q_sets = q_sets  # j -> sorted array of Q_j members
         for arr in (tags, block_of, unique_prime, in_pq):
             arr.setflags(write=False)
 
@@ -257,12 +292,6 @@ class Decomposition:
         p = int(self.unique_prime[n]) if tag == TAG_UNIQUE else None
         return Classification(tag, j, p)
 
-    def q_set(self, j: int) -> np.ndarray:
-        return self.q_sets[j]
-
-    def block(self, j: int) -> PrimeBlock:
-        return self.blocks[j - self.params.j0]
-
     # -- exact counts -----------------------------------------------------
     @cached_property
     def tally(self) -> np.ndarray:
@@ -270,11 +299,11 @@ class Decomposition:
         (j1 + 1, 4) int64 array: row block_of + 1 (0 outside S, j + 1 for
         block j), state 0 outside S, 1 unique outside P_j Q_j, 2 multiple,
         3 in P_j Q_j (unique by construction). n = 0 counts in (0, 0). One
-        bincount per SEGMENT, so the temporaries stay O(SEGMENT) at any N."""
+        bincount per _SPAN, so the temporaries stay O(_SPAN) at any N."""
         rows = self.params.j1 + 1
         tally = np.zeros(4 * rows, dtype=np.int64)
-        for lo in range(0, self.params.n, SEGMENT):
-            seg = slice(lo, lo + SEGMENT)
+        for lo in range(0, self.params.n, _SPAN):
+            seg = slice(lo, lo + _SPAN)
             state = self.tags[seg] + 2 * self.in_pq[seg].view(np.int8)
             tally += np.bincount(4 * (self.block_of[seg].astype(np.intp) + 1) + state,
                                  minlength=tally.size)
@@ -307,84 +336,177 @@ class Decomposition:
         return self.window_size - self.count_pq
 
 
-def _sieve_least(least: np.ndarray, block_primes: np.ndarray) -> None:
-    """least[m] = min(least[m], p) on the multiples m of each p, in place."""
-    for p in block_primes.tolist():
-        view = least[p::p]
+def _lookup_end(params: DecompositionParams) -> int:
+    """One past the largest m whose least block prime the classification
+    reads: a cofactor n/p <= (N - 1) // ceil(D0), or a member of Q_j0."""
+    return max(params.caps[:1] + ((params.n - 1) // int(params.bounds[0]),)) + 1
+
+
+def _strike(least: np.ndarray, lo: int, primes: np.ndarray) -> None:
+    """least[n - lo] = min(least[n - lo], p) on the multiples n >= max(lo, p)
+    of each p, one strided ``np.minimum`` per prime."""
+    for p in primes.tolist():
+        first = max(lo, p)
+        view = least[first - lo + -first % p::p]
         np.minimum(view, p, out=view)
+
+
+def _sieve(least: np.ndarray, in_s: np.ndarray, lo: int, boundary: np.ndarray,
+           small: np.ndarray, large: np.ndarray) -> None:
+    """least[i] = the least block prime dividing lo + i (_SENTINEL if none)
+    and in_s[i] = whether a block prime above floor(D0) divides it.
+
+    A large prime p (p >= _LARGE) goes by multiplier k, one scatter per k
+    of the p with lo <= k p < lo + least.size. Two large primes multiply
+    past DECOMP_BUDGET, so no n below it has two large prime factors: the
+    scatters never meet, and they come first. The small primes then take
+    their minimum, and the ``boundary`` prime (an integer D0) comes after
+    in_s is read off.
+    """
+    least.fill(_SENTINEL)
+    hi = lo + least.size
+    if large.size:
+        ks = np.arange(max(1, lo // int(large[-1])), (hi - 1) // int(large[0]) + 1)
+        starts, stops = large.searchsorted(-(-lo // ks)), large.searchsorted(-(-hi // ks))
+        for k, a, b in zip(ks.tolist(), starts.tolist(), stops.tolist()):
+            if a < b:
+                least[k * large[a:b] - lo] = large[a:b]
+    _strike(least, lo, small)
+    np.less(least, _SENTINEL, out=in_s)
+    _strike(least, lo, boundary)
+
+
+def _classified(params: DecompositionParams, primes: PrimeTable, segment,
+                lookup: np.ndarray):
+    """Sieve [0, N) one _SPAN segment at a time and classify each segment
+    in chunks of _GATHER indices, ascending.
+
+    ``segment(lo, hi)`` gives the int32 and bool arrays of size hi - lo
+    that the segment [lo, hi) is sieved into. ``lookup`` must reach
+    ``_lookup_end``; it takes the least block primes below its end as the
+    walk passes them (a no-op where it is the sieved array itself). Yields (lo, p, in_s, rank, unique, pq) per chunk
+    [lo, lo + p.size): p the least block prime, rank = j - j0 + 1 for its
+    block j (j1 - j0 + 1 where no block prime divides n), and whether n is
+    unique and in P_j Q_j. All but p and in_s are buffers reused by the
+    next chunk. With q = n/p, q has no block prime below block j, so n in S
+    is unique exactly when the least block prime of q lies above block j
+    (no second block-j prime and no p^2 divides n), and in P_j Q_j when
+    also q <= q_max(j). q < n, so its least prime is sieved before it is
+    read. q = n/p is taken in float64, which is exact: p divides n (else p
+    is the sentinel and q = 0), and an integer quotient of integers below
+    2^53 rounds to itself.
+    """
+    n, bounds = params.n, params.bounds
+    starts = _block_starts(params, primes)
+    block_primes = primes.primes[starts[0]:starts[-1]]
+    a, b = block_primes.searchsorted((math.floor(params.d0) + 1, _LARGE))
+    boundary, small, large = block_primes[:a], block_primes[a:max(a, b)], block_primes[max(a, b):]
+    # rank of each integer in [bounds[0], bounds[-1]] (the sentinel clips
+    # to j1 - j0 + 1) and, by rank, the least prime a unique cofactor can
+    # have and q_max(j)
+    ranks = np.repeat(np.arange(1, bounds.size + 1, dtype=np.int16),
+                      np.diff(bounds, append=bounds[-1] + 1))
+    above = np.append(bounds, _SENTINEL).astype(np.int32)
+    caps = np.array((0,) + params.caps + (0,), dtype=np.int32)
+    ramp = np.arange(min(n, _GATHER), dtype=np.float64)
+    buffers = [np.empty(ramp.size, dtype=t)
+               for t in (float, np.intp, np.intp, np.int32, np.int32, bool, bool, np.int16)]
+    for lo in range(0, n, _SPAN):
+        hi = min(lo + _SPAN, n)
+        seg_least, seg_in = segment(lo, hi)
+        _sieve(seg_least, seg_in, lo, boundary, small, large)
+        part = lookup[lo:hi]
+        part[...] = seg_least[:part.size]
+        for at in range(0, hi - lo, _GATHER):
+            p, ins = seg_least[at:at + _GATHER], seg_in[at:at + _GATHER]
+            ratio, idx, q, least_q, limit, unique, pq, rank = (b[:p.size] for b in buffers)
+            np.subtract(p, bounds[0], out=idx)
+            ranks.take(idx, out=rank, mode="clip")
+            np.copyto(idx, rank)
+            np.add(ramp[:p.size], lo + at, out=ratio)
+            ratio /= p
+            np.copyto(q, ratio, casting="unsafe")
+            # q and idx are in range: "wrap" only skips the bounds check
+            lookup.take(q, out=least_q, mode="wrap")
+            above.take(idx, out=limit, mode="wrap")
+            np.greater_equal(least_q, limit, out=unique)
+            unique &= ins
+            caps.take(idx, out=limit, mode="wrap")
+            np.less_equal(q, limit, out=pq)
+            pq &= unique
+            yield lo + at, p, ins, rank, unique, pq
+
+
+def _q_sets(params: DecompositionParams, blocks: list[PrimeBlock],
+            lookup: np.ndarray) -> dict:
+    """Q_j = {1 <= m <= q_max(j): least block of m > j}, from the lookup."""
+    return {block.j: np.flatnonzero(lookup[1:cap + 1] >= hi) + 1
+            for block, hi, cap in zip(blocks, params.bounds[1:].tolist(), params.caps)}
+
+
+def _check_budget(params: DecompositionParams) -> None:
+    if params.n > DECOMP_BUDGET:
+        raise CapacityError(f"N={params.n} exceeds decomposition budget {DECOMP_BUDGET}")
 
 
 def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Decomposition:
     """Classify every n in [1, N) and mark the product sets, by sieving.
 
-    ``unique_prime`` first holds the least block prime dividing n, one
-    strided ``np.minimum`` per block prime. A minimum does not depend on
-    order, so S is read off before the one block prime that can equal an
-    integer D0 is sieved, and Q_j = {1 <= m <= q_max(j): least block of
-    m > j} after. One pass over [0, N) then reads off the rest. With p the
-    least block prime of n, j its block and q = n/p, q has no block prime
-    below block j, so n in S is unique exactly when the least block prime
-    of q lies above block j (no second block-j prime and no p^2 divides
-    n), and in P_j Q_j when also q <= q_max(j). The chunks run downward
-    and q < n, so unique_prime is read at q before it is masked there. All
-    of it is exact integer work but q = n/p in float64, exact too: p divides
-    n (else p is the sentinel and q = 0), and an integer quotient of
-    integers below 2^53 rounds to itself.
+    ``_classified`` sieves each segment straight into ``unique_prime`` and
+    ``tags``, and reads the cofactor minima from ``unique_prime`` itself,
+    so beyond its outputs the builder holds one chunk's buffers and the
+    block tables. The pass reads ``unique_prime`` as cofactors up to
+    ``_lookup_end``, so it is masked to the unique primes after the pass,
+    once Q_j is read off.
     """
-    n = params.n
-    if n > DECOMP_BUDGET:
-        raise CapacityError(f"N={n} exceeds decomposition budget {DECOMP_BUDGET}")
+    _check_budget(params)
+    n, j0 = params.n, params.j0
     blocks = prime_blocks(params, primes)
-
-    j0, bounds = params.j0, params.bounds
-    sentinel = np.iinfo(np.int32).max  # above every prime: no block prime divides n
-    unique_prime = np.full(n, sentinel, dtype=np.int32)
-    d0_floor = math.floor(params.d0)
-    for block in blocks:
-        _sieve_least(unique_prime, block.primes[block.primes > d0_floor])
-    tags = np.less(unique_prime, sentinel).view(np.int8)  # in S, as 0/1
-    for block in blocks[:1]:  # a prime integer D0 opens the first block
-        _sieve_least(unique_prime, block.primes[block.primes <= d0_floor])
-    q_sets = {block.j: np.flatnonzero(unique_prime[1:cap + 1] >= hi) + 1
-              for block, hi, cap in zip(blocks, bounds[1:].tolist(), params.caps)}
-
-    # the block of each integer in [bounds[0], bounds[-1]] (the sentinel
-    # clips to j1) and, per block k = j - j0, the least prime a unique
-    # cofactor can have and q_max(j)
-    block_table = np.repeat(np.arange(j0, params.j1 + 1, dtype=np.int16),
-                            np.diff(bounds, append=bounds[-1] + 1))
-    above = np.append(bounds[1:], sentinel).astype(np.int32)
-    caps = np.array(params.caps + (0,), dtype=np.int32)
-    block_of, in_pq = np.empty(n, dtype=np.int16), np.empty(n, dtype=bool)
-    ramp = np.arange(min(n, _GATHER), dtype=np.float64)
-    buffers = [np.empty(ramp.size, dtype=t)
-               for t in (float, np.intp, np.intp, np.int32, np.int32, bool)]
-    for lo in reversed(range(0, n, _GATHER)):
-        chunk = slice(lo, lo + _GATHER)
-        p, block, in_s, pq = unique_prime[chunk], block_of[chunk], tags[chunk], in_pq[chunk]
-        ratio, k, q, least_q, limit, unique = (b[:p.size] for b in buffers)
-        np.subtract(p, bounds[0], out=k)
-        block_table.take(k, out=block, mode="clip")
-        np.subtract(block, j0, out=k)
-        np.add(ramp[:p.size], lo, out=ratio)
-        ratio /= p
-        np.copyto(q, ratio, casting="unsafe")
-        # q and k are in range: "wrap" only skips the bounds check
-        unique_prime.take(q, out=least_q, mode="wrap")
-        above.take(k, out=limit, mode="wrap")
-        np.greater_equal(least_q, limit, out=unique)
-        unique &= in_s.view(bool)
-        caps.take(k, out=limit, mode="wrap")
-        np.less_equal(q, limit, out=pq)
-        pq &= unique
-        block += 1  # int16 wraps, so j1 + 1 is safe
+    # one mapping for the 8 B/n, faulted in at once where the system can.
+    # In the C heap these pages stay resident after they are freed while a
+    # later live block sits above them or the free top is below glibc's
+    # trim threshold, and a process that builds again peaks that much higher
+    if hasattr(mmap, "MAP_ANONYMOUS"):
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+        whole = np.frombuffer(mmap.mmap(-1, 8 * n, flags=flags), dtype=np.uint8)
+    else:  # no POSIX mapping flags (Windows): the heap
+        whole = np.empty(8 * n, dtype=np.uint8)
+    unique_prime, block_of = whole[:4 * n].view(np.int32), whole[4 * n:6 * n].view(np.int16)
+    tags, in_pq = whole[6 * n:7 * n].view(np.int8), whole[7 * n:].view(bool)
+    for lo, p, in_s, rank, unique, pq in _classified(
+            params, primes, lambda lo, hi: (unique_prime[lo:hi], tags[lo:hi].view(bool)),
+            unique_prime):
+        in_pq[lo:lo + p.size] = pq
+        block = block_of[lo:lo + p.size]
+        np.add(rank, j0, out=block)  # int16 wraps, so j1 + 1 is safe
         block *= in_s
         block -= 1
-        p *= unique
-        in_s += in_s  # TAG_MULTIPLE = 2 on S, less one where n is unique
-        in_s -= unique.view(np.int8)
-
+        tag = in_s.view(np.int8)
+        tag += tag  # TAG_MULTIPLE = 2 on S, less one where n is unique
+        tag -= unique.view(np.int8)
+    q_sets = _q_sets(params, blocks, unique_prime)
+    for lo in range(0, n, _GATHER):
+        chunk = slice(lo, lo + _GATHER)
+        unique_prime[chunk] *= tags[chunk] == TAG_UNIQUE
     return Decomposition(params, blocks, tags, block_of, unique_prime, in_pq, q_sets)
+
+
+def product_sets(params: DecompositionParams, primes: PrimeTable) -> ProductSets:
+    """The blocks, Q_j and the product-set key of every n in [0, N), by the
+    segmented sieve of ``build_decomposition``, holding one segment's
+    buffers and a lookup of ``_lookup_end`` int32 least primes in place of
+    the full arrays."""
+    _check_budget(params)
+    n = params.n
+    blocks = prime_blocks(params, primes)
+    lookup = np.empty(_lookup_end(params), dtype=np.int32)
+    least, in_s = np.empty(min(n, _SPAN), dtype=np.int32), np.empty(min(n, _SPAN), dtype=bool)
+    # j1 - j0 + 1, the rank past the last block, fits the key too
+    key = np.empty(n, dtype=np.int8 if len(blocks) < np.iinfo(np.int8).max else np.int16)
+    for lo, p, _, rank, _, pq in _classified(
+            params, primes, lambda lo, hi: (least[:hi - lo], in_s[:hi - lo]), lookup):
+        np.multiply(rank, pq, out=key[lo:lo + p.size], casting="unsafe")
+    return ProductSets(params, blocks, key, _q_sets(params, blocks, lookup))
 
 
 @dataclass(frozen=True)

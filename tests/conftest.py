@@ -97,3 +97,56 @@ def primes_10k():
 def mobius_1k():
     from horomu.arith import sieve_mobius
     return sieve_mobius(1000)
+
+
+
+def unsegmented_decomposition(params, primes):
+    """The decomposition arrays from one minimum sieve over all of [0, N).
+
+    A reference copy of the library's earlier builder: it sieved the whole
+    window at once, one strided ``np.minimum`` per block prime, and then
+    read off the classes in one downward pass of 2^14-index chunks, where
+    q = n/p is read before its chunk is masked. Returns (tags, block_of,
+    unique_prime, in_pq, q_sets) with the library's dtypes.
+    """
+    import math
+
+    import numpy as np
+
+    from horomu.decomp import prime_blocks
+
+    n, j0, bounds = params.n, params.j0, params.bounds
+    blocks = prime_blocks(params, primes)
+    sentinel = np.iinfo(np.int32).max
+    unique_prime = np.full(n, sentinel, dtype=np.int32)
+    d0_floor = math.floor(params.d0)
+
+    def strike(ps):
+        for p in ps.tolist():
+            np.minimum(unique_prime[p::p], p, out=unique_prime[p::p])
+
+    for block in blocks:
+        strike(block.primes[block.primes > d0_floor])
+    tags = np.less(unique_prime, sentinel).view(np.int8)
+    for block in blocks[:1]:  # a prime integer D0 opens the first block
+        strike(block.primes[block.primes <= d0_floor])
+    q_sets = {block.j: np.flatnonzero(unique_prime[1:cap + 1] >= hi) + 1
+              for block, hi, cap in zip(blocks, bounds[1:].tolist(), params.caps)}
+    block_table = np.repeat(np.arange(j0, params.j1 + 1, dtype=np.int16),
+                            np.diff(bounds, append=bounds[-1] + 1))
+    above = np.append(bounds[1:], sentinel).astype(np.int32)
+    caps = np.array(params.caps + (0,), dtype=np.int32)
+    block_of, in_pq = np.empty(n, dtype=np.int16), np.empty(n, dtype=bool)
+    step = 1 << 14
+    for lo in reversed(range(0, n, step)):
+        chunk = slice(lo, lo + step)
+        p, in_s = unique_prime[chunk], tags[chunk]
+        k = block_table.take(p - bounds[0], mode="clip").astype(np.intp) - j0
+        q = (np.arange(lo, lo + p.size) / p).astype(np.intp)
+        unique = (unique_prime[q] >= above[k]) & in_s.view(bool)
+        in_pq[chunk] = (q <= caps[k]) & unique
+        block_of[chunk] = np.where(in_s.view(bool), k + j0, -1)
+        p *= unique
+        in_s += in_s  # TAG_MULTIPLE = 2 on S, less one where n is unique
+        in_s -= unique.view(np.int8)
+    return tags, block_of, unique_prime, in_pq, q_sets

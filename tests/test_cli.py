@@ -392,10 +392,10 @@ class TestExitCodes:
 
     def test_criterion_block_budget(self, tmp_path, capsys, monkeypatch):
         # the block [2^17, 2^18) holds 10749 primes, over the budget of 4096:
-        # refused before the decomposition is built
+        # refused before the product sets are built
         def costly(*args):
-            raise AssertionError("decomposition built before the blocks were checked")
-        monkeypatch.setattr(criterion, "build_decomposition", costly)
+            raise AssertionError("product sets built before the blocks were checked")
+        monkeypatch.setattr(criterion, "product_sets", costly)
         code = main(["criterion", "--nu", "mobius", "--seq", "exp:theta=inv_e",
                      "--n", "1000000", "--alpha", "1", "--j0", "1", "--j1", "18",
                      "--cutoff", "100", "--out", str(tmp_path / "x.json")])
@@ -403,6 +403,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error[capacity]: a block of 10749 primes" in err, err
         assert "Traceback" not in err, err
+        # the patch is on the path a run takes: blocks within the budget
+        # reach it
+        with pytest.raises(AssertionError, match="product sets built"):
+            main(["criterion", "--nu", "mobius", "--seq", "exp:theta=inv_e",
+                  "--n", "2000", "--alpha", "1", "--j0", "1", "--j1", "10",
+                  "--cutoff", "20", "--out", str(tmp_path / "y.json")])
 
     @pytest.mark.parametrize("plan", [["--cutoff", "inf"],
                                       ["--cutoff", "100", "--exclude", "4:6"],

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from horomu import criterion
+from horomu import criterion, decomp
 from horomu.arith import SEGMENT, MultiplicativeTable, sieve_mobius, sieve_primes
 from horomu.criterion import (TRIG_CHUNK, BoundedSequence, bilinear_sum,
                               criterion_ledger, tau_estimate, vinogradov_bound,
                               weighted_sum)
-from horomu.decomp import DecompositionParams, build_decomposition
+from horomu.decomp import DecompositionParams, build_decomposition, product_sets
 from horomu.dynamics import (ModularPoint, bump_observable, orbit_sequence,
                              pair_correlation, split_observable)
 from horomu.errors import (CapacityError, DomainError, EmptyPairSetError,
@@ -478,8 +478,8 @@ class TestLedger:
 
     def test_pair_inputs_checked_before_the_decomposition(self, monkeypatch):
         def costly(*args):
-            raise AssertionError("decomposition built before the inputs were checked")
-        monkeypatch.setattr(criterion, "build_decomposition", costly)
+            raise AssertionError("product sets built before the inputs were checked")
+        monkeypatch.setattr(criterion, "product_sets", costly)
         N = 2000
         horizon = int(math.ceil(1.3 * N))
         mu = sieve_mobius(horizon)
@@ -502,8 +502,31 @@ class TestLedger:
         mu, F = sieve_mobius(2 * N), BoundedSequence.exponential("sqrt2", 2 * N)
         with pytest.raises(CapacityError, match="block of 75 primes"):
             criterion_ledger(mu, F, N, 1, 1, 10, cutoff=20)
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="product sets built"):
             criterion_ledger(*args, cutoff=20)
+
+    def test_peak_stays_below_a_decomposition(self):
+        # the ledger holds the product-set key (1 B/n) and Q_j, and while
+        # it builds them one segment's int32 and bool buffers, the lookup
+        # and ~1 MB of chunk buffers and tables; then at most three tiles
+        # of ROW_TILE complex entries. A full Decomposition alone takes
+        # 9.74 B/n here
+        n = 10 ** 6
+        horizon = math.ceil(1.3 * n)
+        nu, F = sieve_mobius(n), BoundedSequence.exponential("inv_e", horizon)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            criterion_ledger(nu, F, n, Fraction(3, 10), 9, 30, cutoff=1000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        sets = _product_sets(n, "3/10", 9, 30)
+        held = sets.key.nbytes + sum(q.nbytes for q in sets.q_sets.values())
+        build = (4 * decomp._lookup_end(sets.params) + 5 * decomp._SPAN + (1 << 20))
+        tiles = 3 * criterion.ROW_TILE * 16
+        assert peak <= held + build + tiles, peak
+        assert peak < 9.74 * n, peak
 
     def test_verdict_fields(self, ledger):
         assert ledger.verdict in ("holds", "fails", "inconclusive")
@@ -559,9 +582,19 @@ def test_near_total_correlation_is_inconclusive(n):
     assert rep.exact_chain_holds and rep.verdict == "inconclusive"
 
 
-def _decomposition(n, alpha, j0, j1):
+def _primes_for(params):
+    return sieve_primes(int(math.ceil(float(params.d1))) + 1)
+
+
+def _product_sets(n, alpha, j0, j1):
+    """What the ledger reads of the window: the blocks, Q_j and the key."""
     params = DecompositionParams(n, Fraction(alpha), j0, j1)
-    return build_decomposition(params, sieve_primes(int(math.ceil(float(params.d1))) + 1))
+    return product_sets(params, _primes_for(params))
+
+
+def _decomposition(params):
+    """The full decomposition of the window, built apart from the ledger's view."""
+    return build_decomposition(params, _primes_for(params))
 
 
 class TestBlockMembers:
@@ -569,7 +602,7 @@ class TestBlockMembers:
     def test_block_ledger_matches_index_gather(self, theta):
         # the same ledger lines from a 2-D index gather of F(p y): the
         # matrices are equal, so every field is equal bit for bit
-        dec = _decomposition(5000, "3/10", 5, 12)
+        dec = _product_sets(5000, "3/10", 5, 12)
         mu = sieve_mobius(6500)
         F = BoundedSequence.exponential(theta, 6500)
         pair_sums = criterion._window_pass(dec, mu.values, F)[3]
@@ -603,7 +636,7 @@ class TestBlockMembers:
         monkeypatch.setattr(criterion, "ROW_TILE", budget)
         monkeypatch.setattr(criterion, "TILE_MIN_WIDTH", 1)
         monkeypatch.setattr(criterion, "GRAM_BAND", band)
-        dec = _decomposition(5000, "3/10", 5, 12)
+        dec = _product_sets(5000, "3/10", 5, 12)
         mu = sieve_mobius(6500)
         F = BoundedSequence.exponential("inv_e", 6500)
         for j in dec.params.block_range:
@@ -646,7 +679,7 @@ class TestBlockMembers:
         # rounding). At (1e5, sqrt3) block 13 has 2 primes and D_j / O_j
         # is 5.8e5: all k^2 moduli less the diagonal's lose up to 19 bits
         n = 100_000
-        dec = _decomposition(n, "3/10", 9, 30)
+        dec = _product_sets(n, "3/10", 9, 30)
         mu = sieve_mobius(n)
         F = BoundedSequence.exponential("sqrt3", math.ceil(1.3 * n))
         u = 2.0 ** -53
@@ -675,7 +708,7 @@ class TestBlockMembers:
         tile_bytes = criterion.ROW_TILE * 16
         peaks = {}
         for n in (1_000_000, 2_000_000):
-            dec = _decomposition(n, "3/10", 9, 30)
+            dec = _product_sets(n, "3/10", 9, 30)
             nu = sieve_mobius(n).values
             F = BoundedSequence.exponential("inv_e", math.ceil(1.3 * n))
             peaks[n] = 0
@@ -717,8 +750,9 @@ def _ledger_gap_bound(d: int, magnitude: float) -> float:
 
 
 def _window_reference(dec, nu_values, F):
-    """The window pass written out set by set from P_j Q_j = ``in_pq`` on
-    block j and ``~in_pq``: per block [lo, hi) of WINDOW_BLOCK, ``np.sum`` of the
+    """The window pass written out set by set from a full decomposition
+    ``dec``, P_j Q_j = ``in_pq`` on block j and the leftover ``~in_pq``: per
+    block [lo, hi) of WINDOW_BLOCK, ``np.sum`` of the
     products for the total, ``np.sum`` of their moduli for the trivial
     bound and a left-to-right float loop over each set's members in the
     block; the block shares are added in index order."""
@@ -761,14 +795,14 @@ def _fsum_gap_bound(terms: np.ndarray, n: int) -> float:
 
 
 def _window_inputs(n, alpha, j0, j1, weighted=False):
-    """The decomposition, Moebius and exp(2 pi i n inv_e) up to n; with
+    """The product sets, Moebius and exp(2 pi i n inv_e) up to n; with
     ``weighted`` F is scaled by (1 + n mod 251) / 251, so |nu F| spreads
     over (0, 1] and a block's sum of moduli depends on its order."""
     F = BoundedSequence.exponential("inv_e", n)
     if weighted:
         weight = (1 + np.arange(n + 1) % 251) / 251
         F = BoundedSequence(F.values * weight, f"{F.label}*weight")
-    return _decomposition(n, alpha, j0, j1), sieve_mobius(n).values, F
+    return _product_sets(n, alpha, j0, j1), sieve_mobius(n).values, F
 
 
 class TestWindowPass:
@@ -786,14 +820,18 @@ class TestWindowPass:
         # |F| spread over (0, 1]: the trivial bound is no exact integer,
         # and moving any of the first, middle or last |nu F| of the block
         # after the rest of its sum changes its last bit at 13439
-        ((13_439, "3/10", 5, 12, True), None)])
+        ((13_439, "3/10", 5, 12, True), None),
+        # 221 short blocks of spread |nu F|: adding the block shares of
+        # the trivial bound by math.fsum, not left to right, moves it
+        ((13_439, "3/10", 5, 12, True), 61)])
     def test_sums_equal_fixed_block_reference(self, args, block, monkeypatch):
         if block is not None:
             monkeypatch.setattr(criterion, "WINDOW_BLOCK", block)
-        dec, nu, F = _window_inputs(*args)
+        view, nu, F = _window_inputs(*args)
+        dec = _decomposition(view.params)
         n = dec.params.n
         total, leftover, leftover_count, pair_sums, trivial = criterion._window_pass(
-            dec, nu, F)
+            view, nu, F)
         want_total, want_leftover, want_pairs, want_trivial, sets = _window_reference(
             dec, nu, F)
         # bit for bit: repr tells every float apart, -0.0 from 0.0 included
@@ -814,8 +852,9 @@ class TestWindowPass:
         assert abs(trivial - math.fsum(moduli)) <= _fsum_gap_bound(moduli, n)
 
     def test_blocks_without_members(self):
-        dec, nu, F = _window_inputs(20_000, "1/10", 10, 60)
-        pair_sums = criterion._window_pass(dec, nu, F)[3]
+        view, nu, F = _window_inputs(20_000, "1/10", 10, 60)
+        pair_sums = criterion._window_pass(view, nu, F)[3]
+        dec = _decomposition(view.params)
         counts = [int(np.count_nonzero(dec.in_pq & (dec.block_of == j)))
                   for j in dec.params.block_range]
         assert 0 in counts and max(counts) > 0
@@ -826,11 +865,11 @@ class TestWindowPass:
         # the whole window at once peaks near 24 MB at N = 1e6
         peaks = {}
         for n in (200_000, 1_000_000):
-            dec, nu, F = _window_inputs(n, "3/10", 9, 30)
+            view, nu, F = _window_inputs(n, "3/10", 9, 30)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                criterion._window_pass(dec, nu, F)
+                criterion._window_pass(view, nu, F)
                 peaks[n] = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -840,8 +879,4 @@ class TestWindowPass:
 
 def rep_members(rep):
     """Mask of [0, N) marked as product members, rebuilt from the report."""
-    from horomu.arith import sieve_primes
-    from horomu.decomp import build_decomposition
-    primes = sieve_primes(int(math.ceil(float(rep.params.d1))) + 1)
-    dec = build_decomposition(rep.params, primes)
-    return dec.in_pq
+    return _decomposition(rep.params).in_pq

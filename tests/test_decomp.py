@@ -1,4 +1,5 @@
 import math
+import mmap
 import random
 import time
 import tracemalloc
@@ -14,11 +15,11 @@ from horomu.arith import sieve_primes
 from horomu.decomp import (DECOMP_BUDGET, TAG_MULTIPLE, TAG_NOT_IN_S, TAG_UNIQUE,
                            Classification, DecompositionParams, build_decomposition,
                            classify, coverage_report, default_schedule, prime_blocks,
-                           q_membership)
+                           product_sets, q_membership)
 from horomu.errors import (CapacityError, DomainError, RangeCoverageError,
                            ValidationError)
 
-from conftest import TEST_SEED, factorize
+from conftest import TEST_SEED, factorize, unsegmented_decomposition
 
 
 @pytest.fixture(scope="module")
@@ -335,8 +336,9 @@ class TestBuildProperties:
                 assert np.array_equal(ratio.astype(np.intp), multiples // d), k
 
     def test_peak_stays_within_the_outputs(self):
-        # beyond its outputs (~9.7 B/n) the builder holds only the pass's
-        # buffers and the block tables, ~0.8 MB at any N
+        # beyond its outputs the builder holds only the pass's buffers and
+        # the block tables, ~0.12 MB at any N. tracemalloc does not see a
+        # memory mapping, so only the outputs outside one count here
         params = DecompositionParams(10 ** 6, Fraction(3, 10), 9, 30)
         primes = sieve_primes(3000)
         tracemalloc.start()
@@ -347,8 +349,112 @@ class TestBuildProperties:
         finally:
             tracemalloc.stop()
         outputs = sum(a.nbytes for a in (dec.tags, dec.block_of, dec.unique_prime,
-                                         dec.in_pq, *dec.q_sets.values()))
+                                         dec.in_pq, *dec.q_sets.values())
+                      if not isinstance(root_buffer(a), mmap.mmap))
         assert peak <= outputs + (1 << 20), (peak, outputs)
+
+
+def root_buffer(arr):
+    """The object that owns an array's memory: an ndarray, or the buffer
+    it was made from."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr if arr.base is None else arr.base.obj
+
+
+def assert_equals_unsegmented(params, primes):
+    """The builder's arrays, dtypes and Q_j equal those of the unsegmented
+    reference, and the ledger's key and Q_j equal those read off them."""
+    dec = build_decomposition(params, primes)
+    tags, block_of, unique_prime, in_pq, q_sets = unsegmented_decomposition(params, primes)
+    for got, want in ((dec.tags, tags), (dec.block_of, block_of),
+                      (dec.unique_prime, unique_prime), (dec.in_pq, in_pq)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert list(dec.q_sets) == list(q_sets) == list(params.block_range)
+    for j, want in q_sets.items():
+        assert dec.q_set(j).dtype == want.dtype and np.array_equal(dec.q_set(j), want), j
+    sets = product_sets(params, primes)
+    key = np.where(in_pq, block_of.astype(np.int64) - (params.j0 - 1), 0)
+    assert np.array_equal(sets.key, key)
+    assert sets.key.dtype == (np.int8 if len(params.block_range) <= 126 else np.int16)
+    assert [b.j for b in sets.blocks] == list(params.block_range)
+    for j, want in q_sets.items():
+        assert np.array_equal(sets.q_set(j), want), j
+    return dec, sets
+
+
+class TestSegmentedCore:
+    """``build_decomposition`` and ``product_sets`` sieve one segment of
+    ``decomp._SPAN`` indices at a time; their outputs equal those of one
+    sieve over the whole window."""
+
+    @pytest.mark.parametrize("args", [
+        (4000, 1, 1, 11),                # D0 = 2 an integer prime; N below one segment
+        (50_000, Fraction(1, 100), 1, 300),  # 299 blocks: the key is int16
+        (2 * decomp._SPAN, Fraction(3, 10), 9, 30),  # N a multiple of the segment
+        # N no multiple of the segment; the lookup ends at 272,728, inside a chunk
+        (3 * 10 ** 6, Fraction(3, 10), 9, 30),
+        # block primes above isqrt(DECOMP_BUDGET), with D0 = 2 in the first
+        (10 ** 6, 1, 1, 19),
+        (2_500_000, Fraction(1, 2), 3, 36),
+    ])
+    def test_equals_unsegmented_builder(self, args):
+        params = DecompositionParams(*args)
+        primes = sieve_primes(int(math.ceil(float(params.d1))) + 1)
+        end = decomp._lookup_end(params)
+        dec, sets = assert_equals_unsegmented(params, primes)
+        if args[0] == 3 * 10 ** 6:
+            assert end == 272_728 and end % decomp._GATHER and end > decomp._SPAN
+        if params.bounds[-1] > decomp._LARGE:
+            assert dec.unique_prime.max() >= decomp._LARGE
+        assert np.count_nonzero(sets.key) == dec.count_pq
+
+    @settings(max_examples=40)
+    @given(params=small_windows(), span=st.sampled_from([64, 96, 100, 4096]),
+           gather=st.sampled_from([16, 32, 1 << 14]))
+    @example(params=DecompositionParams(4000, Fraction(1), 1, 11), span=100, gather=32)
+    # the lookup ends at 104, in the chunk [100, 132) of the second segment,
+    # which crosses a multiple of 32
+    @example(params=DecompositionParams(207, Fraction(1), 1, 7), span=100, gather=32)
+    def test_small_segments_and_large_primes(self, primes_10k, params, span, gather):
+        # every path at N <= 4000: segments and chunks down to 16 indices,
+        # chunks that cross segment ends, and block primes from 64 on by
+        # multiplier (64^2 > 4000, so no n has two of them)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decomp, "_SPAN", span)
+            patch.setattr(decomp, "_GATHER", gather)
+            patch.setattr(decomp, "_LARGE", 64)
+            dec, _ = assert_equals_unsegmented(params, primes_10k)
+        for n in range(1, params.n, 37):
+            assert dec.classification(n) == classify(n, params, primes_10k), n
+
+    def test_per_n_arrays_share_one_mapping(self, dec_pow2):
+        # dropping a Decomposition unmaps its 8 B/n at once, whatever the C
+        # heap around it holds; without POSIX mapping flags they share one
+        # heap array
+        roots = {id(root_buffer(arr)) for arr in (dec_pow2.tags, dec_pow2.block_of,
+                                                  dec_pow2.unique_prime, dec_pow2.in_pq)}
+        assert len(roots) == 1
+        mapped = isinstance(root_buffer(dec_pow2.tags), mmap.mmap)
+        assert mapped == hasattr(mmap, "MAP_ANONYMOUS")
+
+    def test_product_sets_hold_less_than_the_decomposition(self):
+        # beyond its key (1 B/n) and Q_j the view holds one segment's
+        # int32 and bool buffers, the int32 lookup and the chunk buffers;
+        # the full build's outputs are 8 B/n and Q_j
+        params = DecompositionParams(10 ** 6, Fraction(3, 10), 9, 30)
+        primes = sieve_primes(3000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sets = product_sets(params, primes)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        q_bytes = sum(q.nbytes for q in sets.q_sets.values())
+        lookup = 4 * decomp._lookup_end(params)
+        assert peak <= sets.key.nbytes + q_bytes + lookup + 5 * decomp._SPAN + (1 << 20), peak
+        assert peak < (8 * params.n + q_bytes) / 2, peak
 
 
 class TestCountsAgainstOracle:
@@ -416,7 +522,7 @@ class TestCoverage:
         params = DecompositionParams(5000, Fraction(3, 10), 5, 12)
         dec = build_decomposition(params, primes_10k)
         whole = coverage_report(dec, primes_10k).as_dict()
-        monkeypatch.setattr(decomp, "SEGMENT", 97)
+        monkeypatch.setattr(decomp, "_SPAN", 97)
         dec = build_decomposition(params, primes_10k)  # the tally is built once
         assert coverage_report(dec, primes_10k).as_dict() == whole
 
