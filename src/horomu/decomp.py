@@ -47,8 +47,8 @@ DECOMP_BUDGET = 30_000_000
 # indices per segment of the builder's sieve: 1 MB of int32 least primes,
 # which stays in a 2 MB L2 cache while every small block prime strikes it
 _SPAN = 1 << 18
-# indices per chunk of the classification: its buffers take ~0.6 MB, and
-# larger chunks are no faster
+# indices per chunk of the classification: its temporaries take ~0.6 MB,
+# and larger chunks are no faster
 _GATHER = 1 << 14
 # block primes from here on go by multiplier: any two multiply past the budget
 _LARGE = math.isqrt(DECOMP_BUDGET) + 1
@@ -237,7 +237,7 @@ def q_membership(m: int, j: int, params: DecompositionParams,
 
 class _BlockSets:
     """The blocks P_j of a window and its cofactor sets: ``q_sets[j]`` holds
-    Q_j as ascending int64."""
+    Q_j as ascending int32."""
 
     def __init__(self, params, blocks, q_sets):
         self.params = params
@@ -268,19 +268,25 @@ class Decomposition(_BlockSets):
     Per n: ``tags`` (int8), ``block_of`` (int16, the least block, -1 outside
     S), ``unique_prime`` (int32, the one block prime of a unique n, else 0;
     N <= DECOMP_BUDGET = 3e7 < 2^31, so every block prime fits) and
-    ``in_pq`` (bool): 8 B/n and Q_j. Every count reads ``tally``. Where
-    the system has anonymous private mappings, the four per-n arrays are
-    views of one, which goes back to the system as soon as the last of
-    them is freed.
+    ``in_pq`` (bool): 8 B/n and Q_j. Where the system has anonymous private
+    mappings, the four per-n arrays are views of one, which goes back to
+    the system as soon as the last of them is freed. Every count reads
+    ``tally``, counted as the builder writes the arrays: how many n in
+    [0, N) fall in each (row, state), a read-only (j1 + 1, 4) int64 array
+    with row block_of + 1 (0 outside S, j + 1 for block j) and state 0
+    outside S, 1 unique outside P_j Q_j, 2 multiple, 3 in P_j Q_j (unique
+    by construction). n = 0 counts in (0, 0).
     """
 
-    def __init__(self, params, blocks, tags, block_of, unique_prime, in_pq, q_sets):
+    def __init__(self, params, blocks, tags, block_of, unique_prime, in_pq, q_sets,
+                 tally):
         super().__init__(params, blocks, q_sets)
         self.tags = tags
         self.block_of = block_of
         self.unique_prime = unique_prime
         self.in_pq = in_pq
-        for arr in (tags, block_of, unique_prime, in_pq):
+        self.tally = tally
+        for arr in (tags, block_of, unique_prime, in_pq, tally):
             arr.setflags(write=False)
 
     # -- per-n views ----------------------------------------------------
@@ -293,24 +299,6 @@ class Decomposition(_BlockSets):
         return Classification(tag, j, p)
 
     # -- exact counts -----------------------------------------------------
-    @cached_property
-    def tally(self) -> np.ndarray:
-        """How many n in [0, N) fall in each (row, state), as a read-only
-        (j1 + 1, 4) int64 array: row block_of + 1 (0 outside S, j + 1 for
-        block j), state 0 outside S, 1 unique outside P_j Q_j, 2 multiple,
-        3 in P_j Q_j (unique by construction). n = 0 counts in (0, 0). One
-        bincount per _SPAN, so the temporaries stay O(_SPAN) at any N."""
-        rows = self.params.j1 + 1
-        tally = np.zeros(4 * rows, dtype=np.int64)
-        for lo in range(0, self.params.n, _SPAN):
-            seg = slice(lo, lo + _SPAN)
-            state = self.tags[seg] + 2 * self.in_pq[seg].view(np.int8)
-            tally += np.bincount(4 * (self.block_of[seg].astype(np.intp) + 1) + state,
-                                 minlength=tally.size)
-        tally = tally.reshape(rows, 4)
-        tally.setflags(write=False)
-        return tally
-
     @property
     def window_size(self) -> int:
         return self.params.n - 1
@@ -384,11 +372,12 @@ def _classified(params: DecompositionParams, primes: PrimeTable, segment,
     ``segment(lo, hi)`` gives the int32 and bool arrays of size hi - lo
     that the segment [lo, hi) is sieved into. ``lookup`` must reach
     ``_lookup_end``; it takes the least block primes below its end as the
-    walk passes them (a no-op where it is the sieved array itself). Yields (lo, p, in_s, rank, unique, pq) per chunk
-    [lo, lo + p.size): p the least block prime, rank = j - j0 + 1 for its
-    block j (j1 - j0 + 1 where no block prime divides n), and whether n is
-    unique and in P_j Q_j. All but p and in_s are buffers reused by the
-    next chunk. With q = n/p, q has no block prime below block j, so n in S
+    walk passes them (a no-op where it is the sieved array itself). Yields
+    (lo, p, in_s, rank, unique, pq) per chunk [lo, lo + p.size): p the
+    least block prime, rank = j - j0 + 1 for its block j (j1 - j0 + 1
+    where no block prime divides n), and whether n is unique and in
+    P_j Q_j; p and in_s are views of the segment arrays, the rest new
+    arrays. With q = n/p, q has no block prime below block j, so n in S
     is unique exactly when the least block prime of q lies above block j
     (no second block-j prime and no p^2 divides n), and in P_j Q_j when
     also q <= q_max(j). q < n, so its least prime is sieved before it is
@@ -409,8 +398,6 @@ def _classified(params: DecompositionParams, primes: PrimeTable, segment,
     above = np.append(bounds, _SENTINEL).astype(np.int32)
     caps = np.array((0,) + params.caps + (0,), dtype=np.int32)
     ramp = np.arange(min(n, _GATHER), dtype=np.float64)
-    buffers = [np.empty(ramp.size, dtype=t)
-               for t in (float, np.intp, np.intp, np.int32, np.int32, bool, bool, np.int16)]
     for lo in range(0, n, _SPAN):
         hi = min(lo + _SPAN, n)
         seg_least, seg_in = segment(lo, hi)
@@ -419,28 +406,19 @@ def _classified(params: DecompositionParams, primes: PrimeTable, segment,
         part[...] = seg_least[:part.size]
         for at in range(0, hi - lo, _GATHER):
             p, ins = seg_least[at:at + _GATHER], seg_in[at:at + _GATHER]
-            ratio, idx, q, least_q, limit, unique, pq, rank = (b[:p.size] for b in buffers)
-            np.subtract(p, bounds[0], out=idx)
-            ranks.take(idx, out=rank, mode="clip")
-            np.copyto(idx, rank)
-            np.add(ramp[:p.size], lo + at, out=ratio)
-            ratio /= p
-            np.copyto(q, ratio, casting="unsafe")
-            # q and idx are in range: "wrap" only skips the bounds check
-            lookup.take(q, out=least_q, mode="wrap")
-            above.take(idx, out=limit, mode="wrap")
-            np.greater_equal(least_q, limit, out=unique)
-            unique &= ins
-            caps.take(idx, out=limit, mode="wrap")
-            np.less_equal(q, limit, out=pq)
-            pq &= unique
+            rank = ranks.take(p - bounds[0], mode="clip")
+            q = ((ramp[:p.size] + (lo + at)) / p).astype(np.intp)
+            # q and rank are in range: "wrap" only skips the bounds check
+            unique = (lookup.take(q, mode="wrap") >= above.take(rank, mode="wrap")) & ins
+            pq = (q <= caps.take(rank, mode="wrap")) & unique
             yield lo + at, p, ins, rank, unique, pq
 
 
 def _q_sets(params: DecompositionParams, blocks: list[PrimeBlock],
             lookup: np.ndarray) -> dict:
-    """Q_j = {1 <= m <= q_max(j): least block of m > j}, from the lookup."""
-    return {block.j: np.flatnonzero(lookup[1:cap + 1] >= hi) + 1
+    """Q_j = {1 <= m <= q_max(j): least block of m > j}, from the lookup,
+    as ascending int32 (every m is below N <= DECOMP_BUDGET < 2^31)."""
+    return {block.j: np.flatnonzero(lookup[1:cap + 1] >= hi).astype(np.int32) + 1
             for block, hi, cap in zip(blocks, params.bounds[1:].tolist(), params.caps)}
 
 
@@ -454,10 +432,10 @@ def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Deco
 
     ``_classified`` sieves each segment straight into ``unique_prime`` and
     ``tags``, and reads the cofactor minima from ``unique_prime`` itself,
-    so beyond its outputs the builder holds one chunk's buffers and the
-    block tables. The pass reads ``unique_prime`` as cofactors up to
-    ``_lookup_end``, so it is masked to the unique primes after the pass,
-    once Q_j is read off.
+    so beyond its outputs the builder holds one chunk's temporaries and the
+    block tables. Each chunk is counted into the tally as it is written.
+    The pass reads ``unique_prime`` as cofactors up to ``_lookup_end``, so
+    it is masked to the unique primes after the pass, once Q_j is read off.
     """
     _check_budget(params)
     n, j0 = params.n, params.j0
@@ -473,6 +451,7 @@ def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Deco
         whole = np.empty(8 * n, dtype=np.uint8)
     unique_prime, block_of = whole[:4 * n].view(np.int32), whole[4 * n:6 * n].view(np.int16)
     tags, in_pq = whole[6 * n:7 * n].view(np.int8), whole[7 * n:].view(bool)
+    tally = np.zeros(4 * (params.j1 + 1), dtype=np.int64)
     for lo, p, in_s, rank, unique, pq in _classified(
             params, primes, lambda lo, hi: (unique_prime[lo:hi], tags[lo:hi].view(bool)),
             unique_prime):
@@ -484,11 +463,15 @@ def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Deco
         tag = in_s.view(np.int8)
         tag += tag  # TAG_MULTIPLE = 2 on S, less one where n is unique
         tag -= unique.view(np.int8)
+        # cell 4 (block_of + 1) + state, with state tag + 2 in_pq < 4
+        tally += np.bincount(4 * block.astype(np.intp) + (tag + 2 * pq.view(np.int8) + 4),
+                             minlength=tally.size)
     q_sets = _q_sets(params, blocks, unique_prime)
     for lo in range(0, n, _GATHER):
         chunk = slice(lo, lo + _GATHER)
         unique_prime[chunk] *= tags[chunk] == TAG_UNIQUE
-    return Decomposition(params, blocks, tags, block_of, unique_prime, in_pq, q_sets)
+    return Decomposition(params, blocks, tags, block_of, unique_prime, in_pq, q_sets,
+                         tally.reshape(-1, 4))
 
 
 def product_sets(params: DecompositionParams, primes: PrimeTable) -> ProductSets:

@@ -130,7 +130,7 @@ def unsegmented_decomposition(params, primes):
     tags = np.less(unique_prime, sentinel).view(np.int8)
     for block in blocks[:1]:  # a prime integer D0 opens the first block
         strike(block.primes[block.primes <= d0_floor])
-    q_sets = {block.j: np.flatnonzero(unique_prime[1:cap + 1] >= hi) + 1
+    q_sets = {block.j: (np.flatnonzero(unique_prime[1:cap + 1] >= hi) + 1).astype(np.int32)
               for block, hi, cap in zip(blocks, bounds[1:].tolist(), params.caps)}
     block_table = np.repeat(np.arange(j0, params.j1 + 1, dtype=np.int16),
                             np.diff(bounds, append=bounds[-1] + 1))

@@ -336,8 +336,9 @@ class TestBuildProperties:
                 assert np.array_equal(ratio.astype(np.intp), multiples // d), k
 
     def test_peak_stays_within_the_outputs(self):
-        # beyond its outputs the builder holds only the pass's buffers and
-        # the block tables, ~0.12 MB at any N. tracemalloc does not see a
+        # beyond its outputs the builder holds only one chunk's temporaries,
+        # the block tables and the tally, ~0.74 MB at any N, all but the
+        # tally freed before Q_j is read off. tracemalloc does not see a
         # memory mapping, so only the outputs outside one count here
         params = DecompositionParams(10 ** 6, Fraction(3, 10), 9, 30)
         primes = sieve_primes(3000)
@@ -363,13 +364,17 @@ def root_buffer(arr):
 
 
 def assert_equals_unsegmented(params, primes):
-    """The builder's arrays, dtypes and Q_j equal those of the unsegmented
-    reference, and the ledger's key and Q_j equal those read off them."""
+    """The builder's arrays, dtypes, tally and Q_j equal those of the
+    unsegmented reference, and the ledger's key and Q_j equal those read
+    off them."""
     dec = build_decomposition(params, primes)
     tags, block_of, unique_prime, in_pq, q_sets = unsegmented_decomposition(params, primes)
     for got, want in ((dec.tags, tags), (dec.block_of, block_of),
                       (dec.unique_prime, unique_prime), (dec.in_pq, in_pq)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    cells = 4 * (block_of.astype(np.int64) + 1) + tags + 2 * in_pq
+    tally = np.bincount(cells, minlength=4 * (params.j1 + 1)).reshape(-1, 4)
+    assert dec.tally.dtype == np.int64 and np.array_equal(dec.tally, tally)
     assert list(dec.q_sets) == list(q_sets) == list(params.block_range)
     for j, want in q_sets.items():
         assert dec.q_set(j).dtype == want.dtype and np.array_equal(dec.q_set(j), want), j
@@ -427,6 +432,25 @@ class TestSegmentedCore:
             dec, _ = assert_equals_unsegmented(params, primes_10k)
         for n in range(1, params.n, 37):
             assert dec.classification(n) == classify(n, params, primes_10k), n
+
+    def test_kept_chunks_stay_valid(self):
+        # every chunk the core yields is its own array: keeping all of them
+        # until the walk ends changes none. The segment arrays are new per
+        # segment and the lookup is separate, so nothing else is shared
+        params = DecompositionParams(3 * 10 ** 5, Fraction(3, 10), 9, 30)
+        primes = sieve_primes(int(math.ceil(float(params.d1))) + 1)
+        lookup = np.empty(decomp._lookup_end(params), dtype=np.int32)
+        chunks = list(decomp._classified(
+            params, primes, lambda lo, hi: (np.empty(hi - lo, np.int32),
+                                            np.empty(hi - lo, bool)), lookup))
+        tags, block_of, _, in_pq, _ = unsegmented_decomposition(params, primes)
+        rank = np.where(tags > 0, block_of.astype(np.int64) - (params.j0 - 1), 0)
+        assert [lo for lo, *_ in chunks] == list(range(0, params.n, decomp._GATHER))
+        for lo, p, in_s, got_rank, unique, pq in chunks:
+            chunk = slice(lo, lo + p.size)
+            assert np.array_equal(got_rank * in_s, rank[chunk]), lo
+            assert np.array_equal(unique, tags[chunk] == TAG_UNIQUE), lo
+            assert np.array_equal(pq, in_pq[chunk]), lo
 
     def test_per_n_arrays_share_one_mapping(self, dec_pow2):
         # dropping a Decomposition unmaps its 8 B/n at once, whatever the C
@@ -523,7 +547,8 @@ class TestCoverage:
         dec = build_decomposition(params, primes_10k)
         whole = coverage_report(dec, primes_10k).as_dict()
         monkeypatch.setattr(decomp, "_SPAN", 97)
-        dec = build_decomposition(params, primes_10k)  # the tally is built once
+        monkeypatch.setattr(decomp, "_GATHER", 32)
+        dec = build_decomposition(params, primes_10k)
         assert coverage_report(dec, primes_10k).as_dict() == whole
 
     def test_boundary_primes_reported_for_integer_alpha(self, dec_pow2, primes_10k):
