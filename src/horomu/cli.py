@@ -25,7 +25,8 @@ from .arith import (SEGMENT, MultiplicativeTable, sieve_liouville, sieve_mobius,
                     sieve_primes)
 from .criterion import BoundedSequence, _ledger, _pair_plan
 from .correlator import PointDescriptor, classify_correlator
-from .decomp import DecompositionParams, build_decomposition, coverage_report
+from .decomp import (DecompositionParams, build_decomposition, coverage_report,
+                     default_schedule)
 from .dynamics import (ModularPoint, OBSERVABLE_FACTORIES, Observable,
                        OrbitEvaluator, QuadratureSpec, genericity,
                        mobius_disjointness_sum, orbit_sequence, pair_correlation,
@@ -314,7 +315,6 @@ def _run_decompose(args, timings) -> dict:
     t0 = time.perf_counter()
     alpha = _alpha_fraction(args.alpha)
     if args.j0 is None or args.j1 is None:
-        from .decomp import default_schedule
         j0, j1 = default_schedule(alpha)
     else:
         j0, j1 = args.j0, args.j1

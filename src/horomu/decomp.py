@@ -32,7 +32,6 @@ All bounds and counts are exact integers.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -268,9 +267,7 @@ class Decomposition(_BlockSets):
     Per n: ``tags`` (int8), ``block_of`` (int16, the least block, -1 outside
     S), ``unique_prime`` (int32, the one block prime of a unique n, else 0;
     N <= DECOMP_BUDGET = 3e7 < 2^31, so every block prime fits) and
-    ``in_pq`` (bool): 8 B/n and Q_j. Where the system has anonymous private
-    mappings, the four per-n arrays are views of one, which goes back to
-    the system as soon as the last of them is freed. Every count reads
+    ``in_pq`` (bool): four separate arrays, 8 B/n, and Q_j. Every count reads
     ``tally``, counted as the builder writes the arrays: how many n in
     [0, N) fall in each (row, state), a read-only (j1 + 1, 4) int64 array
     with row block_of + 1 (0 outside S, j + 1 for block j) and state 0
@@ -430,27 +427,20 @@ def _check_budget(params: DecompositionParams) -> None:
 def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Decomposition:
     """Classify every n in [1, N) and mark the product sets, by sieving.
 
-    ``_classified`` sieves each segment straight into ``unique_prime`` and
-    ``tags``, and reads the cofactor minima from ``unique_prime`` itself,
-    so beyond its outputs the builder holds one chunk's temporaries and the
-    block tables. Each chunk is counted into the tally as it is written.
-    The pass reads ``unique_prime`` as cofactors up to ``_lookup_end``, so
-    it is masked to the unique primes after the pass, once Q_j is read off.
+    The four per-n outputs are plain numpy arrays. ``_classified`` sieves
+    each segment straight into ``unique_prime`` and ``tags``, and reads the
+    cofactor minima from ``unique_prime`` itself, so beyond its outputs the
+    builder holds one chunk's temporaries and the block tables. Each chunk
+    is counted into the tally as it is written. The pass reads
+    ``unique_prime`` as cofactors up to ``_lookup_end``, so it is masked to
+    the unique primes after the pass, once Q_j is read off.
     """
     _check_budget(params)
     n, j0 = params.n, params.j0
     blocks = prime_blocks(params, primes)
-    # one mapping for the 8 B/n, faulted in at once where the system can.
-    # In the C heap these pages stay resident after they are freed while a
-    # later live block sits above them or the free top is below glibc's
-    # trim threshold, and a process that builds again peaks that much higher
-    if hasattr(mmap, "MAP_ANONYMOUS"):
-        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-        whole = np.frombuffer(mmap.mmap(-1, 8 * n, flags=flags), dtype=np.uint8)
-    else:  # no POSIX mapping flags (Windows): the heap
-        whole = np.empty(8 * n, dtype=np.uint8)
-    unique_prime, block_of = whole[:4 * n].view(np.int32), whole[4 * n:6 * n].view(np.int16)
-    tags, in_pq = whole[6 * n:7 * n].view(np.int8), whole[7 * n:].view(bool)
+    # four allocations: one shared 8 B/n buffer took bench bilinear's peak RSS 113 -> 127 MB
+    unique_prime, block_of = np.empty(n, np.int32), np.empty(n, np.int16)
+    tags, in_pq = np.empty(n, np.int8), np.empty(n, bool)
     tally = np.zeros(4 * (params.j1 + 1), dtype=np.int64)
     for lo, p, in_s, rank, unique, pq in _classified(
             params, primes, lambda lo, hi: (unique_prime[lo:hi], tags[lo:hi].view(bool)),
@@ -565,10 +555,11 @@ def coverage_report(d: Decomposition, primes: PrimeTable) -> CoverageReport:
     ]
     # every block prime is at least ceil(D0), so p <= floor(D0) only for a
     # prime integer D0, which is not strictly inside (D0, D1)
-    d0_floor = math.floor(params.d0)
-    block_primes = [p for b in d.blocks for p in b.primes.tolist()]
-    boundary = [p for p in block_primes if p <= d0_floor]
-    product = math.prod((1 - 1 / p for p in block_primes if p > d0_floor), start=1.0)
+    starts = _block_starts(params, primes)
+    block_primes = primes.primes[starts[0]:starts[-1]]
+    a = block_primes.searchsorted(math.floor(params.d0) + 1)
+    boundary = block_primes[:a].tolist()
+    product = math.prod((1 - 1 / p for p in block_primes[a:].tolist()), start=1.0)
     if params.d1.denominator == 1 and primes.contains(params.d1.numerator):
         boundary.append(params.d1.numerator)
     counts = {

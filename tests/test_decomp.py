@@ -1,5 +1,4 @@
 import math
-import mmap
 import random
 import time
 import tracemalloc
@@ -338,8 +337,7 @@ class TestBuildProperties:
     def test_peak_stays_within_the_outputs(self):
         # beyond its outputs the builder holds only one chunk's temporaries,
         # the block tables and the tally, ~0.74 MB at any N, all but the
-        # tally freed before Q_j is read off. tracemalloc does not see a
-        # memory mapping, so only the outputs outside one count here
+        # tally freed before Q_j is read off
         params = DecompositionParams(10 ** 6, Fraction(3, 10), 9, 30)
         primes = sieve_primes(3000)
         tracemalloc.start()
@@ -350,17 +348,8 @@ class TestBuildProperties:
         finally:
             tracemalloc.stop()
         outputs = sum(a.nbytes for a in (dec.tags, dec.block_of, dec.unique_prime,
-                                         dec.in_pq, *dec.q_sets.values())
-                      if not isinstance(root_buffer(a), mmap.mmap))
+                                         dec.in_pq, *dec.q_sets.values()))
         assert peak <= outputs + (1 << 20), (peak, outputs)
-
-
-def root_buffer(arr):
-    """The object that owns an array's memory: an ndarray, or the buffer
-    it was made from."""
-    while isinstance(arr.base, np.ndarray):
-        arr = arr.base
-    return arr if arr.base is None else arr.base.obj
 
 
 def assert_equals_unsegmented(params, primes):
@@ -452,15 +441,11 @@ class TestSegmentedCore:
             assert np.array_equal(unique, tags[chunk] == TAG_UNIQUE), lo
             assert np.array_equal(pq, in_pq[chunk]), lo
 
-    def test_per_n_arrays_share_one_mapping(self, dec_pow2):
-        # dropping a Decomposition unmaps its 8 B/n at once, whatever the C
-        # heap around it holds; without POSIX mapping flags they share one
-        # heap array
-        roots = {id(root_buffer(arr)) for arr in (dec_pow2.tags, dec_pow2.block_of,
-                                                  dec_pow2.unique_prime, dec_pow2.in_pq)}
-        assert len(roots) == 1
-        mapped = isinstance(root_buffer(dec_pow2.tags), mmap.mmap)
-        assert mapped == hasattr(mmap, "MAP_ANONYMOUS")
+    def test_per_n_arrays_own_their_memory(self, dec_pow2):
+        # four allocations, not views of one shared 8 B/n buffer
+        for arr in (dec_pow2.tags, dec_pow2.block_of, dec_pow2.unique_prime,
+                    dec_pow2.in_pq):
+            assert arr.base is None and arr.size == dec_pow2.params.n
 
     def test_product_sets_hold_less_than_the_decomposition(self):
         # beyond its key (1 B/n) and Q_j the view holds one segment's
@@ -554,6 +539,20 @@ class TestCoverage:
     def test_boundary_primes_reported_for_integer_alpha(self, dec_pow2, primes_10k):
         rep = coverage_report(dec_pow2, primes_10k)
         assert rep.boundary_primes == [2]  # D0 = 2 exactly
+
+    def test_boundary_primes_at_the_edges(self, primes_10k):
+        # D0 = 1.3^9 ~ 10.6 is no integer: its ceiling 11 is a block prime
+        # inside (D0, D1), so it is no boundary prime and enters the product
+        dec = build_decomposition(DecompositionParams(10 ** 5, Fraction(3, 10), 9, 30),
+                                  primes_10k)
+        rep = coverage_report(dec, primes_10k)
+        block_primes = [p for b in dec.blocks for p in b.primes.tolist()]
+        assert rep.boundary_primes == [] and block_primes[0] == 11
+        assert rep.mertens_product == math.prod((1 - 1 / p for p in block_primes), start=1.0)
+        # no blocks: D0 = D1 = 2, the prime D1 is reported and the product is empty
+        params = DecompositionParams(1000, 1, 1, 1)
+        rep = coverage_report(build_decomposition(params, primes_10k), primes_10k)
+        assert rep.boundary_primes == [2] and rep.mertens_product == 1.0
 
     def test_mertens_product_close_at_desk_scale(self, primes_10k):
         params = DecompositionParams(10 ** 5, Fraction(3, 10), 5, 12)
