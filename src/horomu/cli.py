@@ -356,7 +356,7 @@ def _run_orbit(args, timings) -> dict:
     f = parse_observable(args.obs)
     ev = OrbitEvaluator(xi, max(args.n, 2), args.precision_bits)
     names = ["n", "x", "y", "theta", "f"]
-    total, final = ExactSum(args.n), {}
+    total, final = ExactSum(), {}
 
     def rows():  # the orbit one chunk at a time; CSV rows only for --series
         for lo, (xs, ys, ts) in ev.chunks(range(1, args.n + 1), need_theta=True):
@@ -399,6 +399,8 @@ def _run_correlate(args, timings) -> dict:
 
 def _run_disjointness(args, timings) -> dict:
     _require(args, "n", "point")
+    if args.n < 1:
+        raise ValidationError(f"disjointness needs --n >= 1, got {args.n}")
     t0 = time.perf_counter()
     xi = parse_point(args.point)
     f = parse_observable(args.obs)

@@ -34,14 +34,16 @@ _CHUNK points in blocks (``run`` joins them):
   coordinates above 1e-9 raises ``PrecisionError``.
 
 Orbit averages (Birkhoff, pair correlations, the disjointness ladder) are
-exactly rounded: each is the exact sum of its float64 terms, rounded once,
-the value ``math.fsum`` gives, then divided by N. They stream: each chunk
-of the evaluator, new arrays of at most _CHUNK points, goes through
-``f.eval`` into an ``exactreal.ExactSum``, one exact integer read at every
-ladder rung, so no array of length N is built and memory is O(_CHUNK) at
-any N. At N = 1e6 on ``point:lower:t=inv_e`` the tracemalloc peak is
-1.7 MB for a windy Birkhoff average, 1.5 MB for the disjointness ladder
-and 1.8 MB for a pair correlation, against 40, 40 and 16 MB when the
+exactly rounded: each is the exact sum of its float64 terms, rounded once
+(``math.fsum``'s value wherever its partial sums stay finite), then divided
+by N; a nan or an infinity among the terms raises DomainError, so an
+observable that yields one fails instead of averaging to nan. They stream:
+each chunk of the evaluator, new arrays of at most _CHUNK points, goes
+through ``f.eval`` into an ``exactreal.ExactSum``, one exact integer read
+at every ladder rung, so no array of length N is built and memory is
+O(_CHUNK) at any N. At N = 1e6 on ``point:lower:t=inv_e`` the tracemalloc
+peak is 1.7 MB for a windy Birkhoff average, 1.5 MB for the disjointness
+ladder and 1.8 MB for a pair correlation, against 40, 40 and 16 MB when the
 whole orbit was held. ``orbit_sequence`` still returns all N values.
 """
 
@@ -554,7 +556,7 @@ def _check_params(name: str, positive: bool, **params):
 
 
 # |c| allowed for a constant observable: c^2, a pair correlation's term, then
-# stays far below the overflow guard of ExactSum at any N
+# stays finite, so correlate fails here with this message, not in the sum
 _CONST_MAX = 1e100
 
 
@@ -693,7 +695,7 @@ def birkhoff_average(f: Observable, xi: ModularPoint, N: int,
     """(1/N) sum_{n=1..N} f(xi u^n); the sum is exactly rounded."""
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
-    total = ExactSum(N)
+    total = ExactSum()
     for _, vals in _orbit_chunks(f, xi, range(1, N + 1), precision_bits):
         total.add(vals)
     return total.value() / N
@@ -722,7 +724,7 @@ def pair_correlation(f: Observable, xi: ModularPoint, p: int, q: int, N: int,
         raise ValidationError(f"need distinct positive speeds, got {p}, {q}")
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
-    total = ExactSum(N)
+    total = ExactSum()
     # both speeds give N points, so their chunks pair up
     for (_, vp), (_, vq) in zip(
             _orbit_chunks(f, xi, range(p, p * N + 1, p), precision_bits),
@@ -793,7 +795,7 @@ def mobius_disjointness_sum(xi: ModularPoint, f: Observable, N: int,
     if np.iscomplexobj(nu.values) and np.any(nu.values[1:N + 1].imag):
         raise ValidationError(f"{nu.label}: disjointness needs a real nu on [1,{N}]")
     c = f.exact_mean if f.exact_mean is not None else haar_mean(f)
-    totals, nu_sums = ExactSum(N), ExactSum(N)
+    totals, nu_sums = ExactSum(), ExactSum()
     rows = []
     for lo, vals in _orbit_chunks(f, xi, range(1, N + 1), precision_bits):
         # n = lo + 1 .. lo + len(vals); each rung in that range splits the chunk

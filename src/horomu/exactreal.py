@@ -9,7 +9,8 @@ Three needs drive this module:
   for n up to ~1e9, which a plain float64 product cannot deliver;
 * orbit averages are rounded once from the exact sum of their float64
   terms (``ExactSum``, a running sum in one Python int, fed at array
-  speed in O(chunk) memory).
+  speed in O(chunk) memory, that takes finite terms only and so needs
+  neither a count nor fsum's rules for nan and the infinities).
 
 The fractional parts are computed through a 96-bit fixed-point integer
 image P of the constant, so both the sequence builder and any closed-form
@@ -145,16 +146,13 @@ def frac_parts(value, ns) -> np.ndarray:
 
 
 class ExactSum:
-    """A running sum of float64 values: ``value()`` is, at any point, the
-    correctly rounded sum of everything added so far, equal bit for bit to
-    math.fsum of the values in the order added, with fsum's rules for nan
-    and the infinities (a nan makes the sum nan, an infinity makes it that
-    infinity, and +inf with -inf makes ``value()`` raise fsum's ValueError).
-
-    ``count`` bounds how many values will be added. fsum's partial sums
-    stay finite while count * max|x| <= 2^1021, so ``add`` raises
-    DomainError for a finite |x| >= 2^(1021 - count.bit_length()), where
-    fsum might overflow; a bounded observable never comes near it.
+    """A running sum of finite float64 values: ``value()`` is, at any point,
+    the correctly rounded sum of everything added so far. It equals
+    math.fsum of the values wherever fsum's partial sums stay finite, and
+    needs no headroom where they do not: [1.7e308, 1.7e308, -1.7e308] sums
+    to 1.7e308. ``add`` raises DomainError for values holding a nan or an
+    infinity and then adds none of them; ``value()`` raises DomainError
+    when the sum lies beyond float64.
 
     np.frexp writes each finite value as M * 2^(k - 53) with an integer
     |M| < 2^53, split into a 27-bit high and a 26-bit low half. Per chunk
@@ -166,52 +164,33 @@ class ExactSum:
     O(_SUM_CHUNK) at any count.
     """
 
-    def __init__(self, count: int):
-        self._count = self._room = count
-        self._nbuckets = 1021 - count.bit_length() + _EXP_OFFSET + 1
+    def __init__(self):
         self._total = 0  # in units of 2^-(_EXP_OFFSET + 53)
-        self._special = self._inf = 0.0  # fsum's sums of nans and infinities
 
     def add(self, values) -> None:
         values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.size > self._room:
-            raise ValueError(f"ExactSum has room for {self._room} more values, "
-                             f"got {values.size}")
-        self._room -= values.size
+        total = self._total
         for lo in range(0, values.size, _SUM_CHUNK):
-            self._add_chunk(values[lo:lo + _SUM_CHUNK])
-
-    def _add_chunk(self, chunk: np.ndarray) -> None:
-        nbuckets = self._nbuckets
-        mant, exp = np.frexp(chunk)
-        exp += _EXP_OFFSET
-        mant *= 2.0 ** 27
-        half = np.floor(mant)
-        high = np.bincount(exp, half, nbuckets)
-        if not np.isfinite(high).all():  # a nan or an infinity
-            finite = np.isfinite(chunk)
-            special = chunk[~finite]
-            with np.errstate(invalid="ignore"):  # inf + -inf is nan, as in fsum
-                self._special += float(special.sum())
-                self._inf += float(special[np.isinf(special)].sum())
-            self._add_chunk(chunk[finite])
-            return
-        if high.size > nbuckets:
-            raise DomainError(
-                f"an exactly rounded sum of {self._count} values takes finite "
-                f"values below 2^{nbuckets - _EXP_OFFSET - 1} in magnitude, got "
-                f"{float(np.abs(chunk).max())!r}")
-        mant -= half
-        mant *= 2.0 ** 26
-        low = np.bincount(exp, mant, nbuckets)
-        self._total += _bucket_int(high.astype(np.int64), low.astype(np.int64))
+            chunk = values[lo:lo + _SUM_CHUNK]
+            mant, exp = np.frexp(chunk)
+            exp += _EXP_OFFSET
+            mant *= 2.0 ** 27
+            half = np.floor(mant)
+            high = np.bincount(exp, half)
+            if not np.isfinite(high).all():  # a nan or an infinity
+                bad = chunk[~np.isfinite(chunk)][0]
+                raise DomainError(f"ExactSum takes finite values, got {float(bad)!r}")
+            mant -= half
+            mant *= 2.0 ** 26
+            low = np.bincount(exp, mant)
+            total += _bucket_int(high.astype(np.int64), low.astype(np.int64))
+        self._total = total
 
     def value(self) -> float:
-        if self._special:
-            if math.isnan(self._inf):
-                raise ValueError("-inf + inf in fsum")
-            return self._special
-        return self._total / (1 << (_EXP_OFFSET + 53))
+        try:
+            return self._total / (1 << (_EXP_OFFSET + 53))
+        except OverflowError:
+            raise DomainError("the exact sum lies beyond float64") from None
 
 
 def _bucket_int(high: np.ndarray, low: np.ndarray) -> int:

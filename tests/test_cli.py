@@ -484,7 +484,7 @@ class TestExitCodes:
                      "--out", "/nonexistent-dir/report.json"])
         assert code == EXIT_IO
 
-    def test_descriptor_validation(self, tmp_path):
+    def test_descriptor_validation(self, tmp_path, capsys):
         code = main(["classify", "--z", "sqrt:4",
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_VALIDATION
@@ -494,7 +494,7 @@ class TestExitCodes:
             code = main(["orbit", "--point", "point:identity", "--n", "3",
                          "--obs", obs, "--out", str(tmp_path / "x.json")])
             assert code == EXIT_VALIDATION, obs
-        # finite, but its square would overflow the correlation sums
+        # finite, but its square, a correlation term, would not be
         code = main(["correlate", "--point", "point:lower:t=inv_e", "--n", "10",
                      "--obs", "obs:const:c=1e200", "--out", str(tmp_path / "x.json")])
         assert code == EXIT_VALIDATION
@@ -509,6 +509,7 @@ class TestExitCodes:
                      ["classify", "--z", "sqrt:x"],
                      ["disjointness", "--point", "point:identity", "--n", "10",
                       "--ladder", "10,abc"],
+                     ["disjointness", "--point", "point:identity", "--n", "0"],
                      ["orbit", "--point", "point:lower:t=1/0", "--n", "3"],
                      ["correlate", "--point", "point:identity:junk", "--n", "10"],
                      ["orbit", "--point", "point:lower:t=e", "--n", "0"],
@@ -524,8 +525,12 @@ class TestExitCodes:
                      ["correlate", "--point", "point:lower:t=e", "--n", "200",
                       "--obs", "obs:bump:y0=nan"],
                      ["criterion", "--seq", "const:nan"] + criterion[3:]):
+            capsys.readouterr()
             code = main(args + ["--out", str(tmp_path / "x.json")])
             assert code == EXIT_VALIDATION, args
+            if args[0] == "disjointness" and args[-1] == "0":
+                err = capsys.readouterr().err
+                assert "--n >= 1, got 0" in err, err
 
     @pytest.mark.parametrize("body, expect", [
         (None, EXIT_IO),  # no such file

@@ -18,8 +18,8 @@ from horomu.dynamics import (FundamentalDomainCoords, ModularPoint,
                              pair_correlation, reduce, split_observable,
                              step_observable, windy_observable, _ANCHOR_EVERY,
                              _CHECK_BITS, _CHUNK, _check_delta, _state_error)
-from horomu.errors import (ConvergenceError, DescriptorError, PrecisionError,
-                           ValidationError)
+from horomu.errors import (ConvergenceError, DescriptorError, DomainError,
+                           PrecisionError, ValidationError)
 from horomu.exactreal import SymbolicReal
 
 from conftest import TEST_SEED, reduce_oracle
@@ -542,6 +542,13 @@ class TestAveragesAndCorrelations:
         f = bump_observable(2, 0.5)
         with pytest.raises(ValidationError):
             pair_correlation(f, ModularPoint.identity(), 3, 3, 100)
+
+    def test_nan_term_fails_the_average(self):
+        # the orbit climbs above y = 5 before n = 20000, where f is nan
+        f = Observable("nan-above-5", "k_invariant",
+                       lambda x, y: np.where(y > 5, math.nan, 1.0), cusp_limit=math.nan)
+        with pytest.raises(DomainError, match="finite values"):
+            birkhoff_average(f, ModularPoint.lower("inv_e"), 20000)
 
 
 class TestDisjointness:
