@@ -382,6 +382,8 @@ def _run_orbit(args, timings) -> dict:
 
 def _run_correlate(args, timings) -> dict:
     _require(args, "n", "point")
+    if args.n < 1:
+        raise ValidationError(f"correlate needs --n >= 1, got {args.n}")
     t0 = time.perf_counter()
     xi = parse_point(args.point)
     f = parse_observable(args.obs)

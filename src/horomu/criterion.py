@@ -494,6 +494,10 @@ def _ledger(nu: MultiplicativeTable, F: BoundedSequence, params: DecompositionPa
     if widest > PAIR_PRIME_BUDGET:
         raise CapacityError(f"a block of {widest} primes exceeds the pair budget "
                             f"{PAIR_PRIME_BUDGET}")
+    # D0 q is in P_j0 Q_j0 only for q in S: block j0's sum is not over all of Q_j0
+    if params.d0.denominator == 1 and primes.contains(params.d0.numerator):
+        raise ValidationError(f"D0 = (1 + {params.alpha})^{params.j0} = {params.d0} is a prime "
+                              f"outside (D0, D1): block j0 = {params.j0} does not factor")
     sets = product_sets(params, primes)
     total, leftover_sum, leftover_count, pair_sums, trivial = _window_pass(
         sets, nu.values, F)

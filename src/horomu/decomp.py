@@ -18,13 +18,16 @@ alone forms these bounds and the cofactor caps, in one integer loop;
 lies strictly inside (D0, D1) exactly when p > floor(D0).
 
 The least block of n is the block of the least block prime dividing n,
-which a minimum sieve over the block primes finds, one segment of [0, N)
-at a time. The cofactor sets are read from the least primes of
-m <= q_max(j0), Q_j = {1 <= m <= q_max(j): least block of m > j}, where
-q_max(j) is the largest integer below N/(1+alpha)^(j+1). A
-UNIQUE(j) element n = p*q lands in the product set P_j Q_j when its
-cofactor q <= q_max(j) (then q automatically has no block factor at all,
-so the factorization map P_j x Q_j -> P_j Q_j is one-to-one).
+which a minimum sieve over the block primes finds, one segment at a time.
+The cofactor sets are read from the least primes of m <= q_max(j0),
+Q_j = {1 <= m <= q_max(j): least block of m > j}, where q_max(j) is the
+largest integer below N/(1+alpha)^(j+1). A UNIQUE(j) element n = p*q
+lands in the product set P_j Q_j when its cofactor q <= q_max(j) (then q
+automatically has no block factor at all, so the factorization map
+P_j x Q_j -> P_j Q_j is one-to-one). ``build_decomposition`` sieves all
+of [0, N) and classifies every n; ``product_sets``, which the bilinear
+ledger reads, sieves only m <= q_max(j0) and writes P_j Q_j as the
+products p*q.
 
 All bounds and counts are exact integers.
 """
@@ -43,11 +46,12 @@ from .arith import PrimeTable
 from .errors import CapacityError, DomainError, RangeCoverageError, ValidationError
 
 DECOMP_BUDGET = 30_000_000
-# indices per segment of the builder's sieve: 1 MB of int32 least primes,
+# indices per segment of the sieve: 1 MB of int32 least primes,
 # which stays in a 2 MB L2 cache while every small block prime strikes it
 _SPAN = 1 << 18
-# indices per chunk of the classification: its temporaries take ~0.6 MB,
-# and larger chunks are no faster
+# indices per chunk of the classification, and products per band of the
+# product sets' key: a chunk's temporaries take ~0.6 MB, and larger chunks
+# are no faster
 _GATHER = 1 << 14
 # block primes from here on go by multiplier: any two multiply past the budget
 _LARGE = math.isqrt(DECOMP_BUDGET) + 1
@@ -321,10 +325,13 @@ class Decomposition(_BlockSets):
         return self.window_size - self.count_pq
 
 
-def _lookup_end(params: DecompositionParams) -> int:
-    """One past the largest m whose least block prime the classification
-    reads: a cofactor n/p <= (N - 1) // ceil(D0), or a member of Q_j0."""
-    return max(params.caps[:1] + ((params.n - 1) // int(params.bounds[0]),)) + 1
+def _block_primes(params: DecompositionParams, primes: PrimeTable):
+    """The block primes split into (boundary, small, large): p <= floor(D0),
+    only an integer prime D0, outside (D0, D1); p < _LARGE; the rest."""
+    starts = _block_starts(params, primes)
+    block_primes = primes.primes[starts[0]:starts[-1]]
+    a, b = block_primes.searchsorted((math.floor(params.d0) + 1, _LARGE))
+    return block_primes[:a], block_primes[a:max(a, b)], block_primes[max(a, b):]
 
 
 def _strike(least: np.ndarray, lo: int, primes: np.ndarray) -> None:
@@ -361,56 +368,6 @@ def _sieve(least: np.ndarray, in_s: np.ndarray, lo: int, boundary: np.ndarray,
     _strike(least, lo, boundary)
 
 
-def _classified(params: DecompositionParams, primes: PrimeTable, segment,
-                lookup: np.ndarray):
-    """Sieve [0, N) one _SPAN segment at a time and classify each segment
-    in chunks of _GATHER indices, ascending.
-
-    ``segment(lo, hi)`` gives the int32 and bool arrays of size hi - lo
-    that the segment [lo, hi) is sieved into. ``lookup`` must reach
-    ``_lookup_end``; it takes the least block primes below its end as the
-    walk passes them (a no-op where it is the sieved array itself). Yields
-    (lo, p, in_s, rank, unique, pq) per chunk [lo, lo + p.size): p the
-    least block prime, rank = j - j0 + 1 for its block j (j1 - j0 + 1
-    where no block prime divides n), and whether n is unique and in
-    P_j Q_j; p and in_s are views of the segment arrays, the rest new
-    arrays. With q = n/p, q has no block prime below block j, so n in S
-    is unique exactly when the least block prime of q lies above block j
-    (no second block-j prime and no p^2 divides n), and in P_j Q_j when
-    also q <= q_max(j). q < n, so its least prime is sieved before it is
-    read. q = n/p is taken in float64, which is exact: p divides n (else p
-    is the sentinel and q = 0), and an integer quotient of integers below
-    2^53 rounds to itself.
-    """
-    n, bounds = params.n, params.bounds
-    starts = _block_starts(params, primes)
-    block_primes = primes.primes[starts[0]:starts[-1]]
-    a, b = block_primes.searchsorted((math.floor(params.d0) + 1, _LARGE))
-    boundary, small, large = block_primes[:a], block_primes[a:max(a, b)], block_primes[max(a, b):]
-    # rank of each integer in [bounds[0], bounds[-1]] (the sentinel clips
-    # to j1 - j0 + 1) and, by rank, the least prime a unique cofactor can
-    # have and q_max(j)
-    ranks = np.repeat(np.arange(1, bounds.size + 1, dtype=np.int16),
-                      np.diff(bounds, append=bounds[-1] + 1))
-    above = np.append(bounds, _SENTINEL).astype(np.int32)
-    caps = np.array((0,) + params.caps + (0,), dtype=np.int32)
-    ramp = np.arange(min(n, _GATHER), dtype=np.float64)
-    for lo in range(0, n, _SPAN):
-        hi = min(lo + _SPAN, n)
-        seg_least, seg_in = segment(lo, hi)
-        _sieve(seg_least, seg_in, lo, boundary, small, large)
-        part = lookup[lo:hi]
-        part[...] = seg_least[:part.size]
-        for at in range(0, hi - lo, _GATHER):
-            p, ins = seg_least[at:at + _GATHER], seg_in[at:at + _GATHER]
-            rank = ranks.take(p - bounds[0], mode="clip")
-            q = ((ramp[:p.size] + (lo + at)) / p).astype(np.intp)
-            # q and rank are in range: "wrap" only skips the bounds check
-            unique = (lookup.take(q, mode="wrap") >= above.take(rank, mode="wrap")) & ins
-            pq = (q <= caps.take(rank, mode="wrap")) & unique
-            yield lo + at, p, ins, rank, unique, pq
-
-
 def _q_sets(params: DecompositionParams, blocks: list[PrimeBlock],
             lookup: np.ndarray) -> dict:
     """Q_j = {1 <= m <= q_max(j): least block of m > j}, from the lookup,
@@ -427,35 +384,56 @@ def _check_budget(params: DecompositionParams) -> None:
 def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Decomposition:
     """Classify every n in [1, N) and mark the product sets, by sieving.
 
-    The four per-n outputs are plain numpy arrays. ``_classified`` sieves
-    each segment straight into ``unique_prime`` and ``tags``, and reads the
-    cofactor minima from ``unique_prime`` itself, so beyond its outputs the
-    builder holds one chunk's temporaries and the block tables. Each chunk
-    is counted into the tally as it is written. The pass reads
-    ``unique_prime`` as cofactors up to ``_lookup_end``, so it is masked to
-    the unique primes after the pass, once Q_j is read off.
+    Each _SPAN segment of [0, N) is sieved straight into ``unique_prime``
+    and ``tags``, then classified in chunks of _GATHER indices by the
+    cofactor q = n/p of the least block prime p, in block j: n in S is
+    unique exactly when the least block prime of q lies above block j, and
+    in P_j Q_j when also q <= q_max(j). q < n is read from ``unique_prime``,
+    already sieved, which is masked to the unique primes once the pass is
+    done and Q_j read off. q is taken in float64, which is exact: p divides
+    n (else p is the sentinel and q = 0) and both are below 2^53. Beyond
+    its outputs the builder holds one chunk's temporaries and the block
+    tables, and it counts the tally as it writes each chunk.
     """
     _check_budget(params)
-    n, j0 = params.n, params.j0
+    n, j0, bounds = params.n, params.j0, params.bounds
     blocks = prime_blocks(params, primes)
+    boundary, small, large = _block_primes(params, primes)
+    # rank of each integer in [bounds[0], bounds[-1]] (the sentinel clips
+    # to j1 - j0 + 1) and, by rank, the least prime a unique cofactor can
+    # have and q_max(j)
+    ranks = np.repeat(np.arange(1, bounds.size + 1, dtype=np.int16),
+                      np.diff(bounds, append=bounds[-1] + 1))
+    above = np.append(bounds, _SENTINEL).astype(np.int32)
+    caps = np.array((0,) + params.caps + (0,), dtype=np.int32)
+    ramp = np.arange(min(n, _GATHER), dtype=np.float64)
     # four allocations: one shared 8 B/n buffer took bench bilinear's peak RSS 113 -> 127 MB
     unique_prime, block_of = np.empty(n, np.int32), np.empty(n, np.int16)
     tags, in_pq = np.empty(n, np.int8), np.empty(n, bool)
     tally = np.zeros(4 * (params.j1 + 1), dtype=np.int64)
-    for lo, p, in_s, rank, unique, pq in _classified(
-            params, primes, lambda lo, hi: (unique_prime[lo:hi], tags[lo:hi].view(bool)),
-            unique_prime):
-        in_pq[lo:lo + p.size] = pq
-        block = block_of[lo:lo + p.size]
-        np.add(rank, j0, out=block)  # int16 wraps, so j1 + 1 is safe
-        block *= in_s
-        block -= 1
-        tag = in_s.view(np.int8)
-        tag += tag  # TAG_MULTIPLE = 2 on S, less one where n is unique
-        tag -= unique.view(np.int8)
-        # cell 4 (block_of + 1) + state, with state tag + 2 in_pq < 4
-        tally += np.bincount(4 * block.astype(np.intp) + (tag + 2 * pq.view(np.int8) + 4),
-                             minlength=tally.size)
+    for lo in range(0, n, _SPAN):
+        least, in_s = unique_prime[lo:lo + _SPAN], tags[lo:lo + _SPAN].view(bool)
+        _sieve(least, in_s, lo, boundary, small, large)
+        for at in range(0, least.size, _GATHER):
+            p, ins = least[at:at + _GATHER], in_s[at:at + _GATHER]
+            chunk = slice(lo + at, lo + at + p.size)
+            rank = ranks.take(p - bounds[0], mode="clip")
+            q = ((ramp[:p.size] + chunk.start) / p).astype(np.intp)
+            # q and rank are in range: "wrap" only skips the bounds check
+            unique = (unique_prime.take(q, mode="wrap") >= above.take(rank, mode="wrap")) & ins
+            pq = (q <= caps.take(rank, mode="wrap")) & unique
+            in_pq[chunk] = pq
+            block = block_of[chunk]
+            np.add(rank, j0, out=block)  # int16 wraps, so j1 + 1 is safe
+            block *= ins
+            block -= 1
+            tag = ins.view(np.int8)
+            tag += tag  # TAG_MULTIPLE = 2 on S, less one where n is unique
+            tag -= unique.view(np.int8)
+            # cell 4 (block_of + 1) + state, with state tag + 2 in_pq < 4
+            tally += np.bincount(4 * block.astype(np.intp) + (tag + 2 * pq.view(np.int8) + 4),
+                                 minlength=tally.size)
+    del ramp, ranks, rank, q, unique, pq  # Q_j is read off with only the outputs held
     q_sets = _q_sets(params, blocks, unique_prime)
     for lo in range(0, n, _GATHER):
         chunk = slice(lo, lo + _GATHER)
@@ -465,21 +443,38 @@ def build_decomposition(params: DecompositionParams, primes: PrimeTable) -> Deco
 
 
 def product_sets(params: DecompositionParams, primes: PrimeTable) -> ProductSets:
-    """The blocks, Q_j and the product-set key of every n in [0, N), by the
-    segmented sieve of ``build_decomposition``, holding one segment's
-    buffers and a lookup of ``_lookup_end`` int32 least primes in place of
-    the full arrays."""
+    """The blocks, Q_j and the product-set key of every n in [0, N).
+
+    Q_j is read off the least block primes of m <= q_max(j0), sieved one
+    _SPAN segment at a time. The key is j - j0 + 1 at p q for each prime p
+    of block j and q in Q_j, written in bands of at most _GATHER products:
+    q has no block prime in block j or below, so each n in P_j Q_j is p q
+    for one pair only. An integer prime D0 lies outside (D0, D1), so D0 q
+    is keyed only for q in S, which some block prime divides.
+    """
     _check_budget(params)
-    n = params.n
     blocks = prime_blocks(params, primes)
-    lookup = np.empty(_lookup_end(params), dtype=np.int32)
-    least, in_s = np.empty(min(n, _SPAN), dtype=np.int32), np.empty(min(n, _SPAN), dtype=bool)
-    # j1 - j0 + 1, the rank past the last block, fits the key too
-    key = np.empty(n, dtype=np.int8 if len(blocks) < np.iinfo(np.int8).max else np.int16)
-    for lo, p, _, rank, _, pq in _classified(
-            params, primes, lambda lo, hi: (least[:hi - lo], in_s[:hi - lo]), lookup):
-        np.multiply(rank, pq, out=key[lo:lo + p.size], casting="unsafe")
-    return ProductSets(params, blocks, key, _q_sets(params, blocks, lookup))
+    boundary, small, large = _block_primes(params, primes)
+    lookup = np.empty(params.caps[0] + 1 if params.caps else 0, dtype=np.int32)
+    in_s = np.empty(min(lookup.size, _SPAN), dtype=bool)
+    for lo in range(0, lookup.size, _SPAN):
+        least = lookup[lo:lo + _SPAN]
+        _sieve(least, in_s[:least.size], lo, boundary, small, large)
+    q_sets = _q_sets(params, blocks, lookup)
+    writes = [(rank, block.primes, q_sets[block.j]) for rank, block in enumerate(blocks, 1)]
+    if boundary.size:  # the first primes of block j0
+        _, ps, qs = writes[0]
+        writes[:1] = [(1, ps[boundary.size:], qs),
+                      (1, boundary, qs[lookup.take(qs) < _SENTINEL])]
+    del lookup, in_s
+    key = np.zeros(params.n, dtype=np.int8 if len(blocks) < np.iinfo(np.int8).max
+                   else np.int16)
+    for rank, ps, qs in writes:
+        rows = max(1, _GATHER // max(qs.size, 1))
+        for a in range(0, ps.size, rows):
+            for b in range(0, qs.size, _GATHER):
+                key[np.multiply.outer(ps[a:a + rows], qs[b:b + _GATHER])] = rank
+    return ProductSets(params, blocks, key, q_sets)
 
 
 @dataclass(frozen=True)
@@ -553,13 +548,10 @@ def coverage_report(d: Decomposition, primes: PrimeTable) -> CoverageReport:
         CoverageLine("unfactored_tail", unfactored, 2 * a * n),
         CoverageLine("uncovered_total", d.leftover_count, 3 * a * n),
     ]
-    # every block prime is at least ceil(D0), so p <= floor(D0) only for a
-    # prime integer D0, which is not strictly inside (D0, D1)
-    starts = _block_starts(params, primes)
-    block_primes = primes.primes[starts[0]:starts[-1]]
-    a = block_primes.searchsorted(math.floor(params.d0) + 1)
-    boundary = block_primes[:a].tolist()
-    product = math.prod((1 - 1 / p for p in block_primes[a:].tolist()), start=1.0)
+    boundary, small, large = _block_primes(params, primes)
+    boundary = boundary.tolist()
+    product = math.prod((1 - 1 / p for part in (small, large) for p in part.tolist()),
+                        start=1.0)
     if params.d1.denominator == 1 and primes.contains(params.d1.numerator):
         boundary.append(params.d1.numerator)
     counts = {

@@ -407,7 +407,7 @@ class TestExitCodes:
         # reach it
         with pytest.raises(AssertionError, match="product sets built"):
             main(["criterion", "--nu", "mobius", "--seq", "exp:theta=inv_e",
-                  "--n", "2000", "--alpha", "1", "--j0", "1", "--j1", "10",
+                  "--n", "2000", "--alpha", "1", "--j0", "2", "--j1", "10",
                   "--cutoff", "20", "--out", str(tmp_path / "y.json")])
 
     @pytest.mark.parametrize("plan", [["--cutoff", "inf"],
@@ -510,6 +510,8 @@ class TestExitCodes:
                      ["disjointness", "--point", "point:identity", "--n", "10",
                       "--ladder", "10,abc"],
                      ["disjointness", "--point", "point:identity", "--n", "0"],
+                     ["correlate", "--point", "point:lower:t=inv_e", "--n", "0",
+                      "--mean-zero"],
                      ["orbit", "--point", "point:lower:t=1/0", "--n", "3"],
                      ["correlate", "--point", "point:identity:junk", "--n", "10"],
                      ["orbit", "--point", "point:lower:t=e", "--n", "0"],
@@ -528,9 +530,9 @@ class TestExitCodes:
             capsys.readouterr()
             code = main(args + ["--out", str(tmp_path / "x.json")])
             assert code == EXIT_VALIDATION, args
-            if args[0] == "disjointness" and args[-1] == "0":
+            if args[0] in ("disjointness", "correlate") and "0" in args:
                 err = capsys.readouterr().err
-                assert "--n >= 1, got 0" in err, err
+                assert f"{args[0]} needs --n >= 1, got 0" in err, err
 
     @pytest.mark.parametrize("body, expect", [
         (None, EXIT_IO),  # no such file

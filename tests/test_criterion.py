@@ -502,15 +502,19 @@ class TestLedger:
         mu, F = sieve_mobius(2 * N), BoundedSequence.exponential("sqrt2", 2 * N)
         with pytest.raises(CapacityError, match="block of 75 primes"):
             criterion_ledger(mu, F, N, 1, 1, 10, cutoff=20)
+        # D0 = 2 is a prime outside (D0, D1): 2 q is in P_1 Q_1 only for q
+        # in S, so block 1's pair sum is no sum over all of Q_1
+        with pytest.raises(ValidationError, match=r"D0 = \(1 \+ 1\)\^1 = 2 is a prime.*j0 = 1"):
+            criterion_ledger(mu, F, N, 1, 1, 6, cutoff=20)
         with pytest.raises(AssertionError, match="product sets built"):
             criterion_ledger(*args, cutoff=20)
 
     def test_peak_stays_below_a_decomposition(self):
         # the ledger holds the product-set key (1 B/n) and Q_j, and while
-        # it builds them one segment's int32 and bool buffers, the lookup
-        # and ~1 MB of chunk buffers and tables; then at most three tiles
-        # of ROW_TILE complex entries. A full Decomposition alone takes
-        # 9.74 B/n here
+        # it builds them the int32 lookup of m <= q_max(j0), one segment's
+        # bool buffer and then one band of _GATHER int64 products; then at
+        # most three tiles of ROW_TILE complex entries. A full
+        # Decomposition alone takes 9.74 B/n here
         n = 10 ** 6
         horizon = math.ceil(1.3 * n)
         nu, F = sieve_mobius(n), BoundedSequence.exponential("inv_e", horizon)
@@ -523,7 +527,7 @@ class TestLedger:
             tracemalloc.stop()
         sets = _product_sets(n, "3/10", 9, 30)
         held = sets.key.nbytes + sum(q.nbytes for q in sets.q_sets.values())
-        build = (4 * decomp._lookup_end(sets.params) + 5 * decomp._SPAN + (1 << 20))
+        build = 4 * (sets.params.q_max(sets.params.j0) + 1) + 5 * decomp._SPAN + (1 << 20)
         tiles = 3 * criterion.ROW_TILE * 16
         assert peak <= held + build + tiles, peak
         assert peak < 9.74 * n, peak

@@ -386,19 +386,16 @@ class TestSegmentedCore:
         (4000, 1, 1, 11),                # D0 = 2 an integer prime; N below one segment
         (50_000, Fraction(1, 100), 1, 300),  # 299 blocks: the key is int16
         (2 * decomp._SPAN, Fraction(3, 10), 9, 30),  # N a multiple of the segment
-        # N no multiple of the segment; the lookup ends at 272,728, inside a chunk
-        (3 * 10 ** 6, Fraction(3, 10), 9, 30),
+        (3 * 10 ** 6, Fraction(3, 10), 9, 30),  # N no multiple of the segment
         # block primes above isqrt(DECOMP_BUDGET), with D0 = 2 in the first
         (10 ** 6, 1, 1, 19),
+        # the product sets' sieve of m <= q_max(j0) = 493,827 takes two segments
         (2_500_000, Fraction(1, 2), 3, 36),
     ])
     def test_equals_unsegmented_builder(self, args):
         params = DecompositionParams(*args)
         primes = sieve_primes(int(math.ceil(float(params.d1))) + 1)
-        end = decomp._lookup_end(params)
         dec, sets = assert_equals_unsegmented(params, primes)
-        if args[0] == 3 * 10 ** 6:
-            assert end == 272_728 and end % decomp._GATHER and end > decomp._SPAN
         if params.bounds[-1] > decomp._LARGE:
             assert dec.unique_prime.max() >= decomp._LARGE
         assert np.count_nonzero(sets.key) == dec.count_pq
@@ -407,8 +404,8 @@ class TestSegmentedCore:
     @given(params=small_windows(), span=st.sampled_from([64, 96, 100, 4096]),
            gather=st.sampled_from([16, 32, 1 << 14]))
     @example(params=DecompositionParams(4000, Fraction(1), 1, 11), span=100, gather=32)
-    # the lookup ends at 104, in the chunk [100, 132) of the second segment,
-    # which crosses a multiple of 32
+    # the builder reads cofactors up to (N - 1) // 2 = 103, in the chunk
+    # [100, 132) of the second segment, which crosses a multiple of 32
     @example(params=DecompositionParams(207, Fraction(1), 1, 7), span=100, gather=32)
     def test_small_segments_and_large_primes(self, primes_10k, params, span, gather):
         # every path at N <= 4000: segments and chunks down to 16 indices,
@@ -422,35 +419,32 @@ class TestSegmentedCore:
         for n in range(1, params.n, 37):
             assert dec.classification(n) == classify(n, params, primes_10k), n
 
-    def test_kept_chunks_stay_valid(self):
-        # every chunk the core yields is its own array: keeping all of them
-        # until the walk ends changes none. The segment arrays are new per
-        # segment and the lookup is separate, so nothing else is shared
-        params = DecompositionParams(3 * 10 ** 5, Fraction(3, 10), 9, 30)
-        primes = sieve_primes(int(math.ceil(float(params.d1))) + 1)
-        lookup = np.empty(decomp._lookup_end(params), dtype=np.int32)
-        chunks = list(decomp._classified(
-            params, primes, lambda lo, hi: (np.empty(hi - lo, np.int32),
-                                            np.empty(hi - lo, bool)), lookup))
-        tags, block_of, _, in_pq, _ = unsegmented_decomposition(params, primes)
-        rank = np.where(tags > 0, block_of.astype(np.int64) - (params.j0 - 1), 0)
-        assert [lo for lo, *_ in chunks] == list(range(0, params.n, decomp._GATHER))
-        for lo, p, in_s, got_rank, unique, pq in chunks:
-            chunk = slice(lo, lo + p.size)
-            assert np.array_equal(got_rank * in_s, rank[chunk]), lo
-            assert np.array_equal(unique, tags[chunk] == TAG_UNIQUE), lo
-            assert np.array_equal(pq, in_pq[chunk]), lo
-
     def test_per_n_arrays_own_their_memory(self, dec_pow2):
         # four allocations, not views of one shared 8 B/n buffer
         for arr in (dec_pow2.tags, dec_pow2.block_of, dec_pow2.unique_prime,
                     dec_pow2.in_pq):
             assert arr.base is None and arr.size == dec_pow2.params.n
 
+    def test_product_sets_sieve_only_the_cofactors(self, monkeypatch):
+        # Q_j needs the least block primes of m <= q_max(j0), and nothing
+        # of [0, N) beyond them is sieved
+        params = DecompositionParams(2_500_000, Fraction(1, 2), 3, 36)
+        primes = sieve_primes(int(math.ceil(float(params.d1))) + 1)
+        sieved, sieve = [], decomp._sieve
+
+        def counted(least, in_s, lo, *blocks):
+            sieved.append((lo, least.size))
+            sieve(least, in_s, lo, *blocks)
+
+        monkeypatch.setattr(decomp, "_sieve", counted)
+        product_sets(params, primes)
+        end = params.q_max(params.j0) + 1  # 493,828: two segments
+        assert sieved == [(0, decomp._SPAN), (decomp._SPAN, end - decomp._SPAN)]
+
     def test_product_sets_hold_less_than_the_decomposition(self):
-        # beyond its key (1 B/n) and Q_j the view holds one segment's
-        # int32 and bool buffers, the int32 lookup and the chunk buffers;
-        # the full build's outputs are 8 B/n and Q_j
+        # beyond its key (1 B/n) and Q_j the view holds the int32 lookup of
+        # m <= q_max(j0) and one segment's bool buffer, and then one band
+        # of _GATHER int64 products; the full build's outputs are 8 B/n and Q_j
         params = DecompositionParams(10 ** 6, Fraction(3, 10), 9, 30)
         primes = sieve_primes(3000)
         tracemalloc.start()
@@ -461,7 +455,7 @@ class TestSegmentedCore:
         finally:
             tracemalloc.stop()
         q_bytes = sum(q.nbytes for q in sets.q_sets.values())
-        lookup = 4 * decomp._lookup_end(params)
+        lookup = 4 * (params.q_max(params.j0) + 1)
         assert peak <= sets.key.nbytes + q_bytes + lookup + 5 * decomp._SPAN + (1 << 20), peak
         assert peak < (8 * params.n + q_bytes) / 2, peak
 
