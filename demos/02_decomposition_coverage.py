@@ -6,11 +6,10 @@ then prints the exact counts next to the asymptotic reference fractions
 (alpha, alpha, 2 alpha, 3 alpha of N) that motivate the construction.
 """
 
-import math
 from fractions import Fraction
 
 from horomu import (DecompositionParams, build_decomposition, coverage_report,
-                    default_schedule, sieve_primes)
+                    default_schedule, sieve_primes, window_primes)
 
 alpha = Fraction(3, 10)
 params = DecompositionParams(10 ** 5, alpha, 9, 30)
@@ -21,7 +20,7 @@ print(f"(the canonical schedule for this alpha would be j0, j1 = "
       f"{default_schedule(0.25)} at alpha = 0.25 -- astronomically out of "
       "reach at desk N, hence the overrides)")
 
-primes = sieve_primes(int(math.ceil(float(params.d1))) + 1)
+primes = window_primes(params)
 dec = build_decomposition(params, primes)
 
 print()

@@ -22,7 +22,8 @@ from .criterion import (BoundedSequence, CriterionReport, PairCorrelation,
                         tau_estimate, vinogradov_bound, weighted_sum)
 from .decomp import (Classification, CoverageReport, Decomposition, DecompositionParams,
                      PrimeBlock, build_decomposition, classify, coverage_report,
-                     default_schedule, prime_blocks, q_membership)
+                     default_schedule, prime_blocks, q_membership,
+                     window_primes)
 from .dynamics import (CorrelationEstimate, FundamentalDomainCoords,
                        Genericity, ModularPoint, Observable, OrbitEvaluator,
                        QuadratureSpec, birkhoff_average, bump_observable,

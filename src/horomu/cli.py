@@ -14,7 +14,6 @@ import contextlib
 import csv
 import inspect
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -26,7 +25,7 @@ from .arith import (SEGMENT, MultiplicativeTable, sieve_liouville, sieve_mobius,
 from .criterion import BoundedSequence, _ledger, _pair_plan
 from .correlator import PointDescriptor, classify_correlator
 from .decomp import (DecompositionParams, build_decomposition, coverage_report,
-                     default_schedule)
+                     default_schedule, window_primes)
 from .dynamics import (ModularPoint, OBSERVABLE_FACTORIES, Observable,
                        OrbitEvaluator, QuadratureSpec, genericity,
                        mobius_disjointness_sum, orbit_sequence, pair_correlation,
@@ -319,7 +318,7 @@ def _run_decompose(args, timings) -> dict:
     else:
         j0, j1 = args.j0, args.j1
     params = DecompositionParams(args.n, alpha, j0, j1)
-    primes = sieve_primes(max(int(math.ceil(float(params.d1))) + 1, 3))
+    primes = window_primes(params)
     timings["sieve"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     dec = build_decomposition(params, primes)
@@ -335,11 +334,10 @@ def _run_criterion(args, timings) -> dict:
     if args.j0 is None or args.j1 is None:
         raise ValidationError("criterion at desk scale requires explicit --j0/--j1")
     params = DecompositionParams(args.n, alpha, args.j0, args.j1)
-    horizon = int(-(-args.n * (1 + alpha) // 1))
     excluded = parse_excluded(args.exclude)
-    _pair_plan(horizon, args.cutoff, args.m, excluded, args.n)  # before nu and F
+    _pair_plan(params.horizon, args.cutoff, args.m, excluded, args.n)  # before nu and F
     nu = parse_nu(args.nu, args.n)
-    F = parse_sequence(args.seq, horizon, args.precision_bits)
+    F = parse_sequence(args.seq, params.horizon, args.precision_bits)
     timings["inputs"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     rep = _ledger(nu, F, params, excluded, cutoff=args.cutoff, M=args.m)

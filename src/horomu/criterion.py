@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import MultiplicativeTable, check_unit_bound, sieve_primes
-from .decomp import DecompositionParams, ProductSets, prime_blocks, product_sets
+from .decomp import (DecompositionParams, ProductSets, prime_blocks, product_sets,
+                     window_primes)
 from .errors import (CapacityError, DomainError, EmptyPairSetError, HorizonError,
                      ValidationError)
 from .exactreal import FRAC_SHIFT, fixed_point_image, frac_parts
@@ -482,22 +483,17 @@ def _ledger(nu: MultiplicativeTable, F: BoundedSequence, params: DecompositionPa
     """criterion_ledger over the window and blocks of the built ``params``,
     so a caller that has already checked them builds their bounds once."""
     N = params.n
-    need = math.ceil(Fraction(N) * params.base)
-    if F.horizon < need:
-        raise HorizonError(
-            f"ledger needs F on [1,{need}] (range extension), horizon {F.horizon}")
+    if F.horizon < params.horizon:
+        raise HorizonError(f"ledger needs F on [1,{params.horizon}] (range extension), "
+                           f"horizon {F.horizon}")
     if nu.n_max < N - 1:
         raise HorizonError(f"nu table covers [1,{nu.n_max}], need {N - 1}")
     _pair_plan(F.horizon, cutoff, M, excluded, N)  # fail before the costly steps
-    primes = sieve_primes(max(int(math.ceil(float(params.d1))) + 1, 3))
+    primes = window_primes(params)
     widest = max(map(len, prime_blocks(params, primes)), default=0)
     if widest > PAIR_PRIME_BUDGET:
         raise CapacityError(f"a block of {widest} primes exceeds the pair budget "
                             f"{PAIR_PRIME_BUDGET}")
-    # D0 q is in P_j0 Q_j0 only for q in S: block j0's sum is not over all of Q_j0
-    if params.d0.denominator == 1 and primes.contains(params.d0.numerator):
-        raise ValidationError(f"D0 = (1 + {params.alpha})^{params.j0} = {params.d0} is a prime "
-                              f"outside (D0, D1): block j0 = {params.j0} does not factor")
     sets = product_sets(params, primes)
     total, leftover_sum, leftover_count, pair_sums, trivial = _window_pass(
         sets, nu.values, F)

@@ -26,8 +26,8 @@ lands in the product set P_j Q_j when its cofactor q <= q_max(j) (then q
 automatically has no block factor at all, so the factorization map
 P_j x Q_j -> P_j Q_j is one-to-one). ``build_decomposition`` sieves all
 of [0, N) and classifies every n; ``product_sets``, which the bilinear
-ledger reads, sieves only m <= q_max(j0) and writes P_j Q_j as the
-products p*q.
+ledger reads, refuses an integer prime D0, sieves only m <= q_max(j0)
+and writes P_j Q_j as the products p*q.
 
 All bounds and counts are exact integers.
 """
@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import PrimeTable
+from .arith import PrimeTable, sieve_primes
 from .errors import CapacityError, DomainError, RangeCoverageError, ValidationError
 
 DECOMP_BUDGET = 30_000_000
@@ -145,6 +145,11 @@ class DecompositionParams:
         return self.base ** self.j1
 
     @property
+    def horizon(self) -> int:
+        """ceil(N (1+alpha)): the range extension reads F up to here."""
+        return math.ceil(self.n * self.base)
+
+    @property
     def block_range(self) -> range:
         """Block indices j0 .. j1-1: these tile [D0, D1)."""
         return range(self.j0, self.j1)
@@ -171,6 +176,11 @@ class PrimeBlock:
 
     def __len__(self):
         return len(self.primes)
+
+
+def window_primes(params: DecompositionParams) -> PrimeTable:
+    """Every prime up to ceil(D1), the top bound of the blocks."""
+    return sieve_primes(int(params.bounds[-1]))
 
 
 def _block_starts(params: DecompositionParams, primes: PrimeTable) -> list[int]:
@@ -449,27 +459,27 @@ def product_sets(params: DecompositionParams, primes: PrimeTable) -> ProductSets
     _SPAN segment at a time. The key is j - j0 + 1 at p q for each prime p
     of block j and q in Q_j, written in bands of at most _GATHER products:
     q has no block prime in block j or below, so each n in P_j Q_j is p q
-    for one pair only. An integer prime D0 lies outside (D0, D1), so D0 q
-    is keyed only for q in S, which some block prime divides.
+    for one pair only. An integer prime D0 is refused: it lies outside
+    (D0, D1), so D0 q is in P_j0 Q_j0 only for q in S, and block j0 does
+    not factor.
     """
+    if params.d0.denominator == 1 and primes.contains(params.d0.numerator):
+        raise ValidationError(f"D0 = (1 + {params.alpha})^{params.j0} = {params.d0} is a prime "
+                              f"outside (D0, D1): block j0 = {params.j0} does not factor")
     _check_budget(params)
     blocks = prime_blocks(params, primes)
-    boundary, small, large = _block_primes(params, primes)
+    boundary, small, large = _block_primes(params, primes)  # boundary is empty here
     lookup = np.empty(params.caps[0] + 1 if params.caps else 0, dtype=np.int32)
     in_s = np.empty(min(lookup.size, _SPAN), dtype=bool)
     for lo in range(0, lookup.size, _SPAN):
         least = lookup[lo:lo + _SPAN]
         _sieve(least, in_s[:least.size], lo, boundary, small, large)
     q_sets = _q_sets(params, blocks, lookup)
-    writes = [(rank, block.primes, q_sets[block.j]) for rank, block in enumerate(blocks, 1)]
-    if boundary.size:  # the first primes of block j0
-        _, ps, qs = writes[0]
-        writes[:1] = [(1, ps[boundary.size:], qs),
-                      (1, boundary, qs[lookup.take(qs) < _SENTINEL])]
     del lookup, in_s
     key = np.zeros(params.n, dtype=np.int8 if len(blocks) < np.iinfo(np.int8).max
                    else np.int16)
-    for rank, ps, qs in writes:
+    for rank, block in enumerate(blocks, 1):
+        ps, qs = block.primes, q_sets[block.j]
         rows = max(1, _GATHER // max(qs.size, 1))
         for a in range(0, ps.size, rows):
             for b in range(0, qs.size, _GATHER):

@@ -60,7 +60,8 @@ from .arith import MultiplicativeTable
 from .criterion import BoundedSequence
 from .errors import (ConvergenceError, DescriptorError, PrecisionError,
                      ValidationError)
-from .exactreal import ExactSum, SymbolicReal, as_symbolic, ratio_as_rational
+from .exactreal import (ExactSum, SymbolicReal, as_symbolic, fixed_point_image,
+                        ratio_as_rational)
 
 _MAX_REDUCE_STEPS = 20000
 
@@ -137,26 +138,17 @@ def reduce(z, precision_bits: int = 128) -> FundamentalDomainCoords:
     Accepts a complex number or an (x, y) pair; y must be positive and
     above the fixed-point resolution 2^-precision_bits.
     """
-    if isinstance(z, complex):
-        xr, yr = z.real, z.imag
-    else:
-        xr, yr = z
+    xr, yr = (z.real, z.imag) if isinstance(z, complex) else z
     if not yr > 0:
         raise ValidationError(f"need Im z > 0, got {yr}")
-    one = 1 << precision_bits
-    x = _to_fixed(xr, precision_bits)
-    y = _to_fixed(yr, precision_bits)
+    x, y = fixed_point_image(xr, precision_bits), fixed_point_image(yr, precision_bits)
     if y <= 0:
         raise PrecisionError(
             f"Im z = {yr} is below the working-precision floor 2^-{precision_bits}")
     x, y, gamma = _reduce_fixed(x, y, precision_bits)
     p, q, r, s = _normalize_gamma(*gamma)
+    one = 1 << precision_bits
     return FundamentalDomainCoords(x / one, y / one, None, ((p, q), (r, s)))
-
-
-def _to_fixed(v, bits: int) -> int:
-    f = Fraction(v)
-    return (f.numerator << bits) // f.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +160,7 @@ class ModularPoint:
 
     Entries are exact scalars q0 + q1*sigma sharing one symbolic constant,
     so the cusp direction xi(inf) = a/c is decided symbolically and the
-    determinant is checked exactly whenever it stays in the module.
+    determinant is checked exactly.
     """
 
     def __init__(self, a, b, c, d):
@@ -176,21 +168,16 @@ class ModularPoint:
         syms = {e.symbol for e in self.entries if e.symbol is not None}
         if len(syms) > 1:
             raise DescriptorError(f"entries mix symbolic constants {sorted(syms)}")
-        self._check_det()
+        self._check_det(*syms)
 
-    def _check_det(self):
+    def _check_det(self, symbol: Optional[str] = None):
+        """det = a d - b c = k0 + k1 sigma + k2 sigma^2 over Q, from
+        ``SymbolicReal.product_terms``: exactly 1 when (k0, k1, k2) = (1, 0, 0)."""
         a, b, c, d = self.entries
-        try:
-            det = a * d - b * c
-            if det != SymbolicReal.rat(1):
-                raise ValidationError(f"det(xi) = {det} != 1")
-        except DescriptorError:
-            # product leaves the affine module: verify numerically instead
-            prec = 256
-            det = (a.mpf_value(prec) * d.mpf_value(prec)
-                   - b.mpf_value(prec) * c.mpf_value(prec))
-            if abs(det - 1) > 1e-12:
-                raise ValidationError(f"det(xi) = {det} not within 1e-12 of 1")
+        k0, k1, k2 = (x - y for x, y in zip(a.product_terms(d), b.product_terms(c)))
+        if (k0, k1, k2) != (1, 0, 0):
+            det = str(SymbolicReal(k0, k1, symbol)) + (f" + ({k2})*{symbol}^2" if k2 else "")
+            raise ValidationError(f"det(xi) = {det} != 1")
 
     # -- constructors ---------------------------------------------------
     @classmethod

@@ -84,27 +84,21 @@ def symbol_spec(name: str) -> SymbolSpec:
 
 
 def fixed_point_image(value, bits: int) -> int:
-    """floor(value * 2^bits) for anything ``as_symbolic`` reads, from the
-    value at bits + 64 bits of mpmath precision below the units of its
-    larger term, so a large value keeps 64 guard bits below 2^-bits too."""
+    """floor(value * 2^bits) for anything ``as_symbolic`` reads: in integers
+    for a rational value, else from the value at bits + 64 bits of mpmath
+    precision below the units of its larger term, so a large value keeps 64
+    guard bits below 2^-bits too."""
     x = as_symbolic(value)
-    prec = bits + 64 + _term_bits(x)
+    if x.is_rational:
+        return (x.rational.numerator << bits) // x.rational.denominator
+    sigma_bits = max(0, int(mp.mag(symbol_spec(x.symbol).evaluate())))
+    prec = bits + 64 + max(_whole_bits(x.rational), _whole_bits(x.coeff) + sigma_bits)
     old = mp.prec
     try:
         mp.prec = prec
         return int(mp.floor(x.mpf_value(prec) * (mpf(2) ** bits)))
     finally:
         mp.prec = old
-
-
-def _term_bits(x: SymbolicReal) -> int:
-    """A k >= 0 with |q0| < 2^k and |q1 sigma| <= 2^k for x = q0 + q1 sigma:
-    the bits of its larger term above the units."""
-    bits = _whole_bits(x.rational)
-    if x.symbol is not None:
-        sigma = symbol_spec(x.symbol).evaluate()
-        bits = max(bits, _whole_bits(x.coeff) + max(0, int(mp.mag(sigma))))
-    return bits
 
 
 def _whole_bits(q: Fraction) -> int:
@@ -302,24 +296,27 @@ class SymbolicReal:
     def __neg__(self):
         return SymbolicReal(-self.rational, -self.coeff, self.symbol)
 
+    def product_terms(self, other) -> tuple[Fraction, Fraction, Fraction]:
+        """(k0, k1, k2) with self*other = k0 + k1 sigma + k2 sigma^2 over Q.
+        A quadratic sigma^2 = a + b sigma is folded in, so k2 = 0; k2 != 0
+        only for a transcendental sigma, where 1, sigma and sigma^2 are
+        independent over Q."""
+        other = as_symbolic(other)
+        sym = self._compatible(other)
+        k0 = self.rational * other.rational
+        k1 = self.rational * other.coeff + self.coeff * other.rational
+        k2 = self.coeff * other.coeff
+        square = symbol_spec(sym).square if k2 else None
+        if square is not None:
+            k0, k1, k2 = k0 + k2 * square[0], k1 + k2 * square[1], Fraction(0)
+        return k0, k1, k2
+
     def __mul__(self, other):
         other = as_symbolic(other)
-        if self.symbol is None or other.symbol is None:
-            sym = self._compatible(other)
-            if self.symbol is None:
-                r, c = other.rational, other.coeff
-                k = self.rational
-            else:
-                r, c = self.rational, self.coeff
-                k = other.rational
-            return SymbolicReal(k * r, k * c, sym)
-        sym = self._compatible(other)
-        a, b = self._square()
-        cross = self.coeff * other.coeff
-        return SymbolicReal(
-            self.rational * other.rational + cross * a,
-            self.rational * other.coeff + self.coeff * other.rational + cross * b,
-            sym)
+        k0, k1, k2 = self.product_terms(other)
+        if k2:
+            self._square()  # raises: sigma^2 leaves the affine module
+        return SymbolicReal(k0, k1, self._compatible(other))
 
     def __truediv__(self, other):
         other = as_symbolic(other)
@@ -401,18 +398,14 @@ class SymbolicReal:
         return f"SymbolicReal({self.rational} + {self.coeff}*{self.symbol})"
 
     def __str__(self):
+        """In the grammar ``parse`` reads; a coefficient 1 goes, and -1 after q0."""
         if self.symbol is None:
             return str(self.rational)
-        parts = []
-        if self.rational:
-            parts.append(str(self.rational))
-        coef = "" if self.coeff == 1 else f"{self.coeff}*"
-        term = f"{coef}{self.symbol}"
-        if not parts:
-            return term
-        sign = "+" if self.coeff > 0 else "-"
-        mag = term if self.coeff > 0 else f"{-self.coeff if self.coeff != -1 else ''}{'*' if self.coeff not in (1, -1) else ''}{self.symbol}"
-        return f"{parts[0]}{sign}{mag}"
+        if not self.rational:
+            return self.symbol if self.coeff == 1 else f"{self.coeff}*{self.symbol}"
+        size = abs(self.coeff)
+        term = self.symbol if size == 1 else f"{size}*{self.symbol}"
+        return f"{self.rational}{'+' if self.coeff > 0 else '-'}{term}"
 
 
 # the exponent of a numeral Fraction reads, such as 1e-3 or 2.5E+7

@@ -16,14 +16,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from horomu.arith import sieve_liouville, sieve_mobius, sieve_primes
+from horomu.arith import sieve_liouville, sieve_mobius
 from horomu.criterion import (BoundedSequence, criterion_ledger, tau_estimate,
                               vinogradov_bound, weighted_sum)
 from horomu.correlator import (ParabolicElement, PointDescriptor,
                                classify_correlator, conjugation_exponent_check,
                                surd_group_element)
 from horomu.decomp import (TAG_UNIQUE, DecompositionParams, build_decomposition,
-                           classify, coverage_report, q_membership)
+                           classify, coverage_report, q_membership,
+                           window_primes)
 from horomu.dynamics import (ModularPoint, QuadratureSpec, bump_observable,
                              const_observable, domain_mass, haar_mean,
                              horocycle_point, mobius_disjointness_sum,
@@ -63,7 +64,7 @@ def test_criterion_01_sieve_oracle_equivalence():
 def test_criterion_02_decomposition_exactness():
     t0 = time.time()
     params = DecompositionParams(10 ** 5, Fraction(3, 10), 9, 30)
-    primes = sieve_primes(int(math.ceil(float(params.d1))) + 1)
+    primes = window_primes(params)
     dec = build_decomposition(params, primes)
 
     # disjointness + classification consistency, exhaustively via the
@@ -104,7 +105,7 @@ def test_criterion_02_decomposition_exactness():
 def test_criterion_03_coverage_vs_mertens_product():
     t0 = time.time()
     params = DecompositionParams(10 ** 6, Fraction(3, 10), 9, 30)
-    primes = sieve_primes(int(math.ceil(float(params.d1))) + 1)
+    primes = window_primes(params)
     dec = build_decomposition(params, primes)
     rep = coverage_report(dec, primes)
     measured = float(rep.complement_fraction)

@@ -290,6 +290,17 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert report["result"]["point"] == "ModularPoint([sqrt2, 0; 0, 1/2*sqrt2])"
 
+    def test_orbit_refuses_a_det_off_one_by_1e_14(self, tmp_path, capsys):
+        # det = 1 + 10^-14 (1 + pi), decided exactly through the pi^2 terms
+        code, report = run(["orbit", "--point",
+                            "point:matrix:1+pi;pi;2+pi;100000000000001/100000000000000+pi",
+                            "--n", "5"], tmp_path)
+        assert code == EXIT_VALIDATION and report is None
+        assert "error[validation]: det(xi) = 100000000000001/" in capsys.readouterr().err
+        code, _ = run(["orbit", "--point", "point:matrix:1+pi;pi;2+pi;1+pi", "--n", "5"],
+                      tmp_path)
+        assert code == EXIT_OK
+
     def test_orbit_mean_f_is_fsum(self, tmp_path):
         code, report = run(["orbit", "--point", "point:lower:t=inv_e", "--obs",
                             "obs:windy:y0=2,width=0.5", "--n", "3000"], tmp_path)

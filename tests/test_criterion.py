@@ -8,11 +8,12 @@ import pytest
 from mpmath import mp
 
 from horomu import criterion, decomp
-from horomu.arith import SEGMENT, MultiplicativeTable, sieve_mobius, sieve_primes
+from horomu.arith import SEGMENT, MultiplicativeTable, sieve_mobius
 from horomu.criterion import (TRIG_CHUNK, BoundedSequence, bilinear_sum,
                               criterion_ledger, tau_estimate, vinogradov_bound,
                               weighted_sum)
-from horomu.decomp import DecompositionParams, build_decomposition, product_sets
+from horomu.decomp import (DecompositionParams, build_decomposition, product_sets,
+                           window_primes)
 from horomu.dynamics import (ModularPoint, bump_observable, orbit_sequence,
                              pair_correlation, split_observable)
 from horomu.errors import (CapacityError, DomainError, EmptyPairSetError,
@@ -502,12 +503,14 @@ class TestLedger:
         mu, F = sieve_mobius(2 * N), BoundedSequence.exponential("sqrt2", 2 * N)
         with pytest.raises(CapacityError, match="block of 75 primes"):
             criterion_ledger(mu, F, N, 1, 1, 10, cutoff=20)
-        # D0 = 2 is a prime outside (D0, D1): 2 q is in P_1 Q_1 only for q
-        # in S, so block 1's pair sum is no sum over all of Q_1
-        with pytest.raises(ValidationError, match=r"D0 = \(1 \+ 1\)\^1 = 2 is a prime.*j0 = 1"):
-            criterion_ledger(mu, F, N, 1, 1, 6, cutoff=20)
         with pytest.raises(AssertionError, match="product sets built"):
             criterion_ledger(*args, cutoff=20)
+        # D0 = 2 is a prime outside (D0, D1): 2 q is in P_1 Q_1 only for q
+        # in S, so block 1's pair sum is no sum over all of Q_1, and
+        # product_sets refuses the window before it sieves
+        monkeypatch.undo()
+        with pytest.raises(ValidationError, match=r"D0 = \(1 \+ 1\)\^1 = 2 is a prime.*j0 = 1"):
+            criterion_ledger(mu, F, N, 1, 1, 6, cutoff=20)
 
     def test_peak_stays_below_a_decomposition(self):
         # the ledger holds the product-set key (1 B/n) and Q_j, and while
@@ -586,19 +589,15 @@ def test_near_total_correlation_is_inconclusive(n):
     assert rep.exact_chain_holds and rep.verdict == "inconclusive"
 
 
-def _primes_for(params):
-    return sieve_primes(int(math.ceil(float(params.d1))) + 1)
-
-
 def _product_sets(n, alpha, j0, j1):
     """What the ledger reads of the window: the blocks, Q_j and the key."""
     params = DecompositionParams(n, Fraction(alpha), j0, j1)
-    return product_sets(params, _primes_for(params))
+    return product_sets(params, window_primes(params))
 
 
 def _decomposition(params):
     """The full decomposition of the window, built apart from the ledger's view."""
-    return build_decomposition(params, _primes_for(params))
+    return build_decomposition(params, window_primes(params))
 
 
 class TestBlockMembers:
@@ -811,7 +810,7 @@ def _window_inputs(n, alpha, j0, j1, weighted=False):
 
 class TestWindowPass:
     @pytest.mark.parametrize("args, block", [
-        ((1000, 1, 1, 4), None),            # N below one block
+        ((1000, 1, 2, 5), None),            # N below one block
         ((5000, "3/10", 5, 12), None),      # N not a multiple of the block
         ((20_000, "1/10", 10, 60), None),   # blocks without members
         ((100, 1, 3, 3), None),             # j0 == j1: no blocks at all

@@ -14,7 +14,7 @@ from horomu.arith import sieve_primes
 from horomu.decomp import (DECOMP_BUDGET, TAG_MULTIPLE, TAG_NOT_IN_S, TAG_UNIQUE,
                            Classification, DecompositionParams, build_decomposition,
                            classify, coverage_report, default_schedule, prime_blocks,
-                           product_sets, q_membership)
+                           product_sets, q_membership, window_primes)
 from horomu.errors import (CapacityError, DomainError, RangeCoverageError,
                            ValidationError)
 
@@ -50,6 +50,13 @@ class TestParams:
     def test_derived_bounds(self, params_pow2):
         assert params_pow2.d0 == 2 and params_pow2.d1 == 16
         assert list(params_pow2.block_range) == [1, 2, 3]
+
+    def test_horizon_and_window_primes(self):
+        # ceil(N (1 + alpha)), exact where N (1 + alpha) is an integer
+        assert DecompositionParams(3 * 10 ** 6, Fraction(3, 10), 9, 30).horizon == 3_900_000
+        params = DecompositionParams(1000, Fraction(1, 3), 2, 9)  # D1 = 4^9/3^9 = 13.3
+        assert params.horizon == 1334
+        assert window_primes(params).primes.tolist() == [2, 3, 5, 7, 11, 13]
 
     def test_powers_computed_once(self):
         a = DecompositionParams(1000, Fraction(1, 2), 2, 9)
@@ -355,7 +362,8 @@ class TestBuildProperties:
 def assert_equals_unsegmented(params, primes):
     """The builder's arrays, dtypes, tally and Q_j equal those of the
     unsegmented reference, and the ledger's key and Q_j equal those read
-    off them."""
+    off them; at an integer prime D0 the ledger's view is refused, and
+    ``sets`` is None."""
     dec = build_decomposition(params, primes)
     tags, block_of, unique_prime, in_pq, q_sets = unsegmented_decomposition(params, primes)
     for got, want in ((dec.tags, tags), (dec.block_of, block_of),
@@ -367,6 +375,10 @@ def assert_equals_unsegmented(params, primes):
     assert list(dec.q_sets) == list(q_sets) == list(params.block_range)
     for j, want in q_sets.items():
         assert dec.q_set(j).dtype == want.dtype and np.array_equal(dec.q_set(j), want), j
+    if params.d0.denominator == 1 and primes.contains(params.d0.numerator):
+        with pytest.raises(ValidationError, match=f"D0 = .* = {params.d0} is a prime outside"):
+            product_sets(params, primes)
+        return dec, None
     sets = product_sets(params, primes)
     key = np.where(in_pq, block_of.astype(np.int64) - (params.j0 - 1), 0)
     assert np.array_equal(sets.key, key)
@@ -383,7 +395,7 @@ class TestSegmentedCore:
     sieve over the whole window."""
 
     @pytest.mark.parametrize("args", [
-        (4000, 1, 1, 11),                # D0 = 2 an integer prime; N below one segment
+        (4000, 1, 1, 11),                # D0 = 2 an integer prime, refused by product_sets
         (50_000, Fraction(1, 100), 1, 300),  # 299 blocks: the key is int16
         (2 * decomp._SPAN, Fraction(3, 10), 9, 30),  # N a multiple of the segment
         (3 * 10 ** 6, Fraction(3, 10), 9, 30),  # N no multiple of the segment
@@ -394,11 +406,12 @@ class TestSegmentedCore:
     ])
     def test_equals_unsegmented_builder(self, args):
         params = DecompositionParams(*args)
-        primes = sieve_primes(int(math.ceil(float(params.d1))) + 1)
+        primes = window_primes(params)
         dec, sets = assert_equals_unsegmented(params, primes)
         if params.bounds[-1] > decomp._LARGE:
             assert dec.unique_prime.max() >= decomp._LARGE
-        assert np.count_nonzero(sets.key) == dec.count_pq
+        if sets is not None:
+            assert np.count_nonzero(sets.key) == dec.count_pq
 
     @settings(max_examples=40)
     @given(params=small_windows(), span=st.sampled_from([64, 96, 100, 4096]),
@@ -429,7 +442,7 @@ class TestSegmentedCore:
         # Q_j needs the least block primes of m <= q_max(j0), and nothing
         # of [0, N) beyond them is sieved
         params = DecompositionParams(2_500_000, Fraction(1, 2), 3, 36)
-        primes = sieve_primes(int(math.ceil(float(params.d1))) + 1)
+        primes = window_primes(params)
         sieved, sieve = [], decomp._sieve
 
         def counted(least, in_s, lo, *blocks):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from horomu.dynamics import (FundamentalDomainCoords, ModularPoint,
                              _CHECK_BITS, _CHUNK, _check_delta, _state_error)
 from horomu.errors import (ConvergenceError, DescriptorError, DomainError,
                            PrecisionError, ValidationError)
-from horomu.exactreal import SymbolicReal
+from horomu.exactreal import SymbolicReal, as_symbolic
 
 from conftest import TEST_SEED, reduce_oracle
 
@@ -83,7 +84,8 @@ class TestReduce:
             reduce(1 - 1j)
 
     def test_precision_floor(self):
-        with pytest.raises(PrecisionError):
+        with pytest.raises(PrecisionError, match=r"Im z = 1e-30 is below the "
+                           r"working-precision floor 2\^-64"):
             reduce((0.3, 1e-30), precision_bits=64)
 
 
@@ -91,6 +93,26 @@ class TestModularPoint:
     def test_det_validation(self):
         with pytest.raises(ValidationError):
             ModularPoint(2, 0, 0, 1)
+
+    @pytest.mark.parametrize("entries, det", [
+        # 1 + 10^-14 (1 + pi): within any float tolerance of 1, and not 1
+        (("1+pi", "pi", "2+pi", "100000000000001/100000000000000+pi"),
+         "100000000000001/100000000000000+1/100000000000000*pi"),
+        (("pi", 0, 0, "pi"), "0 + (1)*pi^2"),
+        (("1+e", "e", "2+e", "1/2+e"), "1/2-1/2*e"),
+        (("1+sqrt2", "sqrt2", "2+sqrt2", "2+sqrt2"), "2+sqrt2")])
+    def test_det_is_exact(self, entries, det):
+        with pytest.raises(ValidationError, match=re.escape(f"det(xi) = {det} != 1")):
+            ModularPoint(*entries)
+
+    @pytest.mark.parametrize("entries", [
+        ("1+pi", "pi", "2+pi", "1+pi"),  # (1 + pi)^2 - pi (2 + pi): the pi^2 terms cancel
+        ("2+inv_e", "1+inv_e", "3+inv_e", "2+inv_e"),
+        ("sqrt2", 0, 0, "1/2*sqrt2"),  # sqrt2^2 = 2
+        ("golden", 1, "golden", "golden"),  # golden^2 - golden = 1
+        (3, Fraction(1, 2), 4, 1)])
+    def test_det_one_is_accepted(self, entries):
+        assert ModularPoint(*entries).entries[0] == as_symbolic(entries[0])
 
     def test_mixed_symbols_rejected(self):
         with pytest.raises(DescriptorError):

@@ -61,6 +61,22 @@ class TestParsing:
             symbol_spec("sqrt:1")
 
 
+_COEFFS = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
+                   st.fractions(max_denominator=10 ** 6))
+
+
+class TestStrRoundTrip:
+    @given(rational=st.fractions(max_denominator=10 ** 6), coeff=_COEFFS,
+           symbol=st.sampled_from(["e", "pi", "inv_e", "inv_pi", "golden", "sqrt2",
+                                   "sqrt:3", "sqrt7", "sqrt:1000003"]))
+    def test_parse_reads_str_back(self, rational, coeff, symbol):
+        # every registered constant, with and without q0, and coefficients
+        # of either sign, fractional or +-1 (coeff 0 leaves a rational)
+        for x in (SymbolicReal(rational), SymbolicReal(rational, coeff, symbol),
+                  SymbolicReal(0, coeff, symbol)):
+            assert SymbolicReal.parse(str(x)) == x, str(x)
+
+
 class TestArithmetic:
     def test_quadratic_relations(self):
         g = SymbolicReal.const("golden")
@@ -72,6 +88,15 @@ class TestArithmetic:
         e = SymbolicReal.const("e")
         with pytest.raises(DescriptorError):
             _ = e * e
+
+    def test_product_terms(self):
+        # (1 + 2 sigma)(3 - sigma) = 3 + 5 sigma - 2 sigma^2
+        x, y = SymbolicReal(1, 2, "pi"), SymbolicReal(3, -1, "pi")
+        assert x.product_terms(y) == (3, 5, -2)
+        assert x.product_terms(Fraction(1, 2)) == (Fraction(1, 2), 1, 0)
+        # golden^2 = 1 + golden: 3 + 5 sigma - 2 (1 + sigma) = 1 + 3 sigma
+        x, y = SymbolicReal(1, 2, "golden"), SymbolicReal(3, -1, "golden")
+        assert x.product_terms(y) == (1, 3, 0) and x * y == SymbolicReal(1, 3, "golden")
 
     def test_mixed_symbols_rejected(self):
         with pytest.raises(DescriptorError):
