@@ -18,16 +18,19 @@ _CHUNK points in blocks (``run`` joins them):
   split into float64 hi + lo parts with hi short enough that integer
   multiples of it are exact;
 * blocks: the points w * u^t, t = m - m0, are Gauss-reduced in float64 by
-  row operations on (A, B; C, D) with masked iterations that also track
-  the integer reducing matrix delta; delta * w * u^t is then recomputed
-  from hi + lo, and theta takes its sign from delta * gamma as the exact
-  path does;
+  masked row operations on the coordinate rows (A, B) and (C, D) alone;
+  the integer reducing matrix delta is read back from the reduced rows R
+  as round(R * (w * u^t)^-1), since det(w * u^t) = 1, and kept only where
+  it is an exact det-1 matrix. delta * w * u^t is then recomputed from
+  hi + lo, and theta takes its sign from delta * gamma as the exact path
+  does;
 * error estimate: a block point is within about
   eps * (1 + t) * (1 + |A| + |C|) * y of the exact path (times a safety
   factor, plus the anchor's own error carried along), so the error grows
   only in the cusp. Every point whose estimate exceeds 1e-9, or that lies
-  within it of the domain's boundary, is recomputed on the exact path:
-  these are the cusp excursions, about t / 2e5 of the points;
+  within it of the domain's boundary, or whose delta is not kept, is
+  recomputed on the exact path: these are the cusp excursions, about
+  t / 2e5 of the points;
 * precision guard: each exact point (anchors and fallbacks) is compared
   with the closed form at 64 more bits, through one exact integer product
   per point (``_state_error``), and a first-order bound on its
@@ -42,8 +45,8 @@ each chunk of the evaluator, new arrays of at most _CHUNK points, goes
 through ``f.eval`` into an ``exactreal.ExactSum``, one exact integer read
 at every ladder rung, so no array of length N is built and memory is
 O(_CHUNK) at any N. At N = 1e6 on ``point:lower:t=inv_e`` the tracemalloc
-peak is 1.7 MB for a windy Birkhoff average, 1.5 MB for the disjointness
-ladder and 1.8 MB for a pair correlation, against 40, 40 and 16 MB when the
+peak is 1.7 MiB for a windy Birkhoff average, 1.8 MiB for the disjointness
+ladder and 2.0 MiB for a pair correlation, against 40, 40 and 16 MB when the
 whole orbit was held. ``orbit_sequence`` still returns all N values.
 """
 
@@ -251,7 +254,7 @@ _CHECK_BITS = 64  # exact points are checked against this many more bits
 # puts about t / 2e5 of the points there: 0.05% at stride 1. Each anchor
 # costs two exact evaluations, 2 / K per point.
 _ANCHOR_EVERY = 256
-_CHUNK = 16 * _ANCHOR_EVERY  # points per numpy pass: temporaries stay O(_CHUNK)
+_CHUNK = 32 * _ANCHOR_EVERY  # points per numpy pass: temporaries stay O(_CHUNK)
 _SPLIT_BITS = 33  # anchor = hi + lo with hi in 33 bits, so delta * hi is exact
 _MAX_DELTA = 2.0 ** (53 - _SPLIT_BITS)
 
@@ -292,6 +295,33 @@ def _coordinate_bound(y, top, bottom):
     dz = (dA i + dB - z (dC i + dD)) / (C i + D) with |C i + D| = y^(-1/2) and
     |z| <= 1/2 + y."""
     return 2.0 * np.sqrt(y) * (top + (0.5 + y) * bottom)
+
+
+def _reduced_delta(a, b, c, d):
+    """The integer matrix delta = (p, q; r, s) that Gauss-reduces the rows
+    (a, b) and (c, d) of W = w * u^t in float64, as four arrays.
+
+    The masked iterations update only the coordinate rows, carrying each
+    row's squared norm through the swaps, and so make the decisions that
+    tracking delta alongside would make. delta is then read back from the
+    reduced rows R = delta * W as round(R * W^-1), W^-1 = (d, -b; -c, a)
+    since det W = 1; a caller keeps a point only where p s - q r == 1."""
+    ra, rb, rc, rd = a, b, c, d
+    den = c * c + d * d
+    for _ in range(_MAX_REDUCE_STEPS):
+        k = np.floor((ra * rc + rb * rd) / den + 0.5)
+        ra, rb = ra - k * rc, rb - k * rd
+        norm = ra * ra + rb * rb
+        flip = norm < den
+        if not flip.any():
+            break
+        ra, rb, rc, rd = (np.where(flip, -rc, ra), np.where(flip, -rd, rb),
+                          np.where(flip, ra, rc), np.where(flip, rb, rd))
+        den = np.where(flip, norm, den)
+    else:
+        raise PrecisionError("fundamental-domain reduction did not terminate")
+    return (np.rint(ra * d - rb * c), np.rint(rb * a - ra * b),
+            np.rint(rc * d - rd * c), np.rint(rd * a - rc * b))
 
 
 class OrbitEvaluator:
@@ -403,71 +433,76 @@ class OrbitEvaluator:
         """(xs, ys, thetas) of one chunk: exact anchors every _ANCHOR_EVERY
         indices, float64 blocks w * u^t reduced row-wise, exact fallback;
         ``delta`` (_check_delta) gives each exact point's error against the
-        closed form at _CHECK_BITS more bits."""
+        closed form at _CHECK_BITS more bits.
+
+        The chunk is an (anchors, _ANCHOR_EVERY) grid, one block per row,
+        against which each anchor's values broadcast as a column; a short
+        last block is padded with its last index, and the padding is cut
+        off before the fallback. ``_reduced_delta`` reduces only the
+        coordinate rows and reads the integer delta back from them, and a
+        point is kept only where that delta is an exact det-1 matrix."""
+        n = idx.size
         heads = idx[::_ANCHOR_EVERY]
         anchors = []  # exact state per block
         for m in heads.tolist():
             self._state = self._step(self._state, m)
             anchors.append(self._state)
-        # values of each anchor, (anchors,) or (4, anchors), computed once and
-        # then repeated over the points of its block
-        def spread(a):
-            return np.repeat(a, _ANCHOR_EVERY, axis=-1)[..., :len(idx)]
-
-        hi, lo = np.array([[_split(v, self.one) for v in s[1]] for s in anchors]).T
+        # (4, anchors, 1): A, B, C, D of each anchor, as hi + lo
+        hi, lo = np.array([[_split(v, self.one) for v in s[1]] for s in anchors]).T[..., None]
         # an integral anchor makes every float operation below exact
         rounded = ((lo != 0) | (hi != np.round(hi))).any(axis=0)
         w = hi + lo
         scale = 1.0 + np.abs(w[0]) + np.abs(w[2])
         ref_one = self.one << _CHECK_BITS
-        g0 = np.array([[float(s[2][k]) for s in anchors] for k in range(4)])
+        g0 = np.array([[float(s[2][k]) for s in anchors] for k in range(4)])[..., None]
         dt0, db0 = np.array([_state_error(s, delta, ref_one) for s in anchors]).T
-        t = (idx - spread(heads)).astype(float)
-        t1 = 1.0 + t
-        hi, lo, w = spread(hi), spread(lo), spread(w)  # (4, n): A, B, C, D
-        # rows (A, B, p, q) and (C, D, r, s) of w*u^t and of the integer delta
-        top = np.stack([w[0], w[1] + t * w[0], np.ones_like(t), np.zeros_like(t)])
-        bot = np.stack([w[2], w[3] + t * w[2], np.zeros_like(t), np.ones_like(t)])
-        for _ in range(_MAX_REDUCE_STEPS):
-            den = bot[0] * bot[0] + bot[1] * bot[1]
-            top -= np.floor((top[0] * bot[0] + top[1] * bot[1]) / den + 0.5) * bot
-            flip = top[0] * top[0] + top[1] * top[1] < den
-            if not flip.any():
-                break
-            top, bot = np.where(flip, -bot, top), np.where(flip, top, bot)
-        else:
-            raise PrecisionError("fundamental-domain reduction did not terminate")
+        grid = np.append(idx, np.full(-n % _ANCHOR_EVERY, idx[-1]))
+        t = (grid.reshape(-1, _ANCHOR_EVERY) - heads[:, None]).astype(float)
+        del grid
+        p, q, r, s = _reduced_delta(w[0], w[1] + t * w[0], w[2], w[3] + t * w[2])
         # delta * w * u^t again from the split anchor: delta * hi is exact, so
         # t multiplies a rounding of the reduced rows instead of one of w
-        p, q, r, s = top[2], top[3], bot[2], bot[3]
         a = (p * hi[0] + q * hi[2]) + (p * lo[0] + q * lo[2])
         c = (r * hi[0] + s * hi[2]) + (r * lo[0] + s * lo[2])
         b = (p * hi[1] + q * hi[3]) + (p * lo[1] + q * lo[3]) + t * a
         d = (r * hi[1] + s * hi[3]) + (r * lo[1] + s * lo[3]) + t * c
         den = c * c + d * d
         xs = (a * c + b * d) / den
+        del a, b
         ys = 1.0 / den
+        del den
         # rounding, plus the anchor's own error carried by delta and u^t
-        dt, db = spread(dt0) * t1, spread(db0) * t1
+        t1 = 1.0 + t
+        del t
+        dt, db = dt0[:, None] * t1, db0[:, None] * t1
         ap, aq, ar, as_ = np.abs(p), np.abs(q), np.abs(r), np.abs(s)
-        err = (_ERROR_SCALE * _EPS * t1 * spread(scale) * ys * spread(rounded)
+        err = (_ERROR_SCALE * _EPS * t1 * scale * ys * rounded
                + _coordinate_bound(ys, ap * dt + aq * db, ar * dt + as_ * db))
+        del t1, dt, db
         size = ap + aq + ar + as_
-        # within err of the domain's boundary the exact path may pick the
-        # other representative
-        ok = ((err <= _TOLERANCE) & (size < _MAX_DELTA) & (0.5 - np.abs(xs) > err)
-              & ((np.hypot(xs, ys) - 1.0 > err) | (err == 0.0)))
+        del ap, aq, ar, as_
+        # p s - q r is exact in float64 while size < 2^20; within err of the
+        # domain's boundary the exact path may pick the other representative
+        ok = ((err <= _TOLERANCE) & (size < _MAX_DELTA) & (p * s - q * r == 1.0)
+              & (0.5 - np.abs(xs) > err) & ((np.hypot(xs, ys) - 1.0 > err) | (err == 0.0)))
+        del err, p, q
         if need_theta:
             # sign of gamma = delta * g0, normalized as in coords; exact while
             # every product stays below 2^53
-            g = spread(g0)  # (4, n): the entries of g0
-            gr = r * g[0] + s * g[2]
-            gs = r * g[1] + s * g[3]
-            ok &= size * spread(np.abs(g0).max(axis=0)) < 2.0 ** 53
+            gr = r * g0[0] + s * g0[2]
+            gs = r * g0[1] + s * g0[3]
+            ok &= size * np.abs(g0).max(axis=0) < 2.0 ** 53
             sign = np.where((gr > 0) | ((gr == 0) & (gs > 0)), 1.0, -1.0)
-            ts = np.arctan2(sign * c, sign * d) % (2 * math.pi)
+            del gr, gs
+            ts = np.arctan2(sign * c, sign * d)
+            # ts % (2 pi) bit for bit: arctan2 lies in [-pi, pi], and + 0.0
+            # turns -0.0 into the remainder's +0.0
+            ts = np.where(ts < 0, ts + 2 * math.pi, ts) + 0.0
+            ts = ts.reshape(-1)[:n]
         else:
-            ts = np.zeros(idx.size)
+            ts = np.zeros(n)
+        del r, s, c, d, size
+        xs, ys, ok = xs.reshape(-1)[:n], ys.reshape(-1)[:n], ok.reshape(-1)[:n]
         bounds = list(zip(_coordinate_bound(ys[::_ANCHOR_EVERY], dt0, db0).tolist(),
                           heads.tolist()))
         for k in np.flatnonzero(~ok).tolist():  # ascending within each block

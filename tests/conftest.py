@@ -87,6 +87,31 @@ def reduce_oracle(x: Fraction, y: Fraction):
     raise AssertionError("oracle reduction did not terminate")
 
 
+def tracked_reduction(a, b, c, d):
+    """The integer matrix (p, q, r, s) that Gauss-reduces the float64 rows
+    (a, b) and (c, d), tracked alongside them.
+
+    A reference copy of the orbit evaluator's earlier block loop: masked
+    iterations on the four-entry rows (A, B, p, q) and (C, D, r, s), which
+    start from the identity and take every shift and swap the coordinate
+    rows take, so the integer entries stay exact. The arguments broadcast
+    against each other.
+    """
+    import numpy as np
+
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    top = np.stack([a, b, np.ones_like(a), np.zeros_like(a)])
+    bot = np.stack([c, d, np.zeros_like(a), np.ones_like(a)])
+    for _ in range(20000):
+        den = bot[0] * bot[0] + bot[1] * bot[1]
+        top -= np.floor((top[0] * bot[0] + top[1] * bot[1]) / den + 0.5) * bot
+        flip = top[0] * top[0] + top[1] * top[1] < den
+        if not flip.any():
+            return top[2], top[3], bot[2], bot[3]
+        top, bot = np.where(flip, -bot, top), np.where(flip, top, bot)
+    raise AssertionError("reference reduction did not terminate")
+
+
 @pytest.fixture(scope="session")
 def primes_10k():
     from horomu.arith import sieve_primes

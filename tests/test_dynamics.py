@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -18,12 +19,13 @@ from horomu.dynamics import (FundamentalDomainCoords, ModularPoint,
                              mobius_disjointness_sum, orbit_sequence,
                              pair_correlation, reduce, split_observable,
                              step_observable, windy_observable, _ANCHOR_EVERY,
-                             _CHECK_BITS, _CHUNK, _check_delta, _state_error)
+                             _CHECK_BITS, _CHUNK, _MAX_DELTA, _check_delta,
+                             _state_error)
 from horomu.errors import (ConvergenceError, DescriptorError, DomainError,
                            PrecisionError, ValidationError)
 from horomu.exactreal import SymbolicReal, as_symbolic
 
-from conftest import TEST_SEED, reduce_oracle
+from conftest import TEST_SEED, reduce_oracle, tracked_reduction
 
 SMALL_QUAD = QuadratureSpec(nx=12, nv=48, ntheta=32)
 # a much higher order of the same rule, the reference for the defaults
@@ -268,6 +270,35 @@ def _stepped_state_error(state, ref_state, ref_one):
     return max(da, db) / ref_one, max(dc, dd) / ref_one
 
 
+def _count_steps(monkeypatch):
+    """The index m of every ``OrbitEvaluator._step`` call from here on: one
+    per exact anchor and one per exact fallback of the blocked path."""
+    calls = []
+    step = OrbitEvaluator._step
+
+    def counting(self, state, m):
+        calls.append(m)
+        return step(self, state, m)
+
+    monkeypatch.setattr(OrbitEvaluator, "_step", counting)
+    return calls
+
+
+def _record_reductions(monkeypatch, change=None):
+    """(rows, delta) of every ``_reduced_delta`` call from here on; ``change``,
+    if given, maps each returned delta to the one the evaluator receives."""
+    calls = []
+    reduced = dynamics._reduced_delta
+
+    def recording(*rows):
+        delta = reduced(*rows)
+        calls.append((rows, delta))
+        return delta if change is None else change(*delta)
+
+    monkeypatch.setattr(dynamics, "_reduced_delta", recording)
+    return calls
+
+
 def _assert_matches_exact(xi, indices, tol=1e-9):
     idx = list(indices)
     n_max = max(idx, default=2)
@@ -311,12 +342,73 @@ class TestBlockedEvaluator:
 
     @pytest.mark.parametrize("m, stride, pos", [(22179, 3, _ANCHOR_EVERY - 10),
                                                 (265216, 7, _ANCHOR_EVERY - 1)])
-    def test_cusp_excursion(self, m, stride, pos):
+    def test_cusp_excursion(self, m, stride, pos, monkeypatch):
         # m sits pos indices after an anchor, at y ~ 4e4 and 1.4e5, where
         # the float block alone is 2.7e-9 and 2.2e-8 off
         idx = range(m - stride * pos, m + stride * 50, stride)
+        calls = _count_steps(monkeypatch)
+        OrbitEvaluator(self.XI, idx[-1]).run(idx, need_theta=True)
+        monkeypatch.undo()
+        assert m not in idx[::_ANCHOR_EVERY] and m in calls  # the exact path ran at m
         ys = _assert_matches_exact(self.XI, idx)
         assert ys[pos] > 1e3
+
+    def test_exact_work_count(self, monkeypatch):
+        # one exact anchor per _ANCHOR_EVERY indices, and exact fallbacks for
+        # the cusp excursions only: 51 of the 1e5 points at inv_e
+        n = 10 ** 5
+        calls = _count_steps(monkeypatch)
+        birkhoff_average(windy_observable(), self.XI, n)
+        anchors = sorted({m for m in calls if (m - 1) % _ANCHOR_EVERY == 0})
+        assert anchors == list(range(1, n + 1, _ANCHOR_EVERY))  # ceil(n / 256) of them
+        assert len(calls) - len(anchors) <= n / 1000, len(calls)
+
+    @pytest.mark.parametrize("constant", ["sqrt2", "sqrt:3", "sqrt:5", "golden",
+                                          "e", "pi", "inv_e", "inv_pi"])
+    def test_read_back_delta_is_the_tracked_one(self, constant, monkeypatch):
+        # wherever the read-back is an exact det-1 matrix small enough to be
+        # kept, it equals the reducing matrix tracked through the same loop,
+        # on ranges crossing anchor and chunk seams and at the cusp points
+        rng = random.Random(TEST_SEED)
+        xi = ModularPoint.lower(constant)
+        ranges = [range(1, _CHUNK + 2 * _ANCHOR_EVERY + 5),
+                  *(range(start, start + stride * (_CHUNK + 300), stride)
+                    for stride, start in ((2, rng.randint(1, 10 ** 6)),
+                                          (3, rng.randint(1, 10 ** 6)),
+                                          (7, rng.randint(1, 10 ** 6)))),
+                  range(22179 - 3 * (_ANCHOR_EVERY - 10), 22179 + 3 * 50, 3),
+                  range(265216 - 7 * (_ANCHOR_EVERY - 1), 265216 + 7 * 50, 7)]
+        calls = _record_reductions(monkeypatch)
+        for idx in ranges:
+            OrbitEvaluator(xi, idx[-1]).run(idx, need_theta=True)
+        kept = 0
+        for rows, (p, q, r, s) in calls:
+            want = tracked_reduction(*rows)
+            mask = ((p * s - q * r == 1.0)
+                    & (np.abs(p) + np.abs(q) + np.abs(r) + np.abs(s) < _MAX_DELTA))
+            for got, ref in zip((p, q, r, s), want):
+                assert np.array_equal(got[mask], ref[mask])
+            kept += mask.sum()
+        assert kept > 0.99 * sum(len(idx) for idx in ranges)
+
+    def test_bad_read_back_falls_back(self, monkeypatch):
+        # a read-back that is not a det-1 matrix sends its point to the exact
+        # path, whose value the chunk then holds
+        k, idx = 100, range(1, 2 * _ANCHOR_EVERY)
+
+        def doubled_at_k(*delta):
+            out = tuple(v.copy() for v in delta)
+            for v in out:
+                v.reshape(-1)[k] *= 2
+            return out
+
+        _record_reductions(monkeypatch, doubled_at_k)
+        calls = _count_steps(monkeypatch)
+        xs, ys, ts = OrbitEvaluator(self.XI, idx[-1]).run(idx, need_theta=True)
+        assert idx[k] in calls
+        monkeypatch.undo()
+        want = OrbitEvaluator(self.XI, idx[-1]).coords(idx[k])
+        assert (xs[k], ys[k], ts[k]) == (want.x, want.y, want.theta)
 
     def test_identity_orbit_is_exact(self):
         for idx in (range(1, 3000), range(7, 7 + 5 * 1000, 5)):
@@ -686,14 +778,13 @@ class TestExactlyRoundedAverages:
 
     def test_peak_memory_does_not_grow_with_n(self):
         """The orbit is never held whole: the same bound holds at 3e5 and at
-        1e6 points, where the full arrays would take 12 MB and 40 MB. The
-        identity orbit keeps the traced run short (about 1.7 MB is traced
-        for inv_e too, at both sizes)."""
-        bound = 1024 * _CHUNK  # 4 MiB
-        xi = ModularPoint.identity()
+        1e6 points, where the full arrays would take 12 MB and 40 MB, on the
+        identity orbit (no fallbacks) and on inv_e (cusp excursions)."""
+        bound = 4 * 2 ** 20
         windy, bump = windy_observable(), bump_observable(2.0, 0.5)
         mu = sieve_mobius(10 ** 6)
-        for n in (3 * 10 ** 5, 10 ** 6):
+        for xi, n in itertools.product((ModularPoint.identity(), self.XI),
+                                       (3 * 10 ** 5, 10 ** 6)):
             for run in (lambda: birkhoff_average(windy, xi, n),
                         lambda: mobius_disjointness_sum(xi, bump, n, mu)):
                 tracemalloc.start()
